@@ -1,10 +1,12 @@
 // Golden-counter regression suite: every (architecture, benchmark) pair of
-// the paper's 4x8 evaluation matrix is run at a fixed small input (rows=24,
+// the 8x8 arch-variant x BMLA matrix is run at a fixed small input (rows=24,
 // seed=1) and its FULL StatSet is compared counter-by-counter against a
-// checked-in JSON snapshot. Any change to the timing model, the workloads,
-// or the memory system that moves even one counter fails here with a
-// readable per-counter diff — intentional changes regenerate the snapshots
-// with:
+// checked-in JSON snapshot, together with the run metrics stats-JSON prints
+// beside the counters (runtime, cycles, clock, warp width and the three
+// energy terms, doubles pinned bit-exactly via %.17g). Any change to the
+// timing model, the energy model, the workloads, or the memory system that
+// moves even one value fails here with a readable per-value diff —
+// intentional changes regenerate the snapshots with:
 //
 //   UPDATE_GOLDEN=1 ctest -R GoldenStats
 //
@@ -13,6 +15,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <map>
@@ -29,17 +33,32 @@ namespace {
 constexpr u64 kGoldenRows = 24;
 constexpr u64 kGoldenSeed = 1;
 
-struct ArchCase {
-  arch::ArchKind kind;
-  const char* name;
+constexpr std::size_t kMatrixPoints = 64;  // 8 architectures x 8 benchmarks
+
+/// Counters plus the run metrics, as stored in one golden file.
+struct Golden {
+  std::map<std::string, u64> counters;
+  std::map<std::string, double> metrics;
 };
 
-const ArchCase kArchCases[] = {
-    {arch::ArchKind::kMillipede, "millipede"},
-    {arch::ArchKind::kSsmc, "ssmc"},
-    {arch::ArchKind::kGpgpu, "gpgpu"},
-    {arch::ArchKind::kMulticore, "multicore"},
-};
+/// The run metrics stats_json_run prints that the counters do not already
+/// determine. Integral ones are exact as doubles (all far below 2^53).
+std::map<std::string, double> run_metrics(const arch::RunResult& r) {
+  return {
+      {"runtime_ps", static_cast<double>(r.runtime_ps)},
+      {"compute_cycles", static_cast<double>(r.compute_cycles)},
+      {"final_clock_mhz", r.final_clock_mhz},
+      {"warp_width", static_cast<double>(r.warp_width)},
+      {"core_j", r.energy.core_j},
+      {"dram_j", r.energy.dram_j},
+      {"leak_j", r.energy.leak_j},
+  };
+}
+
+Golden measured_golden(const arch::RunResult& r) {
+  return {std::map<std::string, u64>(r.stats.begin(), r.stats.end()),
+          run_metrics(r)};
+}
 
 bool update_mode() {
   const char* env = std::getenv("UPDATE_GOLDEN");
@@ -51,7 +70,7 @@ std::string golden_path(const std::string& arch, const std::string& bench) {
 }
 
 std::string render_golden(const std::string& arch, const std::string& bench,
-                          const std::map<std::string, u64>& counters) {
+                          const Golden& golden) {
   trace::JsonWriter w;
   w.begin_object();
   w.key("arch");
@@ -64,10 +83,19 @@ std::string render_golden(const std::string& arch, const std::string& bench,
   w.value(kGoldenSeed);
   w.key("counters");
   w.begin_object();
-  for (const auto& [name, value] : counters) {
+  for (const auto& [name, value] : golden.counters) {
     w.newline();
     w.key(name);
     w.value(value);
+  }
+  w.end_object();
+  w.newline();
+  w.key("metrics");
+  w.begin_object();
+  for (const auto& [name, value] : golden.metrics) {
+    w.newline();
+    w.key(name);
+    w.value(value);  // %.17g: parses back to the identical double
   }
   w.end_object();
   w.end_object();
@@ -76,7 +104,7 @@ std::string render_golden(const std::string& arch, const std::string& bench,
   return out;
 }
 
-std::map<std::string, u64> load_golden(const std::string& path) {
+Golden load_golden(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in.good()) {
     ADD_FAILURE() << "missing golden file " << path
@@ -86,16 +114,22 @@ std::map<std::string, u64> load_golden(const std::string& path) {
   std::ostringstream os;
   os << in.rdbuf();
   const trace::JsonValue doc = trace::json_parse(os.str());
-  std::map<std::string, u64> counters;
-  const trace::JsonValue* obj = doc.find("counters");
-  if (obj == nullptr || !obj->is_object()) {
-    ADD_FAILURE() << "golden file " << path << " has no counters object";
-    return counters;
+  Golden golden;
+  const trace::JsonValue* counters = doc.find("counters");
+  const trace::JsonValue* metrics = doc.find("metrics");
+  if (counters == nullptr || !counters->is_object() || metrics == nullptr ||
+      !metrics->is_object()) {
+    ADD_FAILURE() << "golden file " << path
+                  << " lacks a counters or metrics object";
+    return {};
   }
-  for (const auto& [name, value] : obj->object) {
-    counters[name] = value.unsigned_integer;
+  for (const auto& [name, value] : counters->object) {
+    golden.counters[name] = value.unsigned_integer;
   }
-  return counters;
+  for (const auto& [name, value] : metrics->object) {
+    golden.metrics[name] = value.number;
+  }
+  return golden;
 }
 
 /// Per-counter diff; empty string iff the sets match exactly.
@@ -123,18 +157,46 @@ std::string diff_counters(const std::map<std::string, u64>& golden,
   return os.str();
 }
 
-/// The whole 4x8 matrix in one parallel batch (each point is an isolated
+/// Exact per-metric diff (doubles compared bit for bit); empty iff equal.
+std::string diff_metrics(const std::map<std::string, double>& golden,
+                         const std::map<std::string, double>& measured) {
+  std::string out;
+  char line[160];
+  for (const auto& [name, value] : golden) {
+    const auto it = measured.find(name);
+    if (it == measured.end()) {
+      out += "  metric disappeared: " + name + "\n";
+    } else if (it->second != value) {
+      std::snprintf(line, sizeof(line), "  %s: golden %.17g, measured %.17g\n",
+                    name.c_str(), value, it->second);
+      out += line;
+    }
+  }
+  for (const auto& [name, value] : measured) {
+    if (golden.count(name) == 0) {
+      out += "  new metric not in golden: " + name + "\n";
+    }
+  }
+  return out;
+}
+
+std::string diff_golden(const Golden& golden, const Golden& measured) {
+  return diff_counters(golden.counters, measured.counters) +
+         diff_metrics(golden.metrics, measured.metrics);
+}
+
+/// The whole 8x8 matrix in one parallel batch (each point is an isolated
 /// deterministic simulation, so the pool only changes wall-clock time).
 /// `block_cache` false re-runs the matrix on the legacy per-edge decode
 /// path; the SAME goldens pin both interpreter modes.
 std::vector<sim::MatrixResult> run_golden_matrix(bool block_cache = true) {
   std::vector<sim::MatrixJob> jobs;
-  for (const ArchCase& arch_case : kArchCases) {
+  for (const arch::ArchKind kind : arch::all_arch_kinds()) {
     for (const std::string& bench : workloads::bmla_names()) {
       sim::MatrixJob job;
-      job.kind = arch_case.kind;
+      job.kind = kind;
       job.bench = bench;
-      job.tag = arch_case.name;  // carries the golden file stem's arch part
+      job.tag = arch::arch_name(kind);  // the golden file stem's arch part
       job.options.rows = kGoldenRows;
       job.options.seed = kGoldenSeed;
       job.options.cfg.block_cache = block_cache;
@@ -146,14 +208,13 @@ std::vector<sim::MatrixResult> run_golden_matrix(bool block_cache = true) {
 
 TEST(GoldenStats, FullMatrixMatchesSnapshots) {
   const std::vector<sim::MatrixResult> results = run_golden_matrix();
-  ASSERT_EQ(results.size(), 32u);  // 4 architectures x 8 benchmarks
+  ASSERT_EQ(results.size(), kMatrixPoints);
   bool updated = false;
   for (const sim::MatrixResult& run : results) {
     const std::string& arch = run.job.tag;
     const std::string& bench = run.job.bench;
     ASSERT_TRUE(run.ok()) << arch << "/" << bench << ": " << run.error;
-    const std::map<std::string, u64> measured(run.result.stats.begin(),
-                                              run.result.stats.end());
+    const Golden measured = measured_golden(run.result);
     const std::string path = golden_path(arch, bench);
     if (update_mode()) {
       std::ofstream out(path, std::ios::binary | std::ios::trunc);
@@ -162,9 +223,9 @@ TEST(GoldenStats, FullMatrixMatchesSnapshots) {
       updated = true;
       continue;
     }
-    const std::map<std::string, u64> golden = load_golden(path);
-    if (golden.empty()) continue;  // load already reported the failure
-    const std::string diff = diff_counters(golden, measured);
+    const Golden golden = load_golden(path);
+    if (golden.counters.empty()) continue;  // load already reported it
+    const std::string diff = diff_golden(golden, measured);
     EXPECT_TRUE(diff.empty())
         << arch << "/" << bench << " drifted from " << path << ":\n"
         << diff << "  (intentional? regenerate with UPDATE_GOLDEN=1)";
@@ -185,17 +246,15 @@ TEST(GoldenStats, NoBlockCachePathMatchesSameSnapshots) {
   }
   const std::vector<sim::MatrixResult> results =
       run_golden_matrix(/*block_cache=*/false);
-  ASSERT_EQ(results.size(), 32u);
+  ASSERT_EQ(results.size(), kMatrixPoints);
   for (const sim::MatrixResult& run : results) {
     const std::string& arch = run.job.tag;
     const std::string& bench = run.job.bench;
     ASSERT_TRUE(run.ok()) << arch << "/" << bench << ": " << run.error;
-    const std::map<std::string, u64> measured(run.result.stats.begin(),
-                                              run.result.stats.end());
-    const std::map<std::string, u64> golden =
-        load_golden(golden_path(arch, bench));
-    if (golden.empty()) continue;  // load already reported the failure
-    const std::string diff = diff_counters(golden, measured);
+    const Golden golden = load_golden(golden_path(arch, bench));
+    if (golden.counters.empty()) continue;  // load already reported it
+    const std::string diff =
+        diff_golden(golden, measured_golden(run.result));
     EXPECT_TRUE(diff.empty())
         << arch << "/" << bench
         << " with --no-block-cache drifted from the shared golden:\n"
@@ -207,7 +266,7 @@ TEST(GoldenStats, DiffCatchesSingleCounterPerturbation) {
   // Negative control: the suite must flag a one-counter, off-by-one
   // perturbation of a real snapshot — otherwise it guards nothing.
   const std::map<std::string, u64> golden =
-      load_golden(golden_path("millipede", "count"));
+      load_golden(golden_path("millipede", "count")).counters;
   ASSERT_FALSE(golden.empty());
   std::map<std::string, u64> perturbed = golden;
   const std::string victim = "dram.row_misses";
@@ -228,6 +287,20 @@ TEST(GoldenStats, DiffCatchesMissingAndNewCounters) {
   EXPECT_NE(diff.find("counter disappeared: b.y"), std::string::npos);
   EXPECT_NE(diff.find("new counter not in golden: c.z"), std::string::npos);
   EXPECT_TRUE(diff_counters(golden, golden).empty());
+}
+
+TEST(GoldenStats, DiffCatchesOneUlpMetricDrift) {
+  // Metrics are pinned bit for bit: one ulp of energy drift must show, and
+  // the stored text must parse back to the very double that was written.
+  const std::map<std::string, double> golden =
+      load_golden(golden_path("vws", "count")).metrics;
+  ASSERT_EQ(golden.size(), 7u);
+  std::map<std::string, double> drifted = golden;
+  drifted["core_j"] = std::nextafter(drifted["core_j"], 1.0);
+  const std::string diff = diff_metrics(golden, drifted);
+  EXPECT_NE(diff.find("core_j"), std::string::npos) << diff;
+  EXPECT_EQ(std::count(diff.begin(), diff.end(), '\n'), 1) << diff;
+  EXPECT_TRUE(diff_metrics(golden, golden).empty());
 }
 
 }  // namespace
