@@ -3,165 +3,69 @@
 // optional DFS rate matching — the paper's proposed architecture, plus the
 // no-flow-control and no-rate-match ablations (selected via MachineConfig).
 
-#include "arch/system.hpp"
-
 #include <algorithm>
-#include <memory>
 #include <optional>
+
+#include "arch/machine.hpp"
 #include "common/error.hpp"
 #include "core/barrier.hpp"
-#include "core/corelet.hpp"
-#include "core/decode_cache.hpp"
-#include "mem/channels.hpp"
 #include "millipede/prefetch_buffer.hpp"
-#include "sim/kernel.hpp"
 
 namespace mlp::arch {
 
-RunResult run_millipede(const MachineConfig& cfg,
-                        const workloads::Workload& workload, u64 seed,
-                        trace::TraceSession* trace,
-                        const PreparedInput* prepared,
-                        sim::SnapshotPlan* snapshot) {
-  cfg.validate();
-  // The run owns a private copy of the prepared input: the controller
-  // attaches to (and no-ECC fault injection may corrupt) the image.
-  PreparedInput input =
-      prepared != nullptr ? *prepared : prepare_input(cfg, workload, seed);
+RunResult run_millipede(const RunSpec& spec) {
+  const MachineConfig& cfg = spec.cfg;
   // A record's field loads touch `record_row_footprint()` concurrent rows
   // (= fields under the field-major layout, 1 under slab-interleaving);
   // flow control deadlocks if the window cannot hold them all. Fail fast —
   // recoverably, so one undersized sweep point cannot kill a whole matrix.
   MLP_SIM_CHECK(cfg.millipede.unsafe_skip_window_check ||
                     cfg.millipede.pf_entries >=
-                        input.layout.record_row_footprint(),
+                        spec.prepared.layout.record_row_footprint(),
                 "config",
                 "prefetch window smaller than a record's row footprint");
+  Machine m(spec, "millipede");
 
-  StatSet stats;
-  mem::ChannelDemux ctrl(cfg.dram, "dram", &stats, trace);
-  ctrl.attach_image(&input.image);
-
-  sim::SimulationKernel kernel(cfg, "millipede", trace);
-
-  std::unique_ptr<millipede::RateMatcher> rate_matcher;
+  // DFS retunes the kernel's compute clock, which therefore exists first.
+  std::optional<millipede::RateMatcher> rate_matcher;
   if (cfg.millipede.rate_match) {
-    rate_matcher = std::make_unique<millipede::RateMatcher>(
-        cfg.millipede, cfg.core, kernel.compute_clock(), &stats, "rate",
-        trace);
+    rate_matcher.emplace(cfg.millipede, cfg.core, m.kernel.compute_clock(),
+                         &m.stats, "rate", m.trace());
   }
 
   millipede::RowPlan plan;
-  plan.first_row = input.layout.first_row();
-  plan.num_rows = input.layout.num_rows();
-  const workloads::InterleavedLayout layout = input.layout;
+  plan.first_row = m.input.layout.first_row();
+  plan.num_rows = m.input.layout.num_rows();
+  const workloads::InterleavedLayout layout = m.input.layout;
   const u32 cores = cfg.core.cores;
   plan.expected_mask = [layout, cores](u64 row, u32 corelet) {
     return layout.expected_slab_mask(row, corelet, cores);
   };
-  millipede::PrefetchBuffer pb(cfg, plan, &ctrl, rate_matcher.get(), &stats,
-                               "pb", trace);
+  millipede::PrefetchBuffer pb(cfg, plan, &m.dram,
+                               rate_matcher ? &*rate_matcher : nullptr,
+                               &m.stats, "pb", m.trace());
   // The software-barrier ablation compiles `bar` into the kernels; wire a
   // processor-wide barrier over the prefetch-buffer port when present.
   bool uses_bar = false;
-  for (const isa::Instr& in : workload.program.instrs()) {
+  for (const isa::Instr& in : spec.workload.program.instrs()) {
     uses_bar |= in.op == isa::Opcode::kBar;
   }
   core::BarrierPort barrier_port(&pb, cfg.core.threads());
-  core::GlobalPort* port =
-      uses_bar ? static_cast<core::GlobalPort*>(&barrier_port)
-               : static_cast<core::GlobalPort*>(&pb);
-
-  std::vector<mem::LocalStore> locals;
-  locals.reserve(cores);
-  for (u32 c = 0; c < cores; ++c) {
-    locals.emplace_back(cfg.core.local_mem_bytes);
-    if (workload.init_state) workload.init_state(locals.back());
-  }
-
-  core::ExecStats exec;
-  exec.register_with(&stats, "exec");
-  // One decoded-block cache per job, shared read-only by all corelets.
-  core::DecodedBlockCache dcache(workload.program, cfg.block_cache);
-  dcache.register_with(&stats, "decode");
-  std::vector<core::Corelet> corelets;
-  corelets.reserve(cores);
-  for (u32 c = 0; c < cores; ++c) {
-    corelets.emplace_back(c, cfg.core, &workload.program, &locals[c],
-                          &input.image, port, &exec, trace, &dcache);
-    for (u32 x = 0; x < cfg.core.contexts; ++x) {
-      const workloads::ThreadSlice slice = input.layout.slice(
-          workloads::ThreadMapping::kSlab, cores, cfg.core.contexts, c, x);
-      workloads::bind_csrs(corelets.back().context(x).csr, workload,
-                           input.layout, slice, c * cfg.core.contexts + x,
-                           cfg.core.threads(), c, cores, x,
-                           cfg.core.contexts);
-    }
-  }
+  m.add_corelets(uses_bar ? static_cast<core::GlobalPort*>(&barrier_port)
+                          : static_cast<core::GlobalPort*>(&pb));
 
   // On restore, the prefetch buffer's state (and the controller's queue)
   // come from the snapshot; priming would issue duplicate time-0 fetches
   // whose callbacks target entries the restore is about to overwrite.
-  const bool restoring =
-      snapshot != nullptr && snapshot->restore_from != nullptr;
-  if (!restoring) pb.prime(0);
-  kernel.set_compute_edge_hook([&dcache] { dcache.begin_compute_edge(); });
-  for (core::Corelet& corelet : corelets) kernel.add_compute(&corelet);
-  kernel.add_channel(&pb);
-  kernel.add_channel(&ctrl);
-  kernel.set_progress([&exec, &ctrl] {
-    return exec.instructions.value + ctrl.bytes_transferred();
-  });
-  kernel.set_dump([&] {
-    return "millipede state:\n" + dump_corelets(corelets) + pb.debug_dump() +
-           ctrl.debug_dump();
-  });
-  const char* arch_label =
-      cfg.millipede.flow_control
-          ? (cfg.millipede.rate_match ? "millipede" : "millipede-no-rate-match")
-          : "millipede-no-flow-control";
+  if (!spec.restoring()) pb.prime(0);
+  for (core::Corelet& corelet : m.corelets) m.add_compute(&corelet);
+  m.add_channel(&pb);
+  m.add_state(sim::kSecPrefetchBuffer, &pb);
+  if (rate_matcher) m.add_state(sim::kSecRateMatcher, &*rate_matcher);
+  if (uses_bar) m.add_state(sim::kSecBarrier, &barrier_port);
 
-  // Checkpoint wiring: register every stateful component in a fixed order
-  // (the capture order and the restore validator), the DRAM image as a delta
-  // against the pristine prepared image, and the meta/stat hooks.
-  std::optional<mem::DramImage> pristine_copy;
-  std::optional<sim::DramImageDelta> image_delta;
-  if (snapshot != nullptr) {
-    const mem::DramImage* pristine = prepared != nullptr ? &prepared->image
-                                                         : nullptr;
-    if (pristine == nullptr) {
-      pristine_copy.emplace(input.image);  // image is still unmutated here
-      pristine = &*pristine_copy;
-    }
-    image_delta.emplace(&input.image, pristine);
-    kernel.add_state(sim::kSecDramDelta, &*image_delta);
-    kernel.add_state(sim::kSecController, &ctrl);
-    kernel.add_state(sim::kSecPrefetchBuffer, &pb);
-    if (rate_matcher) {
-      kernel.add_state(sim::kSecRateMatcher, rate_matcher.get());
-    }
-    if (uses_bar) kernel.add_state(sim::kSecBarrier, &barrier_port);
-    kernel.add_state(sim::kSecDecodeCache, &dcache);
-    for (u32 c = 0; c < cores; ++c) {
-      kernel.add_state(sim::kSecCoreletBase + c, &corelets[c]);
-    }
-    kernel.set_stats(&stats);
-    const u64 image_bytes = input.image.size();
-    kernel.set_meta_fn([&ctrl, arch_label, image_bytes](sim::SnapshotMeta& m) {
-      m.arch_label = arch_label;
-      m.warp_width = 0;
-      m.image_bytes = image_bytes;
-      m.fault_sequence = ctrl.fault_sequence();
-    });
-    kernel.set_plan(snapshot);
-  }
-
-  kernel.wire_trace(
-      std::string(arch_label) + "/" + workload.name, &stats,
-      [&](trace::TraceSession* session) {
-        trace::name_context_tracks(session, cores, cfg.core.contexts);
-      },
-      [&](trace::TraceSession* session) {
+  RunResult result = m.run(
+      [&pb](trace::TraceSession* session) {
         session->set_track_name(trace::kPrefetchTrack, "pb");
         session->set_track_name(trace::kRateMatchTrack, "rate");
         session->add_gauge("pb.occupancy",
@@ -170,32 +74,10 @@ RunResult run_millipede(const MachineConfig& cfg,
           return static_cast<u64>(pb.saturated_entries());
         });
       },
-      [&ctrl] { return static_cast<u64>(ctrl.queue_size()); },
-      ctrl.refresh_enabled()
-          ? std::function<u64()>([&ctrl] { return ctrl.refresh_debt(); })
-          : std::function<u64()>{});
-
-  if (restoring) kernel.restore(*snapshot->restore_from);
-
-  const Picos runtime = kernel.run([&] {
-    for (const auto& corelet : corelets) {
-      if (!corelet.halted()) return false;
-    }
-    return true;
-  });
-
-  RunResult result;
-  result.arch = arch_label;
-  result.workload = workload.name;
-  result.compute_cycles = kernel.compute_cycles();
-  result.runtime_ps = runtime;
-  result.thread_instructions = exec.instructions.value;
-  result.input_words = workload.num_records * workload.fields;
-  result.final_clock_mhz = kernel.final_clock_mhz();
-  finalize_result(&result, exec.branches.value, stats);
+      [&pb] { return pb.debug_dump(); });
 
   energy::EnergyModel model;
-  result.energy.core_j = model.mimd_core_j(exec, /*state_via_cache=*/false,
+  result.energy.core_j = model.mimd_core_j(m.exec, /*state_via_cache=*/false,
                                            /*input_via_cache=*/false);
   if (cfg.millipede.rate_match && cfg.millipede.voltage_scaling) {
     // DVS on top of DFS: dynamic energy scales with V^2; approximate V by
@@ -205,9 +87,6 @@ RunResult run_millipede(const MachineConfig& cfg,
         std::max(cfg.millipede.min_voltage_ratio, std::min(1.0, f_ratio));
     result.energy.core_j *= v_ratio * v_ratio;
   }
-  result.energy.dram_j = model.dram_j(ctrl.bytes_transferred(),
-                                      ctrl.activations(), /*offchip=*/false,
-                                      cfg.dram.fault.ecc);
   // With ECC the prefetch-buffer SRAM also stores the check bits.
   const double pb_scale =
       cfg.dram.fault.ecc ? 1.0 + model.params().ecc_bit_overhead : 1.0;
@@ -217,8 +96,6 @@ RunResult run_millipede(const MachineConfig& cfg,
                    cores) /
       1024.0;
   result.energy.leak_j = model.leakage_j(cores, sram_kb, result.seconds());
-
-  verify_result(&result, workload, input, locals, image_may_be_dirty(cfg));
   return result;
 }
 

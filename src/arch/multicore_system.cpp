@@ -4,66 +4,10 @@
 // 64 KB L1 + 1 MB per-core L2, and off-chip DRAM at one quarter of the
 // die-stacked channel bandwidth with 70 pJ/bit access energy.
 
-#include <optional>
-
-#include "arch/system.hpp"
-#include "core/corelet.hpp"
-#include "core/decode_cache.hpp"
-#include "mem/cache.hpp"
-#include "mem/channels.hpp"
-#include "mem/prefetcher.hpp"
-#include "sim/kernel.hpp"
+#include "arch/machine.hpp"
 
 namespace mlp::arch {
 namespace {
-
-/// Routes loads and state accesses through the per-core L1 -> L2 -> DRAM.
-class MulticorePort : public core::GlobalPort {
- public:
-  MulticorePort(std::vector<mem::Cache>* l1s,
-                std::vector<mem::StreamTable>* prefetchers,
-                Addr state_base, u32 state_stride)
-      : l1s_(l1s),
-        prefetchers_(prefetchers),
-        state_base_(state_base),
-        state_stride_(state_stride) {}
-
-  core::PortResult load(u32 core, u32 /*ctx*/, Addr addr, Picos now,
-                        std::function<void(Picos)> wakeup) override {
-    mem::Cache& l1 = (*l1s_)[core];
-    for (Addr line : (*prefetchers_)[core].observe(addr)) {
-      l1.prefetch(line, now);
-    }
-    return access(l1, addr, false, now, std::move(wakeup));
-  }
-
-  core::PortResult local_access(u32 core, u32 /*ctx*/, Addr addr,
-                                bool is_write, Picos /*fixed*/, Picos now,
-                                std::function<void(Picos)> wakeup) override {
-    const Addr global =
-        state_base_ + static_cast<Addr>(core) * state_stride_ + addr;
-    return access((*l1s_)[core], global, is_write, now, std::move(wakeup));
-  }
-
- private:
-  core::PortResult access(mem::Cache& l1, Addr addr, bool is_write, Picos now,
-                          std::function<void(Picos)> wakeup) {
-    switch (l1.access(addr, is_write, now, std::move(wakeup))) {
-      case mem::AccessStatus::kHit:
-        return {core::PortStatus::kDone, now + l1.hit_latency_ps()};
-      case mem::AccessStatus::kMiss:
-        return {core::PortStatus::kPending, 0};
-      case mem::AccessStatus::kMshrFull:
-        return {core::PortStatus::kRetry, 0};
-    }
-    return {core::PortStatus::kRetry, 0};
-  }
-
-  std::vector<mem::Cache>* l1s_;
-  std::vector<mem::StreamTable>* prefetchers_;
-  Addr state_base_;
-  u32 state_stride_;
-};
 
 /// Wide issue: up to issue_width instructions per core per cycle, drawn from
 /// its SMT contexts (OoO approximation; DESIGN.md) — the corelet ticks
@@ -93,11 +37,7 @@ class WideCorelet final : public sim::Tickable {
 
 }  // namespace
 
-RunResult run_multicore(const MachineConfig& cfg,
-                        const workloads::Workload& workload, u64 seed,
-                        trace::TraceSession* trace,
-                        const PreparedInput* prepared,
-                        sim::SnapshotPlan* snapshot) {
+MachineConfig multicore_config(const MachineConfig& cfg) {
   // Off-chip memory: one quarter of the die-stacked memory bandwidth. A
   // die-stacked cube exposes 4 channels, so the multicore's off-chip DRAM
   // gets one channel's worth of bandwidth (~DDR4-class).
@@ -108,19 +48,15 @@ RunResult run_multicore(const MachineConfig& cfg,
   mc.core.contexts = cfg.multicore.smt;
   mc.core.clock_mhz = cfg.multicore.clock_mhz;
   mc.gpgpu.warp_width = 1;  // unused; keep validation happy
-  mc.validate();
-  // `mc` only retunes core counts and channel width; layout and image depend
-  // solely on row geometry, so the shared prepared input is still valid.
-  PreparedInput input =
-      prepared != nullptr ? *prepared : prepare_input(mc, workload, seed);
+  return mc;
+}
 
-  StatSet stats;
-  mem::ChannelDemux ctrl(mc.dram, "dram", &stats, trace);
-  ctrl.attach_image(&input.image);
-  mem::ControllerBackend backend(&ctrl);
+RunResult run_multicore(const RunSpec& spec) {
+  const MachineConfig& cfg = spec.cfg;  // retuned by multicore_config
+  Machine m(spec, "multicore", /*offchip_dram=*/true);
 
-  const u32 cores = mc.core.cores;
-  const Picos period = mc.core.period_ps();
+  const u32 cores = cfg.core.cores;
+  const Picos period = cfg.core.period_ps();
   std::vector<mem::Cache> l2s, l1s;
   std::vector<mem::StreamTable> prefetchers;
   l2s.reserve(cores);
@@ -129,148 +65,48 @@ RunResult run_multicore(const MachineConfig& cfg,
     l2s.emplace_back("l2." + std::to_string(c), cfg.multicore.l2_bytes,
                      cfg.multicore.line_bytes, cfg.multicore.l2_assoc, 16,
                      static_cast<Picos>(cfg.multicore.l2_latency) * period,
-                     &backend, c == 0 ? &stats : nullptr);
+                     &m.backend, c == 0 ? &m.stats : nullptr);
   }
   for (u32 c = 0; c < cores; ++c) {
     l1s.emplace_back("l1." + std::to_string(c), cfg.multicore.l1_bytes,
                      cfg.multicore.line_bytes, cfg.multicore.l1_assoc, 16,
                      static_cast<Picos>(cfg.multicore.l1_latency) * period,
-                     &l2s[c], c == 0 ? &stats : nullptr);
+                     &l2s[c], c == 0 ? &m.stats : nullptr);
     prefetchers.emplace_back(cfg.multicore.line_bytes, 4, 16, 8);
   }
-
-  const u32 state_stride =
-      (mc.core.local_mem_bytes + mc.dram.row_bytes - 1) / mc.dram.row_bytes *
-      mc.dram.row_bytes;
-  MulticorePort port(&l1s, &prefetchers, input.layout.total_bytes(),
-                     state_stride);
-
-  std::vector<mem::LocalStore> locals;
-  for (u32 c = 0; c < cores; ++c) {
-    locals.emplace_back(mc.core.local_mem_bytes);
-    if (workload.init_state) workload.init_state(locals.back());
-  }
-
-  core::ExecStats exec;
-  exec.register_with(&stats, "exec");
-  // One decoded-block cache per job, shared read-only by all corelets.
-  core::DecodedBlockCache dcache(workload.program, mc.block_cache);
-  dcache.register_with(&stats, "decode");
-  std::vector<core::Corelet> corelets;
-  corelets.reserve(cores);
-  for (u32 c = 0; c < cores; ++c) {
-    corelets.emplace_back(c, mc.core, &workload.program, &locals[c],
-                          &input.image, &port, &exec, trace, &dcache);
-    for (u32 x = 0; x < mc.core.contexts; ++x) {
-      const workloads::ThreadSlice slice = input.layout.slice(
-          workloads::ThreadMapping::kSlab, cores, mc.core.contexts, c, x);
-      workloads::bind_csrs(corelets.back().context(x).csr, workload,
-                           input.layout, slice, c * mc.core.contexts + x,
-                           mc.core.threads(), c, cores, x, mc.core.contexts);
-    }
-  }
+  CachedPort port(m, &l1s, &prefetchers);
+  m.add_corelets(&port);
 
   std::vector<WideCorelet> wide;
   wide.reserve(cores);
-  for (core::Corelet& corelet : corelets) {
+  for (core::Corelet& corelet : m.corelets) {
     wide.emplace_back(&corelet, cfg.multicore.issue_width);
   }
-
-  sim::SimulationKernel kernel(mc, "multicore", trace);
-  kernel.set_compute_edge_hook([&dcache] { dcache.begin_compute_edge(); });
-  for (WideCorelet& corelet : wide) kernel.add_compute(&corelet);
-  for (mem::Cache& l1 : l1s) kernel.add_channel(&l1);
-  for (mem::Cache& l2 : l2s) kernel.add_channel(&l2);
-  kernel.add_channel(&ctrl);
-  kernel.set_progress([&exec, &ctrl] {
-    return exec.instructions.value + ctrl.bytes_transferred();
-  });
-  kernel.set_dump([&] {
-    return "multicore state:\n" + dump_corelets(corelets) + ctrl.debug_dump();
-  });
-
-  // Checkpoint wiring (fixed registration order = capture order). The inner
-  // Corelets — not the WideCorelet issue wrappers, which hold no state —
-  // implement the Snapshottable contract.
-  std::optional<mem::DramImage> pristine_copy;
-  std::optional<sim::DramImageDelta> image_delta;
-  if (snapshot != nullptr) {
-    const mem::DramImage* pristine = prepared != nullptr ? &prepared->image
-                                                         : nullptr;
-    if (pristine == nullptr) {
-      pristine_copy.emplace(input.image);
-      pristine = &*pristine_copy;
-    }
-    image_delta.emplace(&input.image, pristine);
-    kernel.add_state(sim::kSecDramDelta, &*image_delta);
-    kernel.add_state(sim::kSecController, &ctrl);
-    kernel.add_state(sim::kSecDecodeCache, &dcache);
-    for (u32 c = 0; c < cores; ++c) {
-      kernel.add_state(sim::kSecCoreletBase + c, &corelets[c]);
-      kernel.add_state(sim::kSecL1Base + c, &l1s[c]);
-      kernel.add_state(sim::kSecL2Base + c, &l2s[c]);
-      kernel.add_state(sim::kSecStreamTableBase + c, &prefetchers[c]);
-    }
-    kernel.set_stats(&stats);
-    const u64 image_bytes = input.image.size();
-    kernel.set_meta_fn([&ctrl, image_bytes](sim::SnapshotMeta& m) {
-      m.arch_label = "multicore";
-      m.warp_width = 0;
-      m.image_bytes = image_bytes;
-      m.fault_sequence = ctrl.fault_sequence();
-    });
-    kernel.set_plan(snapshot);
+  for (WideCorelet& corelet : wide) m.add_compute(&corelet);
+  for (mem::Cache& l1 : l1s) m.add_channel(&l1);
+  for (mem::Cache& l2 : l2s) m.add_channel(&l2);
+  // The inner Corelets — not the WideCorelet issue wrappers, which hold no
+  // state — implement the Snapshottable contract.
+  for (u32 c = 0; c < cores; ++c) {
+    m.add_core_state(sim::kSecL1Base, c, &l1s[c]);
+    m.add_core_state(sim::kSecL2Base, c, &l2s[c]);
+    m.add_core_state(sim::kSecStreamTableBase, c, &prefetchers[c]);
   }
 
-  kernel.wire_trace(
-      std::string("multicore/") + workload.name, &stats,
-      [&](trace::TraceSession* session) {
-        trace::name_context_tracks(session, cores, mc.core.contexts);
-      },
-      /*arch_hook=*/nullptr,
-      [&ctrl] { return static_cast<u64>(ctrl.queue_size()); },
-      ctrl.refresh_enabled()
-          ? std::function<u64()>([&ctrl] { return ctrl.refresh_debt(); })
-          : std::function<u64()>{});
-
-  if (snapshot != nullptr && snapshot->restore_from != nullptr) {
-    kernel.restore(*snapshot->restore_from);
-  }
-
-  const Picos runtime = kernel.run([&] {
-    for (const auto& corelet : corelets) {
-      if (!corelet.halted()) return false;
-    }
-    return true;
-  });
-
-  RunResult result;
-  result.arch = "multicore";
-  result.workload = workload.name;
-  result.compute_cycles = kernel.compute_cycles();
-  result.runtime_ps = runtime;
-  result.thread_instructions = exec.instructions.value;
-  result.input_words = workload.num_records * workload.fields;
+  RunResult result = m.run();
   // Nominal: no retune, and the ps-quantized period would round-trip off.
-  result.final_clock_mhz = mc.core.clock_mhz;
-  finalize_result(&result, exec.branches.value, stats);
-
+  result.final_clock_mhz = cfg.core.clock_mhz;
   energy::EnergyModel model;
-  const u64 l1_accesses = exec.local_ops.value + exec.global_loads.value;
+  const u64 l1_accesses = m.exec.local_ops.value + m.exec.global_loads.value;
   // Approximate L2 accesses by scaling core 0's L1 miss count to all cores.
-  const u64 l2_accesses = stats.get("l1.0.misses") * cores;
+  const u64 l2_accesses = m.stats.get("l1.0.misses") * cores;
   result.energy.core_j = model.multicore_core_j(
-      exec.instructions.value, l1_accesses, l2_accesses,
-      exec.idle_cycles.value);
-  result.energy.dram_j =
-      model.dram_j(ctrl.bytes_transferred(), ctrl.activations(),
-                   /*offchip=*/true, mc.dram.fault.ecc);
+      m.exec.instructions.value, l1_accesses, l2_accesses,
+      m.exec.idle_cycles.value);
   const double sram_kb =
       cores * (cfg.multicore.l1_bytes + cfg.multicore.l2_bytes) / 1024.0;
   result.energy.leak_j =
       model.leakage_j(cores, sram_kb, result.seconds(), /*ooo=*/true);
-
-  verify_result(&result, workload, input, locals, image_may_be_dirty(mc));
   return result;
 }
 

@@ -4,86 +4,13 @@
 // row accesses at the shared FR-FCFS controller, and destroy row locality —
 // the baseline Millipede's row-orientedness is measured against.
 
-#include <optional>
-
-#include "arch/system.hpp"
-#include "core/corelet.hpp"
-#include "core/decode_cache.hpp"
-#include "mem/cache.hpp"
-#include "mem/channels.hpp"
-#include "mem/prefetcher.hpp"
-#include "sim/kernel.hpp"
+#include "arch/machine.hpp"
 
 namespace mlp::arch {
-namespace {
 
-/// Routes input loads and live-state accesses through the per-core L1D.
-class SsmcPort : public core::GlobalPort {
- public:
-  SsmcPort(std::vector<mem::Cache>* caches,
-           std::vector<mem::StreamTable>* prefetchers, Addr state_base,
-           u32 state_stride)
-      : caches_(caches),
-        prefetchers_(prefetchers),
-        state_base_(state_base),
-        state_stride_(state_stride) {}
-
-  core::PortResult load(u32 core, u32 /*ctx*/, Addr addr, Picos now,
-                        std::function<void(Picos)> wakeup) override {
-    mem::Cache& l1 = (*caches_)[core];
-    for (Addr line : (*prefetchers_)[core].observe(addr)) {
-      l1.prefetch(line, now);
-    }
-    return access(l1, addr, /*is_write=*/false, now, std::move(wakeup),
-                  /*fixed=*/0);
-  }
-
-  core::PortResult local_access(u32 core, u32 /*ctx*/, Addr addr,
-                                bool is_write, Picos /*fixed*/, Picos now,
-                                std::function<void(Picos)> wakeup) override {
-    // The live state lives in a cached per-core region of the global
-    // address space, competing with the input stream for the 5 KB L1D.
-    const Addr global = state_base_ + static_cast<Addr>(core) * state_stride_ +
-                        addr;
-    return access((*caches_)[core], global, is_write, now, std::move(wakeup),
-                  0);
-  }
-
- private:
-  core::PortResult access(mem::Cache& l1, Addr addr, bool is_write, Picos now,
-                          std::function<void(Picos)> wakeup, Picos) {
-    switch (l1.access(addr, is_write, now, std::move(wakeup))) {
-      case mem::AccessStatus::kHit:
-        return {core::PortStatus::kDone, now + l1.hit_latency_ps()};
-      case mem::AccessStatus::kMiss:
-        return {core::PortStatus::kPending, 0};
-      case mem::AccessStatus::kMshrFull:
-        return {core::PortStatus::kRetry, 0};
-    }
-    return {core::PortStatus::kRetry, 0};
-  }
-
-  std::vector<mem::Cache>* caches_;
-  std::vector<mem::StreamTable>* prefetchers_;
-  Addr state_base_;
-  u32 state_stride_;
-};
-
-}  // namespace
-
-RunResult run_ssmc(const MachineConfig& cfg,
-                   const workloads::Workload& workload, u64 seed,
-                   trace::TraceSession* trace, const PreparedInput* prepared,
-                   sim::SnapshotPlan* snapshot) {
-  cfg.validate();
-  // Private copy: the controller attaches to (and faults may corrupt) it.
-  PreparedInput input =
-      prepared != nullptr ? *prepared : prepare_input(cfg, workload, seed);
-
-  StatSet stats;
-  mem::ChannelDemux ctrl(cfg.dram, "dram", &stats, trace);
-  ctrl.attach_image(&input.image);
-  mem::ControllerBackend backend(&ctrl);
+RunResult run_ssmc(const RunSpec& spec) {
+  const MachineConfig& cfg = spec.cfg;
+  Machine m(spec, "ssmc");
 
   const u32 cores = cfg.core.cores;
   const Picos hit_latency =
@@ -97,131 +24,28 @@ RunResult run_ssmc(const MachineConfig& cfg,
     // cores behave statistically alike.
     caches.emplace_back("l1d" + std::to_string(c), cfg.ssmc.l1d_bytes,
                         cfg.ssmc.line_bytes, cfg.ssmc.assoc, cfg.ssmc.mshrs,
-                        hit_latency, &backend, c == 0 ? &stats : nullptr);
+                        hit_latency, &m.backend, c == 0 ? &m.stats : nullptr);
     prefetchers.emplace_back(cfg.ssmc.line_bytes, cfg.ssmc.prefetch_degree,
                              cfg.ssmc.prefetch_distance,
                              cfg.ssmc.prefetch_streams);
   }
+  CachedPort port(m, &caches, &prefetchers);
+  m.add_corelets(&port);
 
-  // State region: row-aligned, beyond the input image.
-  const u32 state_stride =
-      (cfg.core.local_mem_bytes + cfg.dram.row_bytes - 1) /
-      cfg.dram.row_bytes * cfg.dram.row_bytes;
-  const Addr state_base = input.layout.total_bytes();
-  SsmcPort port(&caches, &prefetchers, state_base, state_stride);
-
-  std::vector<mem::LocalStore> locals;
-  locals.reserve(cores);
+  for (core::Corelet& corelet : m.corelets) m.add_compute(&corelet);
+  for (mem::Cache& cache : caches) m.add_channel(&cache);
   for (u32 c = 0; c < cores; ++c) {
-    locals.emplace_back(cfg.core.local_mem_bytes);
-    if (workload.init_state) workload.init_state(locals.back());
+    m.add_core_state(sim::kSecL1Base, c, &caches[c]);
+    m.add_core_state(sim::kSecStreamTableBase, c, &prefetchers[c]);
   }
 
-  core::ExecStats exec;
-  exec.register_with(&stats, "exec");
-  // One decoded-block cache per job, shared read-only by all corelets.
-  core::DecodedBlockCache dcache(workload.program, cfg.block_cache);
-  dcache.register_with(&stats, "decode");
-  std::vector<core::Corelet> corelets;
-  corelets.reserve(cores);
-  for (u32 c = 0; c < cores; ++c) {
-    corelets.emplace_back(c, cfg.core, &workload.program, &locals[c],
-                          &input.image, &port, &exec, trace, &dcache);
-    for (u32 x = 0; x < cfg.core.contexts; ++x) {
-      const workloads::ThreadSlice slice = input.layout.slice(
-          workloads::ThreadMapping::kSlab, cores, cfg.core.contexts, c, x);
-      workloads::bind_csrs(corelets.back().context(x).csr, workload,
-                           input.layout, slice, c * cfg.core.contexts + x,
-                           cfg.core.threads(), c, cores, x,
-                           cfg.core.contexts);
-    }
-  }
-
-  sim::SimulationKernel kernel(cfg, "ssmc", trace);
-  kernel.set_compute_edge_hook([&dcache] { dcache.begin_compute_edge(); });
-  for (core::Corelet& corelet : corelets) kernel.add_compute(&corelet);
-  for (mem::Cache& cache : caches) kernel.add_channel(&cache);
-  kernel.add_channel(&ctrl);
-  kernel.set_progress([&exec, &ctrl] {
-    return exec.instructions.value + ctrl.bytes_transferred();
-  });
-  kernel.set_dump([&] {
-    return "ssmc state:\n" + dump_corelets(corelets) + ctrl.debug_dump();
-  });
-
-  // Checkpoint wiring (fixed registration order = capture order).
-  std::optional<mem::DramImage> pristine_copy;
-  std::optional<sim::DramImageDelta> image_delta;
-  if (snapshot != nullptr) {
-    const mem::DramImage* pristine = prepared != nullptr ? &prepared->image
-                                                         : nullptr;
-    if (pristine == nullptr) {
-      pristine_copy.emplace(input.image);
-      pristine = &*pristine_copy;
-    }
-    image_delta.emplace(&input.image, pristine);
-    kernel.add_state(sim::kSecDramDelta, &*image_delta);
-    kernel.add_state(sim::kSecController, &ctrl);
-    kernel.add_state(sim::kSecDecodeCache, &dcache);
-    for (u32 c = 0; c < cores; ++c) {
-      kernel.add_state(sim::kSecCoreletBase + c, &corelets[c]);
-      kernel.add_state(sim::kSecL1Base + c, &caches[c]);
-      kernel.add_state(sim::kSecStreamTableBase + c, &prefetchers[c]);
-    }
-    kernel.set_stats(&stats);
-    const u64 image_bytes = input.image.size();
-    kernel.set_meta_fn([&ctrl, image_bytes](sim::SnapshotMeta& m) {
-      m.arch_label = "ssmc";
-      m.warp_width = 0;
-      m.image_bytes = image_bytes;
-      m.fault_sequence = ctrl.fault_sequence();
-    });
-    kernel.set_plan(snapshot);
-  }
-
-  kernel.wire_trace(
-      std::string("ssmc/") + workload.name, &stats,
-      [&](trace::TraceSession* session) {
-        trace::name_context_tracks(session, cores, cfg.core.contexts);
-      },
-      /*arch_hook=*/nullptr,
-      [&ctrl] { return static_cast<u64>(ctrl.queue_size()); },
-      ctrl.refresh_enabled()
-          ? std::function<u64()>([&ctrl] { return ctrl.refresh_debt(); })
-          : std::function<u64()>{});
-
-  if (snapshot != nullptr && snapshot->restore_from != nullptr) {
-    kernel.restore(*snapshot->restore_from);
-  }
-
-  const Picos runtime = kernel.run([&] {
-    for (const auto& corelet : corelets) {
-      if (!corelet.halted()) return false;
-    }
-    return true;
-  });
-
-  RunResult result;
-  result.arch = "ssmc";
-  result.workload = workload.name;
-  result.compute_cycles = kernel.compute_cycles();
-  result.runtime_ps = runtime;
-  result.thread_instructions = exec.instructions.value;
-  result.input_words = workload.num_records * workload.fields;
-  result.final_clock_mhz = kernel.final_clock_mhz();
-  finalize_result(&result, exec.branches.value, stats);
-
+  RunResult result = m.run();
   energy::EnergyModel model;
-  result.energy.core_j = model.mimd_core_j(exec, /*state_via_cache=*/true,
+  result.energy.core_j = model.mimd_core_j(m.exec, /*state_via_cache=*/true,
                                            /*input_via_cache=*/true);
-  result.energy.dram_j = model.dram_j(ctrl.bytes_transferred(),
-                                      ctrl.activations(), /*offchip=*/false,
-                                      cfg.dram.fault.ecc);
   const double sram_kb =
       cores * (cfg.ssmc.l1d_bytes + cfg.core.icache_bytes) / 1024.0;
   result.energy.leak_j = model.leakage_j(cores, sram_kb, result.seconds());
-
-  verify_result(&result, workload, input, locals, image_may_be_dirty(cfg));
   return result;
 }
 

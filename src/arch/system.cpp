@@ -1,38 +1,11 @@
 #include "arch/system.hpp"
 
-#include <cstdio>
+#include <optional>
+
+#include "arch/machine.hpp"
+#include "common/error.hpp"
 
 namespace mlp::arch {
-
-namespace {
-const char* context_state_name(core::Context::State state) {
-  switch (state) {
-    case core::Context::State::kReady: return "ready";
-    case core::Context::State::kWaitMem: return "wait-mem";
-    case core::Context::State::kHalted: return "halted";
-  }
-  return "?";
-}
-}  // namespace
-
-std::string dump_corelets(const std::vector<core::Corelet>& corelets) {
-  std::string out;
-  char line[160];
-  for (const core::Corelet& corelet : corelets) {
-    for (u32 x = 0; x < corelet.num_contexts(); ++x) {
-      const core::Context& ctx = corelet.context(x);
-      std::snprintf(line, sizeof(line),
-                    "  corelet[%u].ctx[%u] pc=%u state=%s ready_at=%llu "
-                    "instret=%llu\n",
-                    corelet.core_id(), x, ctx.pc,
-                    context_state_name(ctx.state),
-                    static_cast<unsigned long long>(ctx.ready_at),
-                    static_cast<unsigned long long>(ctx.instret));
-      out += line;
-    }
-  }
-  return out;
-}
 
 const char* arch_name(ArchKind kind) {
   switch (kind) {
@@ -82,23 +55,6 @@ PreparedInput prepare_input(const MachineConfig& cfg,
   return input;
 }
 
-std::string verify_run(const workloads::Workload& workload,
-                       const PreparedInput& input,
-                       const std::vector<const mem::LocalStore*>& states,
-                       bool image_dirty) {
-  // A run that may have corrupted the image in place (no-ECC fault
-  // injection) recomputes the reference from the current image so the
-  // corruption is caught exactly as before caching existed.
-  std::vector<double> recomputed;
-  if (image_dirty || input.reference.empty()) {
-    recomputed = workload.reference(input.image, input.layout);
-  }
-  const std::vector<double>& reference =
-      image_dirty || input.reference.empty() ? recomputed : input.reference;
-  const auto measured = workloads::reduce_state(workload, states);
-  return workloads::compare_results(reference, measured, workload.tolerance);
-}
-
 void finalize_result(RunResult* result, u64 branch_count,
                      const StatSet& stats) {
   result->insts_per_word =
@@ -124,54 +80,50 @@ void finalize_result(RunResult* result, u64 branch_count,
   }
 }
 
-void verify_result(RunResult* result, const workloads::Workload& workload,
-                   const PreparedInput& input,
-                   const std::vector<mem::LocalStore>& states,
-                   bool image_dirty) {
-  std::vector<const mem::LocalStore*> pointers;
-  pointers.reserve(states.size());
-  for (const mem::LocalStore& state : states) pointers.push_back(&state);
-  result->verification = verify_run(workload, input, pointers, image_dirty);
-}
-
 RunResult run_arch(ArchKind kind, const MachineConfig& cfg,
                    const workloads::Workload& workload, u64 seed,
                    trace::TraceSession* trace, const PreparedInput* prepared,
                    sim::SnapshotPlan* snapshot) {
   MachineConfig tuned = cfg;
+  RunResult (*run)(const RunSpec&) = nullptr;
   switch (kind) {
     case ArchKind::kMillipede:
-      tuned.millipede.flow_control = true;
-      tuned.millipede.rate_match = true;
-      return run_millipede(tuned, workload, seed, trace, prepared, snapshot);
     case ArchKind::kMillipedeNoFlowControl:
-      tuned.millipede.flow_control = false;
-      tuned.millipede.rate_match = false;
-      return run_millipede(tuned, workload, seed, trace, prepared, snapshot);
     case ArchKind::kMillipedeNoRateMatch:
-      tuned.millipede.flow_control = true;
-      tuned.millipede.rate_match = false;
-      return run_millipede(tuned, workload, seed, trace, prepared, snapshot);
+      tuned.millipede.flow_control = kind != ArchKind::kMillipedeNoFlowControl;
+      tuned.millipede.rate_match = kind == ArchKind::kMillipede;
+      run = run_millipede;
+      break;
     case ArchKind::kSsmc:
-      return run_ssmc(tuned, workload, seed, trace, prepared, snapshot);
+      run = run_ssmc;
+      break;
     case ArchKind::kGpgpu:
-      tuned.gpgpu.vws = false;
-      tuned.gpgpu.row_oriented = false;
-      tuned.gpgpu.warp_width = tuned.core.cores;
-      return run_gpgpu(tuned, workload, seed, trace, prepared, snapshot);
     case ArchKind::kVws:
-      tuned.gpgpu.vws = true;
-      tuned.gpgpu.row_oriented = false;
-      return run_gpgpu(tuned, workload, seed, trace, prepared, snapshot);
     case ArchKind::kVwsRow:
-      tuned.gpgpu.vws = true;
-      tuned.gpgpu.row_oriented = true;
-      return run_gpgpu(tuned, workload, seed, trace, prepared, snapshot);
+      // Checked before preparing, which cannot lay out every field count
+      // record-contiguously.
+      MLP_SIM_CHECK(!cfg.slab_layout, "config",
+                    "the GPGPU needs word-size columns for coalescing "
+                    "(paper III-B)");
+      tuned.gpgpu.vws = kind != ArchKind::kGpgpu;
+      tuned.gpgpu.row_oriented = kind == ArchKind::kVwsRow;
+      if (!tuned.gpgpu.vws) tuned.gpgpu.warp_width = tuned.core.cores;
+      run = run_gpgpu;
+      break;
     case ArchKind::kMulticore:
-      return run_multicore(tuned, workload, seed, trace, prepared, snapshot);
+      tuned = multicore_config(cfg);
+      run = run_multicore;
+      break;
   }
-  MLP_CHECK(false, "unknown architecture");
-  return {};
+  MLP_CHECK(run != nullptr, "unknown architecture");
+  tuned.validate();
+  // Layout, image and reference depend only on the row geometry and the
+  // slab-layout switch, which no tuning above touches.
+  std::optional<PreparedInput> own;
+  if (prepared == nullptr) {
+    prepared = &own.emplace(prepare_input(tuned, workload, seed));
+  }
+  return run({arch_name(kind), tuned, workload, *prepared, trace, snapshot});
 }
 
 }  // namespace mlp::arch

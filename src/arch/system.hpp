@@ -9,7 +9,6 @@
 #include <string>
 
 #include "common/config.hpp"
-#include "core/corelet.hpp"
 #include "energy/energy.hpp"
 #include "mem/dram_image.hpp"
 #include "sim/snapshot.hpp"
@@ -75,24 +74,6 @@ struct PreparedInput {
 PreparedInput prepare_input(const MachineConfig& cfg,
                             const workloads::Workload& workload, u64 seed);
 
-/// Verify reduced live state against the golden reference; returns the
-/// diagnostic ("" on success). Uses input.reference unless `image_dirty`
-/// says the run may have mutated the image (no-ECC fault injection corrupts
-/// it in place) — then the reference is recomputed from the current image,
-/// preserving the pre-cache verification semantics.
-std::string verify_run(const workloads::Workload& workload,
-                       const PreparedInput& input,
-                       const std::vector<const mem::LocalStore*>& states,
-                       bool image_dirty = false);
-
-/// True when a run under `cfg` may mutate the DRAM image in place: without
-/// ECC, injected bit flips land in the functional bytes (the controller
-/// calls DramImage::flip_bit), so the cached pristine reference no longer
-/// describes what the corelets read.
-inline bool image_may_be_dirty(const MachineConfig& cfg) {
-  return cfg.dram.fault.bit_flip_rate > 0.0 && !cfg.dram.fault.ecc;
-}
-
 /// Fill the derived metrics every architecture reports the same way —
 /// insts_per_word and branches_per_inst (a zero denominator pins the metric
 /// to 0.0 rather than NaN/inf), row_miss_rate from the controller counters,
@@ -103,25 +84,13 @@ inline bool image_may_be_dirty(const MachineConfig& cfg) {
 void finalize_result(RunResult* result, u64 branch_count,
                      const StatSet& stats);
 
-/// Shared tail of every run: reduce the per-core live states and verify
-/// against the workload's golden reference (RunResult::verification is ""
-/// on success). `image_dirty` as in verify_run.
-void verify_result(RunResult* result, const workloads::Workload& workload,
-                   const PreparedInput& input,
-                   const std::vector<mem::LocalStore>& states,
-                   bool image_dirty);
-
-/// Multi-line per-corelet context snapshot (PC, state, ready time) for the
-/// forward-progress watchdog's diagnostic dump.
-std::string dump_corelets(const std::vector<core::Corelet>& corelets);
-
-/// Run `workload` on the architecture selected by `kind` (dispatches to the
-/// concrete systems below). An optional TraceSession captures typed events
-/// and interval timelines; it must outlive the call and is also written to
-/// (partially) when the run throws SimError. When `prepared` is non-null the
-/// run works on a private copy of it instead of regenerating layout, image
-/// and golden reference — the warm-cache fast path; the caller keeps
-/// ownership and the prepared input is never mutated.
+/// Run `workload` on the architecture selected by `kind` (each system family
+/// assembles an arch/machine.hpp Machine). An optional TraceSession captures
+/// typed events and interval timelines; it must outlive the call and is also
+/// written to (partially) when the run throws SimError. When `prepared` is
+/// non-null the run works on a private copy of it instead of regenerating
+/// layout, image and golden reference — the warm-cache fast path; the caller
+/// keeps ownership and the prepared input is never mutated.
 ///
 /// A non-null SnapshotPlan requests mid-run checkpointing (sim/snapshot.hpp):
 /// either capture at the first quiescent edge at or past plan->checkpoint_at,
@@ -132,27 +101,5 @@ RunResult run_arch(ArchKind kind, const MachineConfig& cfg,
                    trace::TraceSession* trace = nullptr,
                    const PreparedInput* prepared = nullptr,
                    sim::SnapshotPlan* snapshot = nullptr);
-
-// Concrete system entry points.
-RunResult run_millipede(const MachineConfig& cfg,
-                        const workloads::Workload& workload, u64 seed,
-                        trace::TraceSession* trace = nullptr,
-                        const PreparedInput* prepared = nullptr,
-                        sim::SnapshotPlan* snapshot = nullptr);
-RunResult run_ssmc(const MachineConfig& cfg,
-                   const workloads::Workload& workload, u64 seed,
-                   trace::TraceSession* trace = nullptr,
-                   const PreparedInput* prepared = nullptr,
-                   sim::SnapshotPlan* snapshot = nullptr);
-RunResult run_gpgpu(const MachineConfig& cfg,
-                    const workloads::Workload& workload, u64 seed,
-                    trace::TraceSession* trace = nullptr,
-                    const PreparedInput* prepared = nullptr,
-                    sim::SnapshotPlan* snapshot = nullptr);
-RunResult run_multicore(const MachineConfig& cfg,
-                        const workloads::Workload& workload, u64 seed,
-                        trace::TraceSession* trace = nullptr,
-                        const PreparedInput* prepared = nullptr,
-                        sim::SnapshotPlan* snapshot = nullptr);
 
 }  // namespace mlp::arch

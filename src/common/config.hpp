@@ -231,7 +231,6 @@ struct MulticoreConfig {
   u32 l1_latency = 3;
   u32 l2_latency = 12;
   double offchip_bw_fraction = 0.25;  ///< of one die-stacked channel
-  double dram_pj_per_bit = 70.0;      ///< off-chip access energy [44]
 };
 
 /// Top-level configuration handed to every System.

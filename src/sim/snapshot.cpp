@@ -131,7 +131,6 @@ std::string fork_key(const MatrixJob& job) {
   append_kv(key, "ul1l", u64{c.multicore.l1_latency});
   append_kv(key, "ul2l", u64{c.multicore.l2_latency});
   append_kv(key, "ubw", c.multicore.offchip_bw_fraction);
-  append_kv(key, "upj", c.multicore.dram_pj_per_bit);
   append_kv(key, "wmc", c.watchdog.max_cycles);
   append_kv(key, "wsc", c.watchdog.stall_cycles);
   append_kv(key, "ww", c.watchdog.wall_ms);

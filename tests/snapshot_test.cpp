@@ -162,6 +162,9 @@ void expect_identical(const arch::RunResult& a, const arch::RunResult& b,
 struct EquivCase {
   arch::ArchKind kind;
   std::string bench;
+  /// Capture and restore through run_arch with no prepared input, so each
+  /// run prepares its own and the image delta is taken against that copy.
+  bool unprepared = false;
 };
 
 class SnapshotEquivalence : public ::testing::TestWithParam<EquivCase> {};
@@ -173,13 +176,21 @@ TEST_P(SnapshotEquivalence, CheckpointRestoreMatchesUninterrupted) {
 
   const MatrixResult baseline = run_job(job, &cache);
   ASSERT_TRUE(baseline.ok()) << baseline.error;
+  const auto run = [&](SnapshotPlan* plan) {
+    if (!c.unprepared) return run_job(job, &cache, nullptr, plan);
+    MatrixResult out;
+    out.result = arch::run_arch(c.kind, job.options.cfg,
+                                cache.get(job)->workload, job.options.seed,
+                                nullptr, nullptr, plan);
+    return out;
+  };
 
   // Capture at the first quiescent edge at or past cycle 1. The run must
   // finish exactly as if no snapshot was taken.
   SnapshotPlan capture;
   capture.capture = true;
   capture.checkpoint_at = 1;
-  const MatrixResult captured = run_job(job, &cache, nullptr, &capture);
+  const MatrixResult captured = run(&capture);
   ASSERT_TRUE(captured.ok()) << captured.error;
   ASSERT_TRUE(capture.captured_ok)
       << "no quiescent edge found after cycle 1 for "
@@ -191,7 +202,7 @@ TEST_P(SnapshotEquivalence, CheckpointRestoreMatchesUninterrupted) {
   // Restore into a fresh machine and finish: counter-identical.
   SnapshotPlan restore;
   restore.restore_from = &capture.captured;
-  const MatrixResult restored = run_job(job, &cache, nullptr, &restore);
+  const MatrixResult restored = run(&restore);
   ASSERT_TRUE(restored.ok()) << restored.error;
   expect_identical(baseline.result, restored.result, "restored run");
 }
@@ -203,12 +214,19 @@ std::vector<EquivCase> all_cases() {
       cases.push_back({kind, bench});
     }
   }
+  // One kind per machine family without a prepared input.
+  for (const arch::ArchKind kind :
+       {arch::ArchKind::kMillipede, arch::ArchKind::kSsmc,
+        arch::ArchKind::kVws, arch::ArchKind::kMulticore}) {
+    cases.push_back({kind, "nbayes", /*unprepared=*/true});
+  }
   return cases;
 }
 
 std::string equiv_name(const ::testing::TestParamInfo<EquivCase>& info) {
   std::string name = std::string(arch::arch_name(info.param.kind)) + "_" +
-                     info.param.bench;
+                     info.param.bench +
+                     (info.param.unprepared ? "_unprepared" : "");
   for (char& ch : name) {
     if (ch == '-') ch = '_';
   }
