@@ -224,7 +224,7 @@ def check_service_response(path, expect_cache_hits):
 
 # MLPSNAP constants (mirrors src/sim/snapshot.hpp).
 SNAPSHOT_MAGIC = b"MLPSNAP\x00"
-SNAPSHOT_VERSION = 2
+SNAPSHOT_VERSION = 3
 SEC_META = 1
 SEC_DRAM_DELTA = 3
 SEC_STATS = 5

@@ -43,7 +43,7 @@ SmSystem::SmSystem(Machine& m, u32 width)
         "l1d", cfg.gpgpu.l1d_bytes, cfg.gpgpu.line_bytes, cfg.gpgpu.l1d_assoc,
         cfg.gpgpu.mshrs,
         static_cast<Picos>(cfg.gpgpu.l1_hit_latency) * cfg.core.period_ps(),
-        &m.backend, &m.stats);
+        &m.dram, &m.stats);
     prefetcher.emplace(cfg.gpgpu.line_bytes, cfg.gpgpu.prefetch_degree,
                        cfg.gpgpu.prefetch_distance);
   } else {

@@ -65,7 +65,6 @@ Machine::Machine(const RunSpec& spec, const char* family, bool offchip_dram)
       workload(spec.workload),
       input(spec.prepared),
       dram(cfg.dram, "dram", &stats, spec.trace),
-      backend(&dram),
       kernel(cfg, family, spec.trace),
       dcache(workload.program, cfg.block_cache),
       spec_(spec),
@@ -81,14 +80,15 @@ Machine::Machine(const RunSpec& spec, const char* family, bool offchip_dram)
   }
 }
 
-void Machine::add_corelets(core::GlobalPort* port) {
+void Machine::add_corelets(core::GlobalPort* port, u32 issue_width) {
   const u32 cores = cfg.core.cores;
   const u32 contexts = cfg.core.contexts;
   exec.register_with(&stats, "exec");
   corelets.reserve(cores);
   for (u32 c = 0; c < cores; ++c) {
     corelets.emplace_back(c, cfg.core, &workload.program, &locals[c],
-                          &input.image, port, &exec, spec_.trace, &dcache);
+                          &input.image, port, &exec, spec_.trace, &dcache,
+                          issue_width, &live_corelets_);
     for (u32 x = 0; x < contexts; ++x) {
       const workloads::ThreadSlice slice = input.layout.slice(
           workloads::ThreadMapping::kSlab, cores, contexts, c, x);
@@ -99,12 +99,7 @@ void Machine::add_corelets(core::GlobalPort* port) {
   }
   engine.instructions = &exec.instructions;
   engine.branches = &exec.branches;
-  engine.done = [this] {
-    for (const auto& corelet : corelets) {
-      if (!corelet.halted()) return false;
-    }
-    return true;
-  };
+  engine.done = [this] { return live_corelets_ == 0; };
   engine.name_tracks = [cores, contexts](trace::TraceSession* session) {
     trace::name_context_tracks(session, cores, contexts);
   };

@@ -75,10 +75,10 @@ class Machine {
   Machine(Machine&&) = delete;
   Machine& operator=(Machine&&) = delete;
 
-  /// One corelet per core issuing through `port`, each context's CSRs bound
-  /// to its slab of the input. The caller registers the corelets (or its
-  /// wrappers of them) as compute units.
-  void add_corelets(core::GlobalPort* port);
+  /// One corelet per core issuing through `port` (up to `issue_width`
+  /// instructions per edge), each context's CSRs bound to its slab of the
+  /// input. The caller registers the corelets as compute units.
+  void add_corelets(core::GlobalPort* port, u32 issue_width = 1);
 
   /// Registration order is tick order; the controller ticks last.
   void add_compute(sim::Tickable* unit) { kernel.add_compute(unit); }
@@ -112,11 +112,11 @@ class Machine {
   const MachineConfig& cfg;
   const workloads::Workload& workload;
   /// The run's private copy: the controller attaches to it and no-ECC fault
-  /// injection may corrupt it.
+  /// injection may corrupt it. Its image shares the prepared bytes until
+  /// the run writes to them (mem::DramImage is copy-on-write).
   PreparedInput input;
   StatSet stats;
-  mem::ChannelDemux dram;
-  mem::ControllerBackend backend;  ///< the DRAM behind a cache hierarchy
+  mem::ChannelDemux dram;  ///< also the MemBackend behind a cache hierarchy
   sim::SimulationKernel kernel;
   /// One per job, shared read-only by every corelet or warp.
   core::DecodedBlockCache dcache;
@@ -135,6 +135,7 @@ class Machine {
   void register_states();
 
   const RunSpec spec_;
+  u32 live_corelets_ = 0;  ///< corelets with a context not yet halted
   std::string family_;
   bool offchip_dram_;
   std::vector<std::pair<u32, sim::Snapshottable*>> states_;

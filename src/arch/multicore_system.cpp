@@ -7,35 +7,6 @@
 #include "arch/machine.hpp"
 
 namespace mlp::arch {
-namespace {
-
-/// Wide issue: up to issue_width instructions per core per cycle, drawn from
-/// its SMT contexts (OoO approximation; DESIGN.md) — the corelet ticks
-/// issue_width times per compute edge. An idle edge therefore charges
-/// issue_width idle cycles, which skip_idle reproduces in bulk.
-class WideCorelet final : public sim::Tickable {
- public:
-  WideCorelet(core::Corelet* corelet, u32 issue_width)
-      : corelet_(corelet), issue_width_(issue_width) {}
-
-  void tick(Picos now, Picos period_ps) override {
-    for (u32 slot = 0; slot < issue_width_; ++slot) {
-      corelet_->tick(now, period_ps);
-    }
-  }
-  Picos next_event(Picos now) const override {
-    return corelet_->next_event(now);
-  }
-  void skip_idle(u64 edges) override {
-    corelet_->skip_idle(edges * issue_width_);
-  }
-
- private:
-  core::Corelet* corelet_;
-  u32 issue_width_;
-};
-
-}  // namespace
 
 MachineConfig multicore_config(const MachineConfig& cfg) {
   // Off-chip memory: one quarter of the die-stacked memory bandwidth. A
@@ -65,7 +36,7 @@ RunResult run_multicore(const RunSpec& spec) {
     l2s.emplace_back("l2." + std::to_string(c), cfg.multicore.l2_bytes,
                      cfg.multicore.line_bytes, cfg.multicore.l2_assoc, 16,
                      static_cast<Picos>(cfg.multicore.l2_latency) * period,
-                     &m.backend, c == 0 ? &m.stats : nullptr);
+                     &m.dram, c == 0 ? &m.stats : nullptr);
   }
   for (u32 c = 0; c < cores; ++c) {
     l1s.emplace_back("l1." + std::to_string(c), cfg.multicore.l1_bytes,
@@ -75,18 +46,13 @@ RunResult run_multicore(const RunSpec& spec) {
     prefetchers.emplace_back(cfg.multicore.line_bytes, 4, 16, 8);
   }
   CachedPort port(m, &l1s, &prefetchers);
-  m.add_corelets(&port);
+  // Wide issue: up to issue_width instructions per core per cycle, drawn
+  // from its SMT contexts (OoO approximation; DESIGN.md).
+  m.add_corelets(&port, cfg.multicore.issue_width);
 
-  std::vector<WideCorelet> wide;
-  wide.reserve(cores);
-  for (core::Corelet& corelet : m.corelets) {
-    wide.emplace_back(&corelet, cfg.multicore.issue_width);
-  }
-  for (WideCorelet& corelet : wide) m.add_compute(&corelet);
+  for (core::Corelet& corelet : m.corelets) m.add_compute(&corelet);
   for (mem::Cache& l1 : l1s) m.add_channel(&l1);
   for (mem::Cache& l2 : l2s) m.add_channel(&l2);
-  // The inner Corelets — not the WideCorelet issue wrappers, which hold no
-  // state — implement the Snapshottable contract.
   for (u32 c = 0; c < cores; ++c) {
     m.add_core_state(sim::kSecL1Base, c, &l1s[c]);
     m.add_core_state(sim::kSecL2Base, c, &l2s[c]);

@@ -24,7 +24,7 @@ RunResult run_ssmc(const RunSpec& spec) {
     // cores behave statistically alike.
     caches.emplace_back("l1d" + std::to_string(c), cfg.ssmc.l1d_bytes,
                         cfg.ssmc.line_bytes, cfg.ssmc.assoc, cfg.ssmc.mshrs,
-                        hit_latency, &m.backend, c == 0 ? &m.stats : nullptr);
+                        hit_latency, &m.dram, c == 0 ? &m.stats : nullptr);
     prefetchers.emplace_back(cfg.ssmc.line_bytes, cfg.ssmc.prefetch_degree,
                              cfg.ssmc.prefetch_distance,
                              cfg.ssmc.prefetch_streams);

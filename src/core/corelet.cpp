@@ -9,7 +9,8 @@ namespace mlp::core {
 Corelet::Corelet(u32 core_id, const CoreConfig& cfg,
                  const isa::Program* program, mem::LocalStore* local,
                  mem::DramImage* dram, GlobalPort* port, ExecStats* stats,
-                 trace::TraceSession* trace, DecodedBlockCache* dcache)
+                 trace::TraceSession* trace, DecodedBlockCache* dcache,
+                 u32 issue_width, u32* live_corelets)
     : core_id_(core_id),
       cfg_(cfg),
       program_(program),
@@ -19,17 +20,30 @@ Corelet::Corelet(u32 core_id, const CoreConfig& cfg,
       stats_(stats),
       trace_(trace),
       dcache_(dcache),
+      issue_width_(issue_width),
+      live_corelets_(live_corelets),
       contexts_(cfg.contexts) {
   MLP_CHECK(program_ != nullptr && local_ != nullptr && dram_ != nullptr &&
                 port_ != nullptr && stats_ != nullptr,
             "corelet wiring incomplete");
+  MLP_CHECK(issue_width_ > 0, "corelet issue width must be positive");
+  recount_live();
 }
 
-bool Corelet::halted() const {
+void Corelet::recount_live() {
+  const bool was_live = live_contexts_ != 0;
+  live_contexts_ = 0;
   for (const Context& ctx : contexts_) {
-    if (ctx.state != Context::State::kHalted) return false;
+    if (ctx.state != Context::State::kHalted) ++live_contexts_;
   }
-  return true;
+  const bool live = live_contexts_ != 0;
+  if (live_corelets_ != nullptr && live != was_live) {
+    if (live) {
+      ++*live_corelets_;
+    } else {
+      --*live_corelets_;
+    }
+  }
 }
 
 void Corelet::save_state(sim::SnapshotWriter& w) const {
@@ -71,6 +85,7 @@ void Corelet::restore_state(sim::SnapshotCursor& r) {
   MLP_SIM_CHECK(size == words.size(), "snapshot",
                 "snapshot local-store size does not match this corelet");
   for (u32& word : words) word = r.get_u32();
+  recount_live();
 }
 
 Picos Corelet::next_event(Picos now) const {
@@ -87,27 +102,36 @@ Picos Corelet::next_event(Picos now) const {
 }
 
 void Corelet::skip_idle(u64 edges) {
-  if (!halted()) stats_->idle_cycles.inc(edges);
+  if (!halted()) stats_->idle_cycles.inc(edges * issue_width_);
 }
 
-void Corelet::tick(Picos now, Picos period_ps) {
-  // Round-robin pick of the next runnable context.
-  Context* chosen = nullptr;
-  u32 chosen_index = 0;
-  for (u32 i = 0; i < contexts_.size(); ++i) {
-    const u32 idx = (rr_next_ + i) % contexts_.size();
-    if (contexts_[idx].runnable(now)) {
-      chosen = &contexts_[idx];
-      chosen_index = idx;
+Picos Corelet::tick(Picos now, Picos period_ps) {
+  bool ready = false;
+  const u32 contexts = static_cast<u32>(contexts_.size());
+  for (u32 slot = 0; slot < issue_width_; ++slot) {
+    // Round-robin pick of the next runnable context.
+    u32 chosen = rr_next_;
+    u32 tried = 0;
+    while (tried < contexts && !contexts_[chosen].runnable(now)) {
+      chosen = following(chosen);
+      ++tried;
+    }
+    if (tried == contexts) {
+      // An idle slot changes nothing, so the edge's later slots idle too.
+      if (!halted()) stats_->idle_cycles.inc(issue_width_ - slot);
       break;
     }
+    ready |= issue(chosen, now, period_ps);
   }
-  if (chosen == nullptr) {
-    if (!halted()) stats_->idle_cycles.inc();
-    return;
-  }
-  rr_next_ = (chosen_index + 1) % contexts_.size();
-  Context& ctx = *chosen;
+  // A context still ready after issuing usually goes again at the next
+  // edge, so skip the scan and ask to be ticked then (an early wake is
+  // safe); only a corelet whose contexts all blocked or idled looks ahead.
+  return ready ? now : next_event(now);
+}
+
+bool Corelet::issue(u32 chosen_index, Picos now, Picos period_ps) {
+  rr_next_ = following(chosen_index);
+  Context& ctx = contexts_[chosen_index];
 
   // Decode accounting runs whenever a cache is wired, even with its
   // dispatch fast path disabled (--no-block-cache), so decode.* counters —
@@ -128,34 +152,30 @@ void Corelet::tick(Picos now, Picos period_ps) {
     ctx.state = Context::State::kWaitMem;  // callback may fire synchronously
     PortResult port_result;
     if (trace_ == nullptr) {
-      port_result = port_->load(core_id_, chosen_index, addr, now,
-                                [&ctx](Picos at) {
-                                  ctx.state = Context::State::kReady;
-                                  ctx.ready_at = at;
-                                });
+      port_result =
+          port_->load(core_id_, chosen_index, addr, now,
+                      [this, &ctx](Picos at) { wake(ctx, at); });
     } else {
       // A stall slice is only real once the load actually pends; both edges
       // are emitted at wake time (begin carries the issue timestamp — the
       // exporter orders by ts), so synchronous hits add no events. The fat
       // capture is trace-only: the hot path above keeps its two-pointer
       // closure inside std::function's small-buffer optimisation.
-      trace::TraceSession* trace = trace_;
       const u32 track = core_id_ * cfg_.contexts + chosen_index;
       port_result = port_->load(
           core_id_, chosen_index, addr, now,
-          [&ctx, trace, track, addr, now](Picos at) {
-            trace->emit(trace::Domain::kCompute,
-                        trace::EventKind::kStallBegin, now, track, addr);
-            trace->emit(trace::Domain::kCompute, trace::EventKind::kStallEnd,
-                        at, track, addr);
-            ctx.state = Context::State::kReady;
-            ctx.ready_at = at;
+          [this, &ctx, track, addr, now](Picos at) {
+            trace_->emit(trace::Domain::kCompute,
+                         trace::EventKind::kStallBegin, now, track, addr);
+            trace_->emit(trace::Domain::kCompute, trace::EventKind::kStallEnd,
+                         at, track, addr);
+            wake(ctx, at);
           });
     }
     if (port_result.status == PortStatus::kRetry) {
       ctx.state = Context::State::kReady;
       stats_->retry_stalls.inc();
-      return;
+      return ctx.state == Context::State::kReady;
     }
     exec();
     stats_->instructions.inc();
@@ -165,31 +185,28 @@ void Corelet::tick(Picos now, Picos period_ps) {
       ctx.state = Context::State::kReady;
       ctx.ready_at = port_result.ready_at;
     }
-    return;
+    return ctx.state == Context::State::kReady;
   }
   if (kind == StepKind::kGlobalStore) {
     const Addr addr = global_addr(ctx, instr);
     const PortResult port_result = port_->store(core_id_, chosen_index, addr, now);
     if (port_result.status == PortStatus::kRetry) {
       stats_->retry_stalls.inc();
-      return;
+      return ctx.state == Context::State::kReady;
     }
     exec();
     stats_->instructions.inc();
     stats_->global_stores.inc();
     stats_->busy_cycles.inc();
     ctx.ready_at = std::max(port_result.ready_at, now + period_ps);
-    return;
+    return ctx.state == Context::State::kReady;
   }
 
   if (kind == StepKind::kBarrier) {
     ctx.state = Context::State::kWaitMem;  // release may fire synchronously
     const PortResult port_result =
         port_->barrier(core_id_, chosen_index, now, period_ps,
-                       [&ctx](Picos at) {
-                         ctx.state = Context::State::kReady;
-                         ctx.ready_at = at;
-                       });
+                       [this, &ctx](Picos at) { wake(ctx, at); });
     exec();
     stats_->instructions.inc();
     stats_->busy_cycles.inc();
@@ -197,7 +214,7 @@ void Corelet::tick(Picos now, Picos period_ps) {
       ctx.state = Context::State::kReady;
       ctx.ready_at = port_result.ready_at;
     }
-    return;
+    return ctx.state == Context::State::kReady;
   }
   if (kind == StepKind::kLocal) {
     // Live-state access: latency is architecture-specific (dedicated local
@@ -209,15 +226,12 @@ void Corelet::tick(Picos now, Picos period_ps) {
     const bool is_store =
         fast ? de->is_store : isa::op_info(instr.op).is_store;
     const PortResult port_result = port_->local_access(
-        core_id_, chosen_index, addr, is_store, fixed,
-        now, [&ctx](Picos at) {
-          ctx.state = Context::State::kReady;
-          ctx.ready_at = at;
-        });
+        core_id_, chosen_index, addr, is_store, fixed, now,
+        [this, &ctx](Picos at) { wake(ctx, at); });
     if (port_result.status == PortStatus::kRetry) {
       ctx.state = Context::State::kReady;
       stats_->retry_stalls.inc();
-      return;
+      return ctx.state == Context::State::kReady;
     }
     exec();
     stats_->instructions.inc();
@@ -227,7 +241,7 @@ void Corelet::tick(Picos now, Picos period_ps) {
       ctx.state = Context::State::kReady;
       ctx.ready_at = port_result.ready_at;
     }
-    return;
+    return ctx.state == Context::State::kReady;
   }
 
   const StepResult result = exec();
@@ -259,6 +273,9 @@ void Corelet::tick(Picos now, Picos period_ps) {
           now + static_cast<Picos>(1 + cfg_.branch_penalty) * period_ps;
       break;
     case StepKind::kHalt:
+      if (--live_contexts_ == 0 && live_corelets_ != nullptr) {
+        --*live_corelets_;
+      }
       port_->thread_halted(core_id_, chosen_index, now, period_ps);
       break;
     case StepKind::kLocal:
@@ -267,6 +284,7 @@ void Corelet::tick(Picos now, Picos period_ps) {
     case StepKind::kBarrier:
       MLP_CHECK(false, "handled above");
   }
+  return ctx.state == Context::State::kReady;
 }
 
 }  // namespace mlp::core

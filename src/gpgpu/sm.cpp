@@ -45,6 +45,7 @@ void StreamingMultiprocessor::fill_done(Warp& warp, Picos at) {
     }
     warp.waiting = false;
     warp.ready_at = warp.latest_fill;
+    wake_at(warp.ready_at);
   }
 }
 
@@ -151,7 +152,7 @@ std::string StreamingMultiprocessor::debug_dump() const {
   return out;
 }
 
-void StreamingMultiprocessor::tick(Picos now, Picos period_ps) {
+Picos StreamingMultiprocessor::tick(Picos now, Picos period_ps) {
   for (u32 g = 0; g < groups_; ++g) {
     // Retry lines previously bounced by a full MSHR (their `outstanding`
     // slots are already counted; only the L1 access is replayed).
@@ -195,6 +196,7 @@ void StreamingMultiprocessor::tick(Picos now, Picos period_ps) {
     deps_.stats->issue_slots_busy.inc();
     issue(*chosen, g, now, period_ps);
   }
+  return next_event(now);
 }
 
 Picos StreamingMultiprocessor::next_event(Picos now) const {

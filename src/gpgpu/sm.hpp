@@ -84,14 +84,15 @@ class StreamingMultiprocessor : public sim::Tickable,
   core::Context& context(u32 group, u32 slot, u32 lane);
 
   /// One compute-clock edge: each lane group may issue one warp instruction.
-  void tick(Picos now, Picos period_ps) override;
+  Picos tick(Picos now, Picos period_ps) override;
 
   /// Earliest edge with SM-side work: `now` while any warp has MSHR-bounced
-  /// lines to replay (the replay touches L1 counters every edge), otherwise
-  /// the soonest wake-up among non-waiting, non-halted warps.
+  /// lines to replay (the replay touches L1 counters every edge, so it stays
+  /// polled), otherwise the soonest wake-up among non-waiting, non-halted
+  /// warps. A warp's last fill posts its wake-up as the SM's wake.
   Picos next_event(Picos now) const override;
 
-  /// Bulk idle accounting for fast-forwarded edges: every live lane group
+  /// Idle accounting for edges without a tick: every live lane group
   /// charges an idle issue slot and `warp_width` inactive lane slots per
   /// edge, matching tick()'s nothing-runnable path.
   void skip_idle(u64 edges) override;

@@ -1,24 +1,23 @@
 #include "mem/cache.hpp"
 
 #include "common/units.hpp"
-#include "mem/channels.hpp"
 
 namespace mlp::mem {
 
 Cache::Cache(std::string name, u32 size_bytes, u32 line_bytes, u32 assoc,
              u32 mshrs, Picos hit_latency_ps, MemBackend* backend,
              StatSet* stats)
-    : name_(std::move(name)),
+    : Requester(backend),
+      name_(std::move(name)),
       line_bytes_(line_bytes),
       sets_(size_bytes / (line_bytes * assoc)),
       assoc_(assoc),
       max_mshrs_(mshrs),
-      hit_latency_ps_(hit_latency_ps),
-      backend_(backend) {
+      hit_latency_ps_(hit_latency_ps) {
   MLP_CHECK(sets_ > 0 && is_pow2(sets_), "cache sets must be a power of two");
   MLP_CHECK(is_pow2(line_bytes_), "line size must be a power of two");
-  MLP_CHECK(backend_ != nullptr, "cache needs a backend");
-  lines_.assign(sets_, std::vector<Line>(assoc_));
+  MLP_CHECK(backend != nullptr, "cache needs a backend");
+  lines_.resize(sets_);
   if (stats != nullptr) {
     stats->add(name_ + ".hits", &hits_);
     stats->add(name_ + ".misses", &misses_);
@@ -32,10 +31,9 @@ Cache::Cache(std::string name, u32 size_bytes, u32 line_bytes, u32 assoc,
 }
 
 Cache::Line* Cache::find(Addr line) {
-  auto& set = lines_[set_of(line)];
   const u64 tag = tag_of(line);
-  for (Line& way : set) {
-    if (way.valid && way.tag == tag) return &way;
+  for (Line& way : lines_[set_of(line)]) {
+    if (way.tag == tag) return &way;
   }
   return nullptr;
 }
@@ -95,14 +93,7 @@ void Cache::queue_fill(Addr line, Picos now) {
   fill.is_write = false;
   fill.is_prefetch = mshrs_[line].is_prefetch;
   fill.on_complete = [this, line](Picos at) { on_fill_arrived(line, at); };
-  if (backend_->request(fill, now)) {
-    // A backing cache may hit and complete synchronously, in which case the
-    // MSHR is already retired — do not resurrect it.
-    auto it = mshrs_.find(line);
-    if (it != mshrs_.end()) it->second.issued = true;
-  } else {
-    issue_queue_.push_back(std::move(fill));
-  }
+  submit(std::move(fill), now);
 }
 
 void Cache::on_fill_arrived(Addr line, Picos at) {
@@ -110,6 +101,7 @@ void Cache::on_fill_arrived(Addr line, Picos at) {
   MLP_CHECK(it != mshrs_.end(), "fill for unknown MSHR");
   Mshr mshr = std::move(it->second);
   mshrs_.erase(it);
+  wake_parked(&upstream_, at);  // the freed MSHR may admit a refused miss
 
   bool write = false;
   for (bool w : mshr.waiter_writes) write |= w;
@@ -122,14 +114,13 @@ void Cache::on_fill_arrived(Addr line, Picos at) {
 void Cache::install(Addr line, bool dirty, bool prefetched, Picos now) {
   auto& set = lines_[set_of(line)];
   Line* victim = nullptr;
-  for (Line& way : set) {
-    if (!way.valid) {
-      victim = &way;
-      break;
+  if (set.size() < assoc_) {
+    victim = &set.emplace_back();  // the set's first invalid way
+  } else {
+    victim = &set.front();  // least recently used, first on ties
+    for (Line& way : set) {
+      if (way.lru < victim->lru) victim = &way;
     }
-    if (victim == nullptr || way.lru < victim->lru) victim = &way;
-  }
-  if (victim->valid) {
     evictions_.inc();
     if (victim->dirty) {
       // The tag holds the full line number (the set index is hashed).
@@ -139,10 +130,9 @@ void Cache::install(Addr line, bool dirty, bool prefetched, Picos now) {
       wb.bytes = line_bytes_;
       wb.is_write = true;
       writebacks_.inc();
-      if (!backend_->request(wb, now)) issue_queue_.push_back(std::move(wb));
+      submit(std::move(wb), now);
     }
   }
-  victim->valid = true;
   victim->dirty = dirty;
   victim->prefetched = prefetched;
   victim->tag = tag_of(line);
@@ -155,12 +145,14 @@ void Cache::save_state(sim::SnapshotWriter& w) const {
   w.put_u32(sets_);
   w.put_u32(assoc_);
   for (const auto& set : lines_) {
-    for (const Line& way : set) {
-      w.put_bool(way.valid);
-      w.put_bool(way.dirty);
-      w.put_bool(way.prefetched);
-      w.put_u64(way.tag);
-      w.put_u64(way.lru);
+    for (u32 way = 0; way < assoc_; ++way) {
+      const bool valid = way < set.size();
+      const Line line = valid ? set[way] : Line{};
+      w.put_bool(valid);
+      w.put_bool(line.dirty);
+      w.put_bool(line.prefetched);
+      w.put_u64(line.tag);
+      w.put_u64(line.lru);
     }
   }
   w.put_u64(lru_clock_);
@@ -172,26 +164,22 @@ void Cache::restore_state(sim::SnapshotCursor& r) {
   MLP_SIM_CHECK(sets == sets_ && assoc == assoc_, "snapshot",
                 "snapshot cache geometry does not match " + name_);
   for (auto& set : lines_) {
-    for (Line& way : set) {
-      way.valid = r.get_bool();
-      way.dirty = r.get_bool();
-      way.prefetched = r.get_bool();
-      way.tag = r.get_u64();
-      way.lru = r.get_u64();
+    set.clear();
+    for (u32 way = 0; way < assoc_; ++way) {
+      const bool valid = r.get_bool();
+      Line line;
+      line.dirty = r.get_bool();
+      line.prefetched = r.get_bool();
+      line.tag = r.get_u64();
+      line.lru = r.get_u64();
+      if (!valid) continue;
+      MLP_SIM_CHECK(set.size() == way, "snapshot",
+                    "snapshot cache " + name_ +
+                        " has a valid way after an invalid one");
+      set.push_back(line);
     }
   }
   lru_clock_ = r.get_u64();
-}
-
-void Cache::pump(Picos now) {
-  while (!issue_queue_.empty()) {
-    if (!backend_->request(issue_queue_.front(), now)) return;
-    if (!issue_queue_.front().is_write) {
-      auto it = mshrs_.find(line_base(issue_queue_.front().addr));
-      if (it != mshrs_.end()) it->second.issued = true;
-    }
-    issue_queue_.erase(issue_queue_.begin());
-  }
 }
 
 bool Cache::request(MemRequest request, Picos now) {
@@ -210,10 +198,6 @@ bool Cache::request(MemRequest request, Picos now) {
     return true;
   }
   return status != AccessStatus::kMshrFull;
-}
-
-bool ControllerBackend::request(MemRequest request, Picos now) {
-  return ctrl_->try_push(std::move(request), now);
 }
 
 }  // namespace mlp::mem

@@ -2,7 +2,9 @@
 // Set-associative, write-back, write-allocate cache with MSHRs and a retry
 // path for controller backpressure. Used as: SSMC per-core 5 KB L1D, GPGPU
 // per-SM 32 KB L1D, and the conventional multicore's L1/L2 (an L2 cache can
-// serve as another cache's backend). Timing-only: data comes from DramImage.
+// serve as another cache's backend: it refuses an upstream miss while its
+// MSHRs are full and wakes the parked upstream cache when one retires).
+// Timing-only: data comes from DramImage.
 
 #include <functional>
 #include <map>
@@ -16,27 +18,13 @@
 
 namespace mlp::mem {
 
-/// Downstream of a cache: either the memory controller or a larger cache.
-class MemBackend {
- public:
-  virtual ~MemBackend() = default;
-
-  /// Submit a request. May invoke `on_complete` immediately (with a future
-  /// timestamp) or later. Returns false when the backend cannot accept the
-  /// request this cycle; the caller retries on a later pump.
-  virtual bool request(MemRequest request, Picos now) = 0;
-};
-
-/// Adapts the channel demux to the MemBackend interface.
-class ChannelDemux;
-
 enum class AccessStatus : u8 {
   kHit,       ///< data available after the cache's hit latency
   kMiss,      ///< an MSHR tracks the fill; callback fires on arrival
   kMshrFull,  ///< structural stall: retry next cycle
 };
 
-class Cache : public MemBackend, public sim::Tickable,
+class Cache : public MemBackend, public Requester,
               public sim::Snapshottable {
  public:
   using FillCallback = std::function<void(Picos)>;
@@ -52,22 +40,17 @@ class Cache : public MemBackend, public sim::Tickable,
   /// the line is present, already being fetched, or no MSHR is free.
   void prefetch(Addr addr, Picos now);
 
-  /// Retry queued downstream requests (fills, writebacks) that previously
-  /// hit backpressure. Call once per channel tick.
-  void pump(Picos now);
-
-  /// sim::Tickable: a channel edge retries backpressured downstream
-  /// requests; fills arrive via backend callbacks, not self-scheduled work.
-  void tick(Picos now, Picos /*period_ps*/) override { pump(now); }
-  Picos next_event(Picos now) const override {
-    return issue_queue_.empty() ? sim::kNoEvent : now;
-  }
+  // Requester (the channel-domain Tickable): a channel edge retries
+  // downstream requests (fills, writebacks) the backend refused; fills
+  // arrive via backend callbacks, not self-scheduled work.
 
   /// MemBackend: lets this cache be another cache's next level.
   bool request(MemRequest request, Picos now) override;
+  void park(Requester* requester) override { upstream_.push_back(requester); }
+  void count_refusals(u64 n) override { mshr_stalls_.inc(n); }
 
   bool quiescent() const override {
-    return mshrs_.empty() && issue_queue_.empty();
+    return mshrs_.empty() && nothing_waiting();
   }
 
   // sim::Snapshottable: the full tag/LRU/dirty array plus the LRU clock;
@@ -80,7 +63,6 @@ class Cache : public MemBackend, public sim::Tickable,
 
  private:
   struct Line {
-    bool valid = false;
     bool dirty = false;
     bool prefetched = false;  ///< filled by prefetch, not yet demanded
     u64 tag = 0;
@@ -89,7 +71,6 @@ class Cache : public MemBackend, public sim::Tickable,
 
   struct Mshr {
     bool is_prefetch = false;
-    bool issued = false;
     std::vector<FillCallback> waiters;
     std::vector<bool> waiter_writes;
   };
@@ -116,25 +97,18 @@ class Cache : public MemBackend, public sim::Tickable,
   u32 assoc_;
   u32 max_mshrs_;
   Picos hit_latency_ps_;
-  MemBackend* backend_;
 
-  std::vector<std::vector<Line>> lines_;  ///< [set][way]
+  /// [set] -> its valid ways in way order. No line is ever invalidated, so
+  /// a set fills its ways in order and its invalid ways are exactly those
+  /// past the stored ones: host memory follows the lines installed rather
+  /// than the capacity (the multicore's L2 is 1 MB per core).
+  std::vector<std::vector<Line>> lines_;
   std::map<Addr, Mshr> mshrs_;            ///< keyed by line base address
-  std::vector<MemRequest> issue_queue_;   ///< pending downstream requests
+  std::vector<Requester*> upstream_;      ///< refused for want of an MSHR
   u64 lru_clock_ = 0;
 
   Counter hits_, misses_, mshr_merges_, mshr_stalls_, writebacks_,
       prefetch_issued_, prefetch_useful_, evictions_;
-};
-
-/// MemBackend view of the DRAM channel demux.
-class ControllerBackend : public MemBackend {
- public:
-  explicit ControllerBackend(ChannelDemux* ctrl) : ctrl_(ctrl) {}
-  bool request(MemRequest request, Picos now) override;
-
- private:
-  ChannelDemux* ctrl_;
 };
 
 }  // namespace mlp::mem

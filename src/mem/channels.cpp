@@ -64,7 +64,11 @@ bool ChannelDemux::try_push(MemRequest request, Picos now) {
   if (stripes == 1) {
     // Coarse interleave: the whole request lands on one (channel, rank,
     // bank, row) — identical to the pre-hierarchy single-channel path.
-    return channels_[base.channel]->try_push(std::move(request), base, now);
+    if (!channels_[base.channel]->try_push(std::move(request), base, now)) {
+      return false;
+    }
+    wake_at(now);
+    return true;
   }
 
   // Sub-row interleave: the contiguous request spreads across the striped
@@ -105,11 +109,14 @@ bool ChannelDemux::try_push(MemRequest request, Picos now) {
         channels_[coord.channel]->try_push(std::move(sub), coord, now);
     MLP_SIM_CHECK(pushed, "config", "striped push failed after pre-check");
   }
+  wake_at(now);
   return true;
 }
 
 void ChannelDemux::tick(Picos now) {
-  for (const auto& channel : channels_) channel->tick(now);
+  bool freed = false;
+  for (const auto& channel : channels_) freed |= channel->tick(now);
+  if (freed) wake_parked(&parked_, now);
 }
 
 void ChannelDemux::save_state(sim::SnapshotWriter& w) const {

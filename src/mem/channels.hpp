@@ -6,11 +6,13 @@
 // — stripes a single request into per-channel sub-transfers whose
 // completions are joined back into the caller's callback.
 //
-// The demux is the channel-domain sim::Tickable and the kSecController
-// sim::Snapshottable, preserving the kernel's next_event/skip_idle
-// fast-forward and snapshot contracts across the hierarchy: next_event is
-// the min over channels (including refresh accrual/issue points) and
-// snapshots frame every channel's bank/refresh state in one section.
+// The demux is the channel-domain sim::Tickable, the kSecController
+// sim::Snapshottable and the MemBackend that caches and the prefetch buffer
+// push into. next_event is the min over channels (including refresh
+// accrual/issue points), so the kernel ticks the controllers only when one
+// has work; a push posts the demux's wake, and a controller issuing from its
+// queue wakes the requesters parked on a refused push. Snapshots frame
+// every channel's bank/refresh state in one section.
 //
 // All channels share one set of "dram.*" counters (a 1-channel run is
 // bit-identical to the pre-hierarchy controller); per-channel traffic is
@@ -33,7 +35,8 @@
 
 namespace mlp::mem {
 
-class ChannelDemux : public sim::Tickable, public sim::Snapshottable {
+class ChannelDemux : public sim::Tickable, public sim::Snapshottable,
+                     public MemBackend {
  public:
   /// Builds the AddressMap (throws SimError("config") on bad geometry or a
   /// malformed mapping) and one controller per channel. Registers the
@@ -50,9 +53,20 @@ class ChannelDemux : public sim::Tickable, public sim::Snapshottable {
   /// room — the push is all-or-nothing, callers retry on a later tick.
   bool try_push(MemRequest request, Picos now);
 
+  // MemBackend: a refused requester parks until a controller issues from
+  // its queue.
+  bool request(MemRequest request, Picos now) override {
+    return try_push(std::move(request), now);
+  }
+  void park(Requester* requester) override { parked_.push_back(requester); }
+  void count_refusals(u64 n) override { counters_.rejected.inc(n); }
+
   /// Advance one channel clock edge on every channel.
   void tick(Picos now);
-  void tick(Picos now, Picos /*period_ps*/) override { tick(now); }
+  Picos tick(Picos now, Picos /*period_ps*/) override {
+    tick(now);
+    return next_event(now);
+  }
 
   /// Earliest channel edge with work on any channel.
   Picos next_event(Picos now) const override {
@@ -154,6 +168,7 @@ class ChannelDemux : public sim::Tickable, public sim::Snapshottable {
   DramCounters counters_;
   std::vector<std::unique_ptr<Counter>> channel_bytes_;
   std::vector<std::unique_ptr<MemoryController>> channels_;
+  std::vector<Requester*> parked_;  ///< refused, waiting for a free slot
   RefreshSpec refresh_;
   PagePolicy policy_;
 };

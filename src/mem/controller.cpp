@@ -312,7 +312,7 @@ void MemoryController::requeue(InFlight&& transfer, Picos now) {
   queue_.push_back(std::move(pending));
 }
 
-void MemoryController::tick(Picos now) {
+bool MemoryController::tick(Picos now) {
   // Retire completed transfers.
   for (size_t i = 0; i < in_flight_.size();) {
     if (in_flight_[i].done_at <= now) {
@@ -332,22 +332,21 @@ void MemoryController::tick(Picos now) {
   if (policy_.max_row_idle != 0) apply_idle_closures(now);
   if (refresh_.enabled) run_refresh(now);
 
-  if (queue_.empty()) return;
-
   // FR: any ready row-buffer hit, oldest first.
   for (auto it = queue_.begin(); it != queue_.end(); ++it) {
     if (try_issue(*it, now, /*row_hit_only=*/true)) {
       queue_.erase(it);
-      return;
+      return true;
     }
   }
   // FCFS: oldest request whose bank can begin the activate sequence.
   for (auto it = queue_.begin(); it != queue_.end(); ++it) {
     if (try_issue(*it, now, /*row_hit_only=*/false)) {
       queue_.erase(it);
-      return;
+      return true;
     }
   }
+  return false;
 }
 
 Picos MemoryController::next_event(Picos now) const {

@@ -88,16 +88,19 @@ class MemoryController {
   bool try_push(MemRequest request, const DramCoord& coord, Picos now);
 
   /// Queue slots available this tick (the demux pre-checks striped fan-outs
-  /// so a multi-stripe push is all-or-nothing).
+  /// so a multi-stripe push is all-or-nothing). Zero, not negative, while
+  /// fault retries hold the queue past its depth.
   u32 free_slots() const {
-    return cfg_.queue_depth - static_cast<u32>(queue_.size());
+    const u32 size = static_cast<u32>(queue_.size());
+    return size < cfg_.queue_depth ? cfg_.queue_depth - size : 0;
   }
 
   /// Advance one channel clock edge: apply page-policy closures, accrue and
   /// issue refreshes, schedule at most one queued request and retire any
-  /// transfers whose data has fully arrived. Throws SimError("memory-fault")
-  /// when a transfer exhausts its retry budget.
-  void tick(Picos now);
+  /// transfers whose data has fully arrived. Returns true when a request
+  /// left the queue (a slot freed). Throws SimError("memory-fault") when a
+  /// transfer exhausts its retry budget.
+  bool tick(Picos now);
 
   /// Earliest channel edge with controller work: an in-flight transfer
   /// retiring, a queued request whose bank turns ready, a page-policy idle

@@ -12,7 +12,8 @@ PrefetchBuffer::PrefetchBuffer(const MachineConfig& cfg, RowPlan plan,
                                RateMatcher* rate_matcher, StatSet* stats,
                                const std::string& prefix,
                                trace::TraceSession* trace)
-    : cfg_(cfg),
+    : mem::Requester(ctrl),
+      cfg_(cfg),
       plan_(std::move(plan)),
       ctrl_(ctrl),
       rate_matcher_(rate_matcher),
@@ -112,14 +113,7 @@ void PrefetchBuffer::issue_prefetch(u64 row, Picos now) {
     trace_->emit(trace::Domain::kChannel, trace::EventKind::kPrefetchIssue,
                  now, trace::kPrefetchTrack, row);
   }
-  if (!ctrl_->try_push(req, now)) issue_queue_.push_back(std::move(req));
-}
-
-void PrefetchBuffer::pump(Picos now) {
-  while (!issue_queue_.empty()) {
-    if (!ctrl_->try_push(issue_queue_.front(), now)) return;
-    issue_queue_.erase(issue_queue_.begin());
-  }
+  submit(std::move(req), now);
 }
 
 void PrefetchBuffer::on_fill(u64 row, Picos at) {
@@ -203,7 +197,7 @@ void PrefetchBuffer::trigger(Picos now, bool force_evict) {
         req.bytes = slab_bytes_;
         req.on_complete = std::move(waiter);
         direct_fetches_.inc();
-        if (!ctrl_->try_push(req, now)) issue_queue_.push_back(std::move(req));
+        submit(std::move(req), now);
       }
     }
     head.valid = false;
@@ -334,7 +328,7 @@ core::PortResult PrefetchBuffer::victim_fetch(
     for (auto& waiter : batch) waiter(at + lat);
   };
   direct_fetches_.inc();
-  if (!ctrl_->try_push(req, now)) issue_queue_.push_back(std::move(req));
+  submit(std::move(req), now);
   return {core::PortStatus::kPending, 0};
 }
 

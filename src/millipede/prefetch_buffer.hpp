@@ -45,7 +45,7 @@ struct RowPlan {
   std::function<u64(u64 row, u32 corelet)> expected_mask;
 };
 
-class PrefetchBuffer : public core::GlobalPort, public sim::Tickable,
+class PrefetchBuffer : public core::GlobalPort, public mem::Requester,
                        public sim::Snapshottable {
  public:
   PrefetchBuffer(const MachineConfig& cfg, RowPlan plan,
@@ -60,17 +60,9 @@ class PrefetchBuffer : public core::GlobalPort, public sim::Tickable,
   core::PortResult load(u32 core, u32 ctx, Addr addr, Picos now,
                         std::function<void(Picos)> wakeup) override;
 
-  /// Retry prefetch issues that hit controller backpressure; call once per
-  /// channel tick.
-  void pump(Picos now);
-
-  /// sim::Tickable: a channel edge retries backpressured issues; with an
-  /// empty issue queue the buffer only reacts to fills and demand accesses
-  /// driven from other components.
-  void tick(Picos now, Picos /*period_ps*/) override { pump(now); }
-  Picos next_event(Picos now) const override {
-    return issue_queue_.empty() ? sim::kNoEvent : now;
-  }
+  // mem::Requester (the channel-domain Tickable): a channel edge retries
+  // issues the controller refused; otherwise the buffer only reacts to
+  // fills and demand accesses driven from other components.
 
   /// Quiesce for snapshot capture: no backpressured issues, no wakeup
   /// closures anywhere (entry waiters, flow-control waits, victim-slab
@@ -78,7 +70,7 @@ class PrefetchBuffer : public core::GlobalPort, public sim::Tickable,
   /// the window is fully filled and compute lags — including the final
   /// compute-only reduce phase.
   bool quiescent() const override {
-    if (!issue_queue_.empty() || !future_waiters_.empty()) return false;
+    if (!nothing_waiting() || !future_waiters_.empty()) return false;
     for (u32 i = 0; i < count_; ++i) {
       const Entry& entry = entries_[(head_ + i) % num_entries_];
       if (!entry.filled || !entry.waiters.empty()) return false;
@@ -172,8 +164,6 @@ class PrefetchBuffer : public core::GlobalPort, public sim::Tickable,
     std::vector<std::function<void(Picos)>> waiters;
   };
   std::map<std::pair<u64, u32>, VictimSlab> victim_slabs_;
-
-  std::vector<mem::MemRequest> issue_queue_;
 
   Counter row_prefetches_, hits_, fill_waits_, flow_waits_,
       premature_evictions_, direct_fetches_, votes_memory_, votes_compute_;

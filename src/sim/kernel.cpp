@@ -7,26 +7,70 @@
 namespace mlp::sim {
 namespace {
 
-/// First edge of `clock`'s grid at or after `at` (the grid is anchored at
-/// next_edge_ps and spaced by the current period; the period only changes
-/// inside processed edges, never across a skipped gap).
-Picos first_edge_at_or_after(const ClockDomain& clock, Picos at) {
-  if (at == kNoEvent) return kNoEvent;
-  const Picos edge = clock.next_edge_ps();
-  if (at <= edge) return edge;
-  const Picos period = clock.period_ps();
-  return edge + (at - edge + period - 1) / period * period;
-}
-
-/// Number of `clock` edges strictly before `target`.
+/// Number of `clock` edges strictly before `target` (the grid is anchored
+/// at next_edge_ps and spaced by the current period; the period only
+/// changes inside processed edges, never across a skipped gap). Most jumps
+/// are one or two edges long, so those skip the division.
 u64 edges_before(const ClockDomain& clock, Picos target) {
   const Picos edge = clock.next_edge_ps();
   if (target == kNoEvent || target <= edge) return 0;
   const Picos period = clock.period_ps();
+  if (target <= edge + period) return 1;
   return static_cast<u64>((target - edge + period - 1) / period);
 }
 
+/// First edge of `clock`'s grid at or after `at`.
+Picos first_edge_at_or_after(const ClockDomain& clock, Picos at) {
+  if (at == kNoEvent) return kNoEvent;
+  return clock.next_edge_ps() +
+         static_cast<Picos>(edges_before(clock, at)) * clock.period_ps();
+}
+
 }  // namespace
+
+void Schedule::attach() {
+  const Picos edge = clock_->next_edge_ps();
+  wake_.assign(units_.size(), kNoEvent);
+  charged_.assign(units_.size(), clock_->ticks());
+  edge_ = ~u64{0};
+  passed_ = 0;
+  earliest_ = kNoEvent;
+  for (u32 slot = 0; slot < units_.size(); ++slot) {
+    units_[slot]->schedule_ = this;
+    units_[slot]->slot_ = slot;
+    post(slot, units_[slot]->next_event(edge));
+  }
+}
+
+void Schedule::tick_due(Picos now, Picos period_ps) {
+  edge_ = clock_->ticks();
+  passed_ = 0;
+  const u32 units = static_cast<u32>(units_.size());
+  if (earliest_ > now) {
+    passed_ = units;  // every unit idles; its charge waits for a settle
+    return;
+  }
+  // Posts during the scan lower earliest_ directly; each unit's wake joins
+  // it as the scan passes (a ticked unit's returned wake replaces posts made
+  // before its turn, which may leave earliest_ early — that only costs one
+  // scan of an edge with nothing due).
+  earliest_ = kNoEvent;
+  Picos earliest = kNoEvent;
+  for (u32 slot = 0; slot < units; ++slot) {
+    if (wake_[slot] <= now) {
+      Tickable* unit = units_[slot];
+      if (charged_[slot] < edge_) unit->skip_idle(edge_ - charged_[slot]);
+      charged_[slot] = edge_ + 1;
+      // Units up to this one have passed the edge; a settle() during its
+      // tick charges the skipped ones before it for this edge too.
+      passed_ = slot + 1;
+      wake_[slot] = unit->tick(now, period_ps);
+    }
+    earliest = std::min(earliest, wake_[slot]);
+  }
+  passed_ = units;
+  earliest_ = std::min(earliest_, earliest);
+}
 
 SimulationKernel::SimulationKernel(const MachineConfig& cfg,
                                    std::string watchdog_arch,
@@ -82,6 +126,7 @@ bool SimulationKernel::all_quiescent() const {
 }
 
 void SimulationKernel::capture(const Watchdog& watchdog) {
+  if (fast_forward_) settle_all();  // the counters section must be current
   SnapshotWriter w;
 
   SnapshotMeta meta;
@@ -100,8 +145,6 @@ void SimulationKernel::capture(const Watchdog& watchdog) {
   w.put_u64(channel_.next_edge_ps());
   w.put_u64(channel_.ticks());
   w.put_u64(now_);
-  w.put_u64(flat_edges_);
-  w.put_bool(scan_enabled_);
   w.put_u64(watchdog.iterations());
   w.put_u64(watchdog.stalled());
   w.put_u64(watchdog.last_progress());
@@ -181,8 +224,6 @@ void SimulationKernel::restore(const std::string& blob) {
         const u64 ch_ticks = r.get_u64();
         channel_.restore(ch_period, ch_edge, ch_ticks);
         now_ = r.get_u64();
-        flat_edges_ = r.get_u64();
-        scan_enabled_ = r.get_bool();
         pending_wd_iterations_ = r.get_u64();
         pending_wd_stalled_ = r.get_u64();
         pending_wd_last_progress_ = r.get_u64();
@@ -251,52 +292,60 @@ Picos SimulationKernel::run(const std::function<bool()>& done) {
     watchdog.restore(pending_wd_iterations_, pending_wd_stalled_,
                      pending_wd_last_progress_);
   }
+  if (fast_forward_) {
+    compute_units_.attach();
+    channel_units_.attach();
+  }
   const bool want_capture = plan_ != nullptr && plan_->capture;
+  // Nothing changes the signature between two processed edges, so the one
+  // read after an edge serves the next edge's watchdog step and jump.
+  u64 signature = progress_();
   while (!done()) {
+    if (fast_forward_) jump(&watchdog, signature);
     if (want_capture && !plan_->captured_ok &&
         compute_.ticks() >= plan_->checkpoint_at && all_quiescent()) {
       capture(watchdog);
     }
-    const u64 signature = progress_();
     watchdog.step(signature, now_);
     if (compute_.next_edge_ps() <= channel_.next_edge_ps()) {
       now_ = compute_.next_edge_ps();
       const Picos period = compute_.period_ps();
       if (compute_edge_hook_) compute_edge_hook_();
-      for (Tickable* unit : compute_units_) unit->tick(now_, period);
-      if (trace_ != nullptr) trace_->tick_compute(compute_.ticks(), now_);
+      if (fast_forward_) {
+        compute_units_.tick_due(now_, period);
+      } else {
+        compute_units_.tick_all(now_, period);
+      }
+      if (trace_ != nullptr) {
+        // A sample reads every counter: charge what the idle units owe.
+        if (fast_forward_ && compute_.ticks() >= trace_->next_sample_cycle()) {
+          settle_all();
+        }
+        trace_->tick_compute(compute_.ticks(), now_);
+      }
       compute_.advance();
     } else {
       now_ = channel_.next_edge_ps();
       const Picos period = channel_.period_ps();
-      for (Tickable* unit : channel_units_) unit->tick(now_, period);
+      if (fast_forward_) {
+        channel_units_.tick_due(now_, period);
+      } else {
+        channel_units_.tick_all(now_, period);
+      }
       channel_.advance();
     }
-    if (!fast_forward_) continue;
-    if (progress_() != signature) {
-      scan_enabled_ = true;  // progress may have broken a deadlock
-      flat_edges_ = 0;
-      continue;
-    }
-    // Hysteresis: a gap worth skipping is many edges long, so only pay for
-    // an event scan once the signature has been flat for a few edges. Busy
-    // phases (progress nearly every edge) then never scan at all.
-    if (++flat_edges_ < kScanHysteresis) continue;
-    if (scan_enabled_ && !try_fast_forward(&watchdog, signature)) {
-      scan_enabled_ = false;
-    }
+    signature = progress_();
   }
+  if (fast_forward_) settle_all();
   if (trace_ != nullptr) trace_->finish_run(compute_.ticks(), now_);
   return now_;
 }
 
-bool SimulationKernel::try_fast_forward(Watchdog* watchdog, u64 signature) {
-  // Earliest time any compute component could act...
-  Picos compute_at = kNoEvent;
+void SimulationKernel::jump(Watchdog* watchdog, u64 signature) {
   const Picos compute_edge = compute_.next_edge_ps();
-  for (const Tickable* unit : compute_units_) {
-    compute_at = std::min(compute_at, unit->next_event(compute_edge));
-  }
+  const Picos channel_edge = channel_.next_edge_ps();
+  // Earliest time any compute unit could act...
+  Picos compute_at = compute_units_.earliest();
   // ... capped at the interval sampler's next sample edge, which must be
   // processed for real so the timeline keeps every row.
   if (trace_ != nullptr) {
@@ -311,30 +360,34 @@ bool SimulationKernel::try_fast_forward(Watchdog* watchdog, u64 signature) {
       compute_at = std::min(compute_at, sample_at);
     }
   }
-  Picos channel_at = kNoEvent;
-  const Picos channel_edge = channel_.next_edge_ps();
-  for (const Tickable* unit : channel_units_) {
-    channel_at = std::min(channel_at, unit->next_event(channel_edge));
+  const Picos channel_at = channel_units_.earliest();
+  // The common case: the next edge in global order has work.
+  if (compute_edge <= channel_edge ? compute_at <= compute_edge
+                                   : channel_at <= channel_edge) {
+    return;
   }
 
-  // The first edge that must be processed for real. Every edge strictly
-  // before it lies strictly before its own domain's earliest event, so its
-  // tick would have been a no-op (the Tickable contract) — skip them all.
-  const Picos target = std::min(first_edge_at_or_after(compute_, compute_at),
-                                first_edge_at_or_after(channel_, channel_at));
-  if (target == kNoEvent) return false;  // deadlock: poll to the trip
+  // The first edge with a due unit. Every edge strictly before it has no
+  // due unit in its domain, so its tick would only have charged what the
+  // units' settles charge later. A domain whose earliest wake is not before
+  // the other's first due edge cannot move the target.
+  const bool compute_first = compute_at <= channel_at;
+  Picos target = compute_first ? first_edge_at_or_after(compute_, compute_at)
+                               : first_edge_at_or_after(channel_, channel_at);
+  if (!compute_first && compute_at < target) {
+    target = std::min(target, first_edge_at_or_after(compute_, compute_at));
+  } else if (compute_first && channel_at < target) {
+    target = std::min(target, first_edge_at_or_after(channel_, channel_at));
+  }
+  if (target == kNoEvent) return;  // deadlock: step edges to the trip
 
   const u64 skip_compute = edges_before(compute_, target);
   const u64 skip_channel = edges_before(channel_, target);
   const u64 total = skip_compute + skip_channel;
-  // A zero-yield scan (an event sits on the very next edge — e.g. a corelet
-  // retry-polling a full MSHR) would repeat every edge of the stall; stand
-  // down until progress re-arms the scan. Which edges get skipped is pure
-  // policy: results are identical either way, only wall-clock changes.
-  if (total == 0) return false;
+  if (total == 0) return;
   // Never skip across a watchdog limit: the trip must fire from a real
   // step() at its exact iteration count (and trace timestamp).
-  if (total >= watchdog->steps_until_trip(signature)) return true;
+  if (total >= watchdog->steps_until_trip(signature)) return;
 
   // `now` at the resumed edge's step() is the last skipped edge's time,
   // exactly as if it had been polled.
@@ -348,12 +401,9 @@ bool SimulationKernel::try_fast_forward(Watchdog* watchdog, u64 signature) {
                                              channel_.period_ps());
   }
   now_ = last;
-
-  for (Tickable* unit : compute_units_) unit->skip_idle(skip_compute);
   compute_.advance_by(skip_compute);
   channel_.advance_by(skip_channel);
   watchdog->skip(total, signature);
-  return true;
 }
 
 }  // namespace mlp::sim

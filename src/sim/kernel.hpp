@@ -1,24 +1,28 @@
 #pragma once
 // The shared two-domain simulation kernel. Every architecture model wires
 // its components (corelets or an SM on the compute domain; prefetch buffer,
-// caches and the memory controller on the DRAM-channel domain) onto one
-// SimulationKernel and calls run(); the kernel owns the step loop that the
-// four *_system.cpp files used to hand-roll:
+// caches and the channel demux on the DRAM-channel domain) onto one
+// SimulationKernel and calls run(); the kernel owns the step loop:
 //
 //  * two ClockDomains advanced in global time order (compute edge first on
 //    ties), honoring mid-run compute retunes by Millipede's DFS rate
 //    matcher (which holds a pointer to compute_clock());
-//  * the forward-progress watchdog, stepped once per processed edge;
-//  * trace wiring (process/track/gauge registration in the layout the
-//    pre-kernel systems used), the interval sampler's tick_compute hook and
-//    the closing finish_run;
-//  * idle-cycle fast-forward: after an edge that made no progress, the
-//    kernel asks every component for its next_event() and skips both
-//    domains' edges up to the earliest one — bulk-accounting idle counters
-//    (Tickable::skip_idle) and watchdog iterations (Watchdog::skip) so all
-//    counters, trace events and timelines stay bit-identical to polling
-//    every edge (MachineConfig::fast_forward / --no-fast-forward is the
-//    A/B escape hatch; kernel_test and the CI equivalence step enforce it).
+//  * the forward-progress watchdog, stepped once per edge;
+//  * trace wiring (process/track/gauge registration), the interval
+//    sampler's tick_compute hook and the closing finish_run;
+//  * activity-driven scheduling (sim/tickable.hpp): at each edge only the
+//    units whose posted wake has come are ticked, in registration order;
+//    every other unit is charged what its tick would have counted at that
+//    edge, in bulk and with its state at that edge. Whenever neither
+//    domain's next edge has a due unit, both clocks jump to the earliest
+//    posted wake, clamped at interval-sampler edges and at the watchdog's
+//    trip point. Backpressure parks a refused requester until its backend
+//    frees a slot (mem/req.hpp), so a full controller queue costs nothing
+//    per edge.
+//
+// MachineConfig::fast_forward = false (--no-fast-forward) instead ticks
+// every unit at every edge: the poll oracle that kernel_test and the CI
+// equivalence steps hold every counter, trace event and timeline to.
 
 #include <functional>
 #include <string>
@@ -45,8 +49,8 @@ class SimulationKernel {
   /// Registration order is tick order within a domain (the channel tick
   /// order is architecture-defined: e.g. prefetch buffer before the
   /// controller, L1s before L2s before the controller).
-  void add_compute(Tickable* component) { compute_units_.push_back(component); }
-  void add_channel(Tickable* component) { channel_units_.push_back(component); }
+  void add_compute(Tickable* component) { compute_units_.add(component); }
+  void add_channel(Tickable* component) { channel_units_.add(component); }
 
   /// The compute domain, for Millipede's rate matcher (DFS retunes the
   /// period mid-run) and for tests.
@@ -56,17 +60,17 @@ class SimulationKernel {
   void set_dump(std::function<std::string()> dump) { dump_ = std::move(dump); }
 
   /// Monotonic progress signature (instructions retired + DRAM bytes moved)
-  /// feeding the watchdog; an edge that leaves it unchanged is what arms the
-  /// fast-forward scan. Required before run().
+  /// feeding the watchdog, read once per processed edge. Required before
+  /// run().
   void set_progress(std::function<u64()> progress) {
     progress_ = std::move(progress);
   }
 
   /// Optional hook invoked once per PROCESSED compute edge, before the
   /// compute units tick (the decoded-block cache resets its convergence
-  /// memo here). Fast-forwarded edges skip it by construction: a skipped
-  /// edge issues nothing, so a memo reset there would be a no-op — which is
-  /// why decode counters stay bit-identical across fast-forward modes.
+  /// memo here). Jumped-over edges skip it by construction: a skipped edge
+  /// issues nothing, so a memo reset there would be a no-op — which is why
+  /// decode counters stay bit-identical to polling.
   void set_compute_edge_hook(std::function<void()> hook) {
     compute_edge_hook_ = std::move(hook);
   }
@@ -132,10 +136,18 @@ class SimulationKernel {
   Picos now() const { return now_; }
 
  private:
-  /// Attempt one idle-gap skip; returns false when every component in both
-  /// domains reports kNoEvent (a deadlock — fall back to polling so the
-  /// watchdog trips exactly as it would have).
-  bool try_fast_forward(Watchdog* watchdog, u64 signature);
+  /// When no unit is due at the next edge of either domain, skip both
+  /// clocks to the first edge with a posted wake or an interval sample.
+  /// Does nothing in a deadlock (no posted wake at all) or when the skip
+  /// would cross the watchdog's trip point: edges are then processed one by
+  /// one so the trip fires from a real step() at its exact iteration.
+  void jump(Watchdog* watchdog, u64 signature);
+
+  /// Charges owed by both domains, before counters are read.
+  void settle_all() {
+    compute_units_.settle_all();
+    channel_units_.settle_all();
+  }
 
   bool all_quiescent() const;
   void capture(const Watchdog& watchdog);
@@ -148,8 +160,8 @@ class SimulationKernel {
   bool fast_forward_;
   trace::TraceSession* trace_;
 
-  std::vector<Tickable*> compute_units_;
-  std::vector<Tickable*> channel_units_;
+  Schedule compute_units_{&compute_};
+  Schedule channel_units_{&channel_};
   std::function<std::string()> dump_;
   std::function<u64()> progress_;
   std::function<void()> compute_edge_hook_;
@@ -166,17 +178,6 @@ class SimulationKernel {
   u64 pending_wd_last_progress_ = 0;
 
   Picos now_ = 0;
-  /// Consecutive edges with an unchanged progress signature; a scan only
-  /// fires once this reaches kScanHysteresis, so busy phases never scan.
-  u64 flat_edges_ = 0;
-  /// Cleared when a scan yields nothing — both domains event-less (deadlock,
-  /// poll to the watchdog trip) or an event on the very next edge (retry
-  /// polling). Re-armed by progress.
-  bool scan_enabled_ = true;
-
-  /// Edges the signature must stay flat before an event scan pays for
-  /// itself; a skippable gap is typically far longer than this.
-  static constexpr u64 kScanHysteresis = 8;
 };
 
 }  // namespace mlp::sim

@@ -38,14 +38,17 @@ inline constexpr char kSnapshotMagic[8] = {'M', 'L', 'P', 'S',
 ///  1  initial format;
 ///  2  kSecController gained per-bank access streaks and per-rank refresh
 ///     cursors (next_due, postponement debt), framed per channel, and the
-///     fork key gained the dch/drk/dmap/dpp/dref DRAM-hierarchy entries.
-inline constexpr u32 kSnapshotVersion = 2;
+///     fork key gained the dch/drk/dmap/dpp/dref DRAM-hierarchy entries;
+///  3  kSecKernel dropped the fast-forward scan state (the flat-edge count
+///     and scan switch): the activity-driven kernel rebuilds its posted
+///     wakes from next_event() when a restored run starts.
+inline constexpr u32 kSnapshotVersion = 3;
 
 /// Section ids. Low ids are singleton kernel-level sections; component
 /// ranges are BASE + instance so per-core components stay distinct.
 enum SnapshotSectionId : u32 {
   kSecMeta = 1,          ///< always first: identity + geometry
-  kSecKernel = 2,        ///< clocks, watchdog, fast-forward scan state
+  kSecKernel = 2,        ///< clocks, watchdog
   kSecDramDelta = 3,     ///< DRAM image as RLE delta against the pristine image
   kSecController = 4,    ///< memory controller banks + fault-injector stream
   kSecStats = 5,         ///< always last: every StatSet counter by name

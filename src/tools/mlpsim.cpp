@@ -90,8 +90,9 @@ void usage() {
                     write them as a compact binary ring instead of JSON
   --trace-interval N  sample every registered counter (as per-interval
                     deltas) every N compute cycles into a CSV timeline
-  --no-fast-forward disable the kernel's idle-cycle fast-forward and step
-                    every clock edge (bit-identical results; debugging aid)
+  --no-fast-forward tick every component at every clock edge instead of
+                    only those with work due (the poll oracle: bit-identical
+                    results, slower; equivalence checks)
   --no-block-cache  disable the decoded-basic-block interpreter fast path
                     and re-decode every issued instruction (bit-identical
                     results; A/B equivalence checks)

@@ -51,8 +51,9 @@ Execution:
                         divergent points restore from it. Output stays
                         byte-identical to an unforked sweep; savings are
                         reported on stderr
-  --no-fast-forward     step every clock edge instead of fast-forwarding
-                        idle gaps (bit-identical output; equivalence checks)
+  --no-fast-forward     tick every component at every clock edge instead of
+                        only those with work due (bit-identical output;
+                        equivalence checks)
   --no-block-cache      re-decode every issued instruction instead of
                         dispatching over the decoded-basic-block cache
                         (bit-identical output; equivalence checks)

@@ -104,12 +104,11 @@ struct SmFixture : ::testing::Test {
     program = isa::must_assemble("sm", src);
     dram = std::make_unique<mem::DramImage>(1 << 20);
     ctrl = std::make_unique<mem::ChannelDemux>(cfg.dram, "dram", &stats);
-    backend = std::make_unique<mem::ControllerBackend>(ctrl.get());
     l1d = std::make_unique<mem::Cache>(
         "l1d", cfg.gpgpu.l1d_bytes, cfg.gpgpu.line_bytes, cfg.gpgpu.l1d_assoc,
         cfg.gpgpu.mshrs,
         static_cast<Picos>(cfg.gpgpu.l1_hit_latency) * cfg.core.period_ps(),
-        backend.get(), &stats);
+        ctrl.get(), &stats);
     prefetcher = std::make_unique<mem::SequentialPrefetcher>(
         cfg.gpgpu.line_bytes, cfg.gpgpu.prefetch_degree,
         cfg.gpgpu.prefetch_distance);
@@ -168,7 +167,6 @@ struct SmFixture : ::testing::Test {
   isa::Program program;
   std::unique_ptr<mem::DramImage> dram;
   std::unique_ptr<mem::ChannelDemux> ctrl;
-  std::unique_ptr<mem::ControllerBackend> backend;
   std::unique_ptr<mem::Cache> l1d;
   std::unique_ptr<mem::SequentialPrefetcher> prefetcher;
   std::unique_ptr<mem::SharedMemBanking> banking;

@@ -1,7 +1,7 @@
 // Simulation-kernel invariants: bulk clock advancement, watchdog skip
-// accounting, and — the load-bearing property — that idle-cycle
-// fast-forward is invisible: every counter, metric, trace event and trace
-// file byte must be identical to polling every edge
+// accounting, and — the load-bearing property — that activity-driven
+// scheduling is invisible: every counter, metric, trace event and trace
+// file byte must be identical to polling every unit at every edge
 // (MachineConfig::fast_forward = false, --no-fast-forward).
 
 #include <gtest/gtest.h>
@@ -10,6 +10,7 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -20,6 +21,8 @@
 #include "common/clock.hpp"
 #include "common/error.hpp"
 #include "common/watchdog.hpp"
+#include "mem/cache.hpp"
+#include "mem/channels.hpp"
 #include "sim/kernel.hpp"
 #include "sim/runner.hpp"
 #include "trace/trace.hpp"
@@ -166,12 +169,13 @@ struct SleepyUnit final : sim::Tickable {
   u64 idle_skipped = 0;
   u64 work = 0;
 
-  void tick(Picos now, Picos /*period_ps*/) override {
+  Picos tick(Picos now, Picos /*period_ps*/) override {
     ++ticks;
     if (now >= wake_at && remaining > 0) {
       --remaining;
       ++work;
     }
+    return next_event(now);
   }
   Picos next_event(Picos now) const override {
     return remaining > 0 ? std::max(wake_at, now) : sim::kNoEvent;
@@ -206,6 +210,128 @@ TEST(KernelFastForward, SkipsProvablyIdleEdges) {
   EXPECT_LT(skipped.ticks, polled.ticks / 4);
 }
 
+/// Floods the channel demux with one-row reads at time zero and counts its
+/// own ticks, in particular those that find it parked on a refused push.
+struct FloodRequester final : mem::Requester {
+  explicit FloodRequester(mem::ChannelDemux* dram)
+      : Requester(dram), row_bytes(dram->config().row_bytes) {}
+
+  void flood(u32 requests) {
+    for (u32 r = 0; r < requests; ++r) {
+      mem::MemRequest req;
+      req.addr = static_cast<Addr>(r) * row_bytes;
+      req.bytes = row_bytes;
+      req.on_complete = [this](Picos) { ++completed; };
+      submit(std::move(req), 0);
+    }
+  }
+  Picos tick(Picos now, Picos period_ps) override {
+    ++ticks;
+    if (parked()) ++parked_ticks;
+    return Requester::tick(now, period_ps);
+  }
+
+  u32 row_bytes;
+  u64 completed = 0;
+  u64 ticks = 0;
+  u64 parked_ticks = 0;
+};
+
+TEST(KernelFastForward, ParkedRequesterIsNotTickedButChargedItsRefusals) {
+  struct Outcome {
+    Picos end;
+    u64 rejections, ticks, parked_ticks;
+  };
+  auto drive = [](bool fast_forward) {
+    MachineConfig cfg = MachineConfig::paper_defaults();
+    cfg.fast_forward = fast_forward;
+    cfg.dram.bus_efficiency = 0.05;  // the queue stays full for long spans
+    StatSet stats;
+    mem::ChannelDemux dram(cfg.dram, "dram", &stats);
+    FloodRequester requester(&dram);
+    constexpr u32 kRequests = 64;  // four times the scheduler window
+    requester.flood(kRequests);
+    sim::SimulationKernel kernel(cfg, "test", nullptr);
+    kernel.add_channel(&requester);
+    kernel.add_channel(&dram);
+    kernel.set_progress([&] { return requester.completed; });
+    const Picos end =
+        kernel.run([&] { return requester.completed == kRequests; });
+    return Outcome{end, stats.get("dram.queue_rejections"), requester.ticks,
+                   requester.parked_ticks};
+  };
+
+  const Outcome polled = drive(false);
+  const Outcome event = drive(true);
+  EXPECT_EQ(polled.end, event.end);
+  // Polling retries the refused push on every channel edge...
+  EXPECT_GT(polled.parked_ticks, 0u);
+  EXPECT_GT(polled.rejections, polled.parked_ticks / 2);
+  // ... while the parked requester is only ticked after a slot frees, yet
+  // is charged exactly the refusals those retries would have counted.
+  EXPECT_EQ(event.parked_ticks, 0u);
+  EXPECT_LT(event.ticks * 20, polled.ticks);
+  EXPECT_EQ(polled.rejections, event.rejections);
+}
+
+/// Streams reads of consecutive lines through an L1, one access per compute
+/// edge, retrying an access the L1 bounces for want of an MSHR.
+struct LineStreamer final : sim::Tickable {
+  LineStreamer(mem::Cache* l1, u32 lines) : l1(l1), lines(lines) {}
+
+  Picos tick(Picos now, Picos /*period_ps*/) override {
+    if (issued == lines) return sim::kNoEvent;
+    const Addr addr = static_cast<Addr>(issued) * l1->line_bytes();
+    const mem::AccessStatus status =
+        l1->access(addr, false, now, [this](Picos) { ++filled; });
+    if (status != mem::AccessStatus::kMshrFull) ++issued;
+    if (status == mem::AccessStatus::kHit) ++filled;
+    return next_event(now);
+  }
+  Picos next_event(Picos now) const override {
+    return issued == lines ? sim::kNoEvent : now;
+  }
+
+  mem::Cache* l1;
+  u32 lines;
+  u32 issued = 0;
+  u32 filled = 0;
+};
+
+TEST(KernelFastForward, CacheParkedOnAFullL2IsWokenWhenAnMshrRetires) {
+  using Outcome = std::pair<Picos, std::map<std::string, u64>>;
+  auto drive = [](bool fast_forward) {
+    MachineConfig cfg = MachineConfig::paper_defaults();
+    cfg.fast_forward = fast_forward;
+    cfg.dram.bus_efficiency = 0.05;
+    StatSet stats;
+    mem::ChannelDemux dram(cfg.dram, "dram", &stats);
+    // Two L2 MSHRs behind an eight-MSHR L1: the L1's misses are refused by
+    // the L2 until one of its fills retires.
+    mem::Cache l2("l2", 64 * 1024, 64, 4, /*mshrs=*/2, 1000, &dram, &stats);
+    mem::Cache l1("l1", 4 * 1024, 64, 2, /*mshrs=*/8, 500, &l2, &stats);
+    constexpr u32 kLines = 48;
+    LineStreamer streamer(&l1, kLines);
+    sim::SimulationKernel kernel(cfg, "test", nullptr);
+    kernel.add_compute(&streamer);
+    kernel.add_channel(&l1);
+    kernel.add_channel(&l2);
+    kernel.add_channel(&dram);
+    kernel.set_progress(
+        [&] { return streamer.filled + dram.bytes_transferred(); });
+    const Picos end = kernel.run([&] { return streamer.filled == kLines; });
+    const auto counters = stats.snapshot();
+    return Outcome{end, {counters.begin(), counters.end()}};
+  };
+
+  const Outcome polled = drive(false);
+  const Outcome event = drive(true);
+  EXPECT_EQ(polled.first, event.first);
+  EXPECT_GT(polled.second.at("l2.mshr_stalls"), 0u)
+      << "the L1 never parked on the L2";
+  EXPECT_EQ(polled.second, event.second);
+}
+
 // ------------------------------------------ whole-system equivalence ----
 
 sim::MatrixJob matrix_job(arch::ArchKind kind, const std::string& bench,
@@ -218,56 +344,120 @@ sim::MatrixJob matrix_job(arch::ArchKind kind, const std::string& bench,
   return job;
 }
 
+/// Runs `job` polled and activity-driven; every counter and metric must
+/// match. Returns the polled result.
+arch::RunResult expect_same_run(const sim::MatrixJob& job) {
+  sim::MatrixJob poll_job = job;
+  poll_job.options.cfg.fast_forward = false;
+  sim::MatrixJob event_job = job;
+  event_job.options.cfg.fast_forward = true;
+  const sim::MatrixResult poll = sim::run_job(poll_job);
+  const sim::MatrixResult event = sim::run_job(event_job);
+  const std::string label =
+      std::string(arch::arch_name(job.kind)) + "/" + job.bench;
+  EXPECT_TRUE(poll.ok()) << label << ": " << poll.error;
+  EXPECT_TRUE(event.ok()) << label << ": " << event.error;
+  EXPECT_EQ(poll.result.compute_cycles, event.result.compute_cycles) << label;
+  EXPECT_EQ(poll.result.runtime_ps, event.result.runtime_ps) << label;
+  EXPECT_EQ(poll.result.thread_instructions, event.result.thread_instructions)
+      << label;
+  EXPECT_EQ(poll.result.final_clock_mhz, event.result.final_clock_mhz)
+      << label;
+  EXPECT_EQ(poll.result.energy.core_j, event.result.energy.core_j) << label;
+  EXPECT_EQ(poll.result.stats, event.result.stats) << label;
+  return poll.result;
+}
+
 TEST(KernelFastForward, CountersMatchPollingAcrossTheMatrix) {
   for (const arch::ArchKind kind : arch::all_arch_kinds()) {
     for (const std::string bench : {"count", "variance", "kmeans"}) {
-      const sim::MatrixResult poll =
-          sim::run_job(matrix_job(kind, bench, false));
-      const sim::MatrixResult ff = sim::run_job(matrix_job(kind, bench, true));
-      ASSERT_TRUE(poll.ok()) << poll.error;
-      ASSERT_TRUE(ff.ok()) << ff.error;
-      const std::string label =
-          std::string(arch::arch_name(kind)) + "/" + bench;
-      EXPECT_EQ(poll.result.compute_cycles, ff.result.compute_cycles)
-          << label;
-      EXPECT_EQ(poll.result.runtime_ps, ff.result.runtime_ps) << label;
-      EXPECT_EQ(poll.result.thread_instructions,
-                ff.result.thread_instructions)
-          << label;
-      EXPECT_EQ(poll.result.final_clock_mhz, ff.result.final_clock_mhz)
-          << label;
-      EXPECT_EQ(poll.result.stats, ff.result.stats) << label;
+      expect_same_run(matrix_job(kind, bench, true));
     }
   }
 }
 
+/// The configs where requesters park: membound-grid's two (bandwidth
+/// starved; starved on two refreshed channels striped below the column),
+/// and the striped one again with delayed and dropped transfers under ECC,
+/// whose retries land on full scheduler windows.
+enum class Membound { kStarved, kStriped, kStripedFaults };
+
+class MemboundEquivalence
+    : public ::testing::TestWithParam<std::tuple<Membound, arch::ArchKind>> {
+};
+
+TEST_P(MemboundEquivalence, CountersMatchPolling) {
+  const auto [config, kind] = GetParam();
+  for (const std::string bench : {"count", "sample", "nbayes", "variance"}) {
+    sim::MatrixJob job = matrix_job(kind, bench, true);
+    DramConfig& dram = job.options.cfg.dram;
+    dram.bus_efficiency = 0.05;
+    if (config != Membound::kStarved) {
+      dram.channels = 2;
+      dram.refresh = "on";
+      dram.mapping = "row:bank:col:channel";
+    }
+    if (config == Membound::kStripedFaults) {
+      dram.fault.delay_rate = 0.3;
+      dram.fault.drop_rate = 0.02;
+      dram.fault.ecc = true;
+    }
+    const arch::RunResult polled = expect_same_run(job);
+    if (config == Membound::kStripedFaults) {
+      EXPECT_GT(polled.stats.at("dram.fault.delayed"), 0u) << bench;
+    }
+  }
+}
+
+std::string membound_name(
+    const ::testing::TestParamInfo<MemboundEquivalence::ParamType>& info) {
+  const char* const configs[] = {"starved", "striped", "striped_faults"};
+  std::string name =
+      std::string(configs[static_cast<int>(std::get<0>(info.param))]) + "_" +
+      arch::arch_name(std::get<1>(info.param));
+  std::replace(name.begin(), name.end(), '-', '_');
+  return name;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllArchs, MemboundEquivalence,
+    ::testing::Combine(::testing::Values(Membound::kStarved,
+                                         Membound::kStriped,
+                                         Membound::kStripedFaults),
+                       ::testing::ValuesIn(arch::all_arch_kinds())),
+    membound_name);
+
+TEST(KernelFastForward, StripedRetriesPastAFullWindowVerify) {
+  // Dropped transfers re-enter a full scheduler window; a striped push must
+  // then be refused like any backpressure and the run still verify.
+  sim::MatrixJob job = matrix_job(arch::ArchKind::kSsmc, "count", true);
+  job.options.cfg.dram.channels = 2;
+  job.options.cfg.dram.mapping = "row:bank:col:channel";
+  job.options.cfg.dram.fault.delay_rate = 0.3;
+  job.options.cfg.dram.fault.drop_rate = 0.02;
+  const arch::RunResult polled = expect_same_run(job);
+  EXPECT_GT(polled.stats.at("dram.fault_retries"), 0u);
+  EXPECT_GT(polled.stats.at("dram.queue_rejections"), 0u);
+}
+
 TEST(KernelFastForward, CountersMatchPollingWithRefreshAndHierarchy) {
-  // Fast-forward must not skip over refresh cursors, row idle-close
+  // The scheduler must not jump over refresh cursors, row idle-close
   // deadlines, or striped sub-transfers: with every DRAM feature lit the
-  // skip-idle run still lands counter-identical to 1-cycle polling. The
-  // arch x bench subset keeps the runtime small; the features live in the
-  // shared controller, not the arch frontends.
+  // activity-driven run still lands counter-identical to 1-cycle polling.
+  // The arch x bench subset keeps the runtime small; the features live in
+  // the shared controller, not the arch frontends.
   for (const arch::ArchKind kind :
        {arch::ArchKind::kMillipede, arch::ArchKind::kGpgpu}) {
     for (const std::string bench : {"count", "kmeans"}) {
-      auto dram_job = [&](bool fast_forward) {
-        sim::MatrixJob job = matrix_job(kind, bench, fast_forward);
-        job.options.cfg.dram.channels = 2;
-        job.options.cfg.dram.ranks = 2;
-        job.options.cfg.dram.mapping = "row:rank:bank:channel:col";
-        job.options.cfg.dram.page_policy = "open:idle=64:hits=8";
-        job.options.cfg.dram.refresh = "on:trefi=40:trfc=8:postpone=4";
-        return job;
-      };
-      const sim::MatrixResult poll = sim::run_job(dram_job(false));
-      const sim::MatrixResult ff = sim::run_job(dram_job(true));
-      ASSERT_TRUE(poll.ok()) << poll.error;
-      ASSERT_TRUE(ff.ok()) << ff.error;
-      const std::string label =
-          std::string(arch::arch_name(kind)) + "/" + bench;
-      EXPECT_GT(poll.result.stats.at("dram.refreshes"), 0u) << label;
-      EXPECT_EQ(poll.result.runtime_ps, ff.result.runtime_ps) << label;
-      EXPECT_EQ(poll.result.stats, ff.result.stats) << label;
+      sim::MatrixJob job = matrix_job(kind, bench, true);
+      job.options.cfg.dram.channels = 2;
+      job.options.cfg.dram.ranks = 2;
+      job.options.cfg.dram.mapping = "row:rank:bank:channel:col";
+      job.options.cfg.dram.page_policy = "open:idle=64:hits=8";
+      job.options.cfg.dram.refresh = "on:trefi=40:trfc=8:postpone=4";
+      const arch::RunResult polled = expect_same_run(job);
+      EXPECT_GT(polled.stats.at("dram.refreshes"), 0u)
+          << arch::arch_name(kind) << "/" << bench;
     }
   }
 }

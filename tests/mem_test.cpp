@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <optional>
 #include <set>
+#include <utility>
 
 #include "common/config.hpp"
 #include "common/error.hpp"
@@ -544,6 +545,39 @@ TEST_F(DemuxFixture, StripedCompletionFiresOnceAtTheLatestStripe) {
   EXPECT_EQ(completions, 1u);
 }
 
+TEST_F(DemuxFixture, RetryPastTheWindowRefusesAStripedPush) {
+  // A dropped transfer re-enters its controller's queue even when the
+  // window is full, so a channel can hold more than queue_depth requests.
+  // A striped push must then be refused and counted like any other
+  // backpressure, not pass the free-slot pre-check and fail the fan-out.
+  DramConfig cfg = dram_cfg();
+  cfg.channels = 2;
+  cfg.mapping = "row:bank:col:channel";
+  cfg.fault.delay_rate = 1.0;  // responses outlive their bank's busy time
+  cfg.fault.drop_rate = 1.0;   // ... and every one of them is retried
+  cfg.fault.max_retries = 1000;
+  period = cfg.period_ps();
+  ctrl.emplace(cfg, "dram", &stats);
+  auto row_read = [&] {
+    MemRequest req;
+    req.addr = 0;
+    req.bytes = cfg.row_bytes;  // one stripe per channel
+    return req;
+  };
+  for (int i = 0; i < 20000; ++i) {
+    while (ctrl->try_push(row_read(), now)) {
+    }
+    if (ctrl->queue_size() > ctrl->queue_capacity()) break;
+    ctrl->tick(now);
+    now += period;
+  }
+  ASSERT_GT(ctrl->queue_size(), ctrl->queue_capacity())
+      << "no retry landed on a full window";
+  const u64 rejected = stats.get("dram.queue_rejections");
+  EXPECT_FALSE(ctrl->try_push(row_read(), now));
+  EXPECT_EQ(stats.get("dram.queue_rejections"), rejected + 1);
+}
+
 TEST_F(DemuxFixture, ChannelParallelismBeatsSingleChannel) {
   // The same four-row stream, coarse-interleaved across 2 channels, finishes
   // sooner than on one channel: transfers overlap on independent buses.
@@ -583,6 +617,8 @@ class FakeBackend : public MemBackend {
     requests.push_back(std::move(request));
     return true;
   }
+  void park(Requester* requester) override { parked.push_back(requester); }
+  void count_refusals(u64 n) override { refusals += n; }
 
   void complete_all(Picos at) {
     auto batch = std::move(requests);
@@ -593,6 +629,8 @@ class FakeBackend : public MemBackend {
   }
 
   std::vector<MemRequest> requests;
+  std::vector<Requester*> parked;
+  u64 refusals = 0;
   int reject_next = 0;
 };
 
@@ -728,6 +766,31 @@ TEST_F(CacheFixture, PumpRetriesAfterBackpressure) {
   EXPECT_EQ(backend.requests.size(), 1u);
   backend.complete_all(99);
   EXPECT_EQ(cache.access(0xc00, false, now, nullptr), AccessStatus::kHit);
+}
+
+TEST_F(CacheFixture, SnapshotKeepsInvalidWaysAfterTheValidOnes) {
+  cache.access(0x100, /*is_write=*/true, now, nullptr);
+  backend.complete_all(10);  // one dirty line, in way 0 of its set
+  sim::SnapshotWriter w;
+  cache.save_state(w);
+  const std::string blob = w.blob();
+  constexpr u64 kHeader = 12;  // magic + version
+  auto restore = [&](const std::string& bytes) {
+    Cache copy("l1", 5 * 1024, 128, 5, 8, 2858, &backend, nullptr);
+    sim::SnapshotCursor r(reinterpret_cast<const u8*>(bytes.data()) + kHeader,
+                          bytes.size() - kHeader);
+    copy.restore_state(r);
+    sim::SnapshotWriter again;
+    copy.save_state(again);
+    return again.blob();
+  };
+  EXPECT_EQ(restore(blob), blob);
+  // Ways fill in order and are never invalidated, so a valid way after an
+  // invalid one cannot come from a run: set 0's way 1 (each way is three
+  // flags and two u64s, after the u32 set and way counts).
+  std::string gap = blob;
+  gap[kHeader + 8 + 19] = 1;
+  EXPECT_THROW(restore(gap), SimError);
 }
 
 TEST_F(CacheFixture, ActsAsBackendForUpstreamCache) {
@@ -874,6 +937,30 @@ TEST(DramImage, ReadWriteRoundTrip) {
   EXPECT_EQ(image.read_u32(0), 0xdeadbeefu);
   EXPECT_FLOAT_EQ(image.read_f32(4), 3.25f);
   EXPECT_EQ(image.size(), 1024u);
+}
+
+TEST(DramImage, CopiesShareBytesUntilOneWrites) {
+  DramImage source(64);
+  source.write_u32(0, 7);
+  DramImage a = source;
+  DramImage b = source;
+  DramImage c = source;
+  const DramImage& view = a;
+  EXPECT_EQ(view.raw().data(), std::as_const(source).raw().data())
+      << "a copy shares its bytes until it writes";
+  a.write_u32(0, 9);
+  b.flip_bit(4, 0);
+  c.raw()[8] = 1;
+  EXPECT_EQ(source.read_u32(0), 7u) << "a copy's write leaked into the source";
+  EXPECT_EQ(source.read_u32(4), 0u);
+  EXPECT_EQ(source.read_u32(8), 0u);
+  EXPECT_EQ(a.read_u32(0), 9u);
+  EXPECT_EQ(b.read_u32(0), 7u);
+  EXPECT_EQ(b.read_u32(4), 1u);
+  EXPECT_EQ(c.read_u32(8), 1u);
+  const DramImage moved = std::move(a);
+  EXPECT_EQ(moved.read_u32(0), 9u);
+  EXPECT_EQ(a.size(), 64u) << "a moved-from image keeps its bytes";
 }
 
 TEST(DramImageDeathTest, BoundsChecked) {
