@@ -60,7 +60,7 @@ SmSystem::SmSystem(Machine& m, u32 width)
   sm_stats.register_with(&m.stats, "sm");
 
   gpgpu::StreamingMultiprocessor::Deps deps;
-  deps.program = &m.workload.program;
+  deps.dcache = &m.dcache;
   deps.lane_state = &m.locals;
   deps.dram = &m.input.image;
   deps.l1d = l1d ? &*l1d : nullptr;
@@ -69,7 +69,6 @@ SmSystem::SmSystem(Machine& m, u32 width)
   deps.banking = &banking;
   deps.stats = &sm_stats;
   deps.trace = m.trace();
-  deps.dcache = &m.dcache;
   sm.emplace(cfg, width, deps);
 
   // Thread-to-record mapping and CSR binding.

@@ -86,9 +86,9 @@ void Machine::add_corelets(core::GlobalPort* port, u32 issue_width) {
   exec.register_with(&stats, "exec");
   corelets.reserve(cores);
   for (u32 c = 0; c < cores; ++c) {
-    corelets.emplace_back(c, cfg.core, &workload.program, &locals[c],
-                          &input.image, port, &exec, spec_.trace, &dcache,
-                          issue_width, &live_corelets_);
+    corelets.emplace_back(c, cfg.core, &dcache, &locals[c], &input.image,
+                          port, &exec, spec_.trace, issue_width,
+                          &live_corelets_);
     for (u32 x = 0; x < contexts; ++x) {
       const workloads::ThreadSlice slice = input.layout.slice(
           workloads::ThreadMapping::kSlab, cores, contexts, c, x);
@@ -176,34 +176,32 @@ RunResult Machine::run(const TraceHook& arch_trace,
 
 CachedPort::CachedPort(const Machine& m, std::vector<mem::Cache>* l1s,
                        std::vector<mem::StreamTable>* prefetchers)
-    : l1s_(l1s),
+    : GlobalPort(/*local_latency_fixed=*/false),
+      l1s_(l1s),
       prefetchers_(prefetchers),
       state_base_(m.input.layout.total_bytes()),
       state_stride_((m.cfg.core.local_mem_bytes + m.cfg.dram.row_bytes - 1) /
                     m.cfg.dram.row_bytes * m.cfg.dram.row_bytes) {}
 
 core::PortResult CachedPort::load(u32 core, u32 /*ctx*/, Addr addr, Picos now,
-                                  std::function<void(Picos)> wakeup) {
+                                  sim::Wake wake) {
   mem::Cache& l1 = (*l1s_)[core];
-  for (Addr line : (*prefetchers_)[core].observe(addr)) {
-    l1.prefetch(line, now);
-  }
-  return access(l1, addr, false, now, std::move(wakeup));
+  (*prefetchers_)[core].observe(addr, &prefetch_lines_);
+  for (const Addr line : prefetch_lines_) l1.prefetch(line, now);
+  return access(l1, addr, false, now, wake);
 }
 
 core::PortResult CachedPort::local_access(u32 core, u32 /*ctx*/, Addr addr,
                                           bool is_write, Picos /*fixed*/,
-                                          Picos now,
-                                          std::function<void(Picos)> wakeup) {
+                                          Picos now, sim::Wake wake) {
   const Addr global =
       state_base_ + static_cast<Addr>(core) * state_stride_ + addr;
-  return access((*l1s_)[core], global, is_write, now, std::move(wakeup));
+  return access((*l1s_)[core], global, is_write, now, wake);
 }
 
 core::PortResult CachedPort::access(mem::Cache& l1, Addr addr, bool is_write,
-                                    Picos now,
-                                    std::function<void(Picos)> wakeup) {
-  switch (l1.access(addr, is_write, now, std::move(wakeup))) {
+                                    Picos now, sim::Wake wake) {
+  switch (l1.access(addr, is_write, now, wake)) {
     case mem::AccessStatus::kHit:
       return {core::PortStatus::kDone, now + l1.hit_latency_ps()};
     case mem::AccessStatus::kMiss:

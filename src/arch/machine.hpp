@@ -153,17 +153,18 @@ class CachedPort : public core::GlobalPort {
              std::vector<mem::StreamTable>* prefetchers);
 
   core::PortResult load(u32 core, u32 ctx, Addr addr, Picos now,
-                        std::function<void(Picos)> wakeup) override;
+                        sim::Wake wake) override;
   core::PortResult local_access(u32 core, u32 ctx, Addr addr, bool is_write,
                                 Picos fixed, Picos now,
-                                std::function<void(Picos)> wakeup) override;
+                                sim::Wake wake) override;
 
  private:
   core::PortResult access(mem::Cache& l1, Addr addr, bool is_write, Picos now,
-                          std::function<void(Picos)> wakeup);
+                          sim::Wake wake);
 
   std::vector<mem::Cache>* l1s_;
   std::vector<mem::StreamTable>* prefetchers_;
+  std::vector<Addr> prefetch_lines_;  ///< reused across loads
   Addr state_base_;
   u32 state_stride_;
 };

@@ -46,10 +46,7 @@ RunResult run_millipede(const RunSpec& spec) {
                                &m.stats, "pb", m.trace());
   // The software-barrier ablation compiles `bar` into the kernels; wire a
   // processor-wide barrier over the prefetch-buffer port when present.
-  bool uses_bar = false;
-  for (const isa::Instr& in : spec.workload.program.instrs()) {
-    uses_bar |= in.op == isa::Opcode::kBar;
-  }
+  const bool uses_bar = spec.workload.program.contains(isa::Opcode::kBar);
   core::BarrierPort barrier_port(&pb, cfg.core.threads());
   m.add_corelets(uses_bar ? static_cast<core::GlobalPort*>(&barrier_port)
                           : static_cast<core::GlobalPort*>(&pb));

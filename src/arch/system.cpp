@@ -105,6 +105,10 @@ RunResult run_arch(ArchKind kind, const MachineConfig& cfg,
       MLP_SIM_CHECK(!cfg.slab_layout, "config",
                     "the GPGPU needs word-size columns for coalescing "
                     "(paper III-B)");
+      // Warps are lockstep already; the record-barrier ablation (paper
+      // IV-C) is a MIMD software alternative the SM does not model.
+      MLP_SIM_CHECK(!workload.program.contains(isa::Opcode::kBar), "config",
+                    "record barriers (bar) are not supported on the SM");
       tuned.gpgpu.vws = kind != ArchKind::kGpgpu;
       tuned.gpgpu.row_oriented = kind == ArchKind::kVwsRow;
       if (!tuned.gpgpu.vws) tuned.gpgpu.warp_width = tuned.core.cores;

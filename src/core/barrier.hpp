@@ -6,7 +6,6 @@
 // (non-halted) thread has arrived; halted threads deregister so tail
 // imbalance cannot deadlock the machine.
 
-#include <functional>
 #include <vector>
 
 #include "common/types.hpp"
@@ -22,16 +21,15 @@ class Barrier {
   }
 
   /// A thread arrives. Returns kDone (releasing everyone) if this arrival
-  /// completes the barrier; otherwise registers `wakeup` and returns
+  /// completes the barrier; otherwise registers `wake` and returns
   /// kPending.
-  PortResult arrive(Picos now, Picos period_ps,
-                    std::function<void(Picos)> wakeup) {
+  PortResult arrive(Picos now, Picos period_ps, sim::Wake wake) {
     ++arrived_;
     if (arrived_ >= expected_) {
       release(now + period_ps);
       return {PortStatus::kDone, now + period_ps};
     }
-    waiters_.push_back(std::move(wakeup));
+    waiters_.push_back(wake);
     return {PortStatus::kPending, 0};
   }
 
@@ -45,8 +43,8 @@ class Barrier {
   u32 waiting() const { return static_cast<u32>(waiters_.size()); }
   u64 episodes() const { return episodes_; }
 
-  /// Snapshot support (sim/snapshot.hpp): a barrier-blocked thread holds a
-  /// wakeup closure, so capture requires no waiters — then arrived_ is
+  /// Snapshot support (sim/snapshot.hpp): a barrier-blocked thread is a
+  /// live wake, so capture requires no waiters — then arrived_ is
   /// guaranteed 0 and only the halt-decayed expectation and the episode
   /// count carry state.
   bool quiescent() const { return waiters_.empty(); }
@@ -66,28 +64,28 @@ class Barrier {
   void release(Picos at) {
     ++episodes_;
     arrived_ = 0;
-    auto batch = std::move(waiters_);
+    std::vector<sim::Wake> batch = std::move(waiters_);
     waiters_.clear();
-    for (auto& waiter : batch) waiter(at);
+    for (const sim::Wake& waiter : batch) waiter(at);
   }
 
   u32 expected_;
   u32 arrived_ = 0;
   u64 episodes_ = 0;
-  std::vector<std::function<void(Picos)>> waiters_;
+  std::vector<sim::Wake> waiters_;
 };
 
 /// GlobalPort decorator adding barrier support on top of any memory port.
 class BarrierPort : public GlobalPort, public sim::Snapshottable {
  public:
   BarrierPort(GlobalPort* inner, u32 threads)
-      : inner_(inner), barrier_(threads) {
-    MLP_CHECK(inner_ != nullptr, "barrier needs an inner port");
-  }
+      : GlobalPort(inner->local_latency_fixed()),
+        inner_(inner),
+        barrier_(threads) {}
 
   PortResult load(u32 core, u32 ctx, Addr addr, Picos now,
-                  std::function<void(Picos)> wakeup) override {
-    return inner_->load(core, ctx, addr, now, std::move(wakeup));
+                  sim::Wake wake) override {
+    return inner_->load(core, ctx, addr, now, wake);
   }
 
   PortResult store(u32 core, u32 ctx, Addr addr, Picos now) override {
@@ -96,14 +94,14 @@ class BarrierPort : public GlobalPort, public sim::Snapshottable {
 
   PortResult local_access(u32 core, u32 ctx, Addr addr, bool is_write,
                           Picos fixed_ready_at, Picos now,
-                          std::function<void(Picos)> wakeup) override {
+                          sim::Wake wake) override {
     return inner_->local_access(core, ctx, addr, is_write, fixed_ready_at,
-                                now, std::move(wakeup));
+                                now, wake);
   }
 
   PortResult barrier(u32 /*core*/, u32 /*ctx*/, Picos now, Picos period_ps,
-                     std::function<void(Picos)> wakeup) override {
-    return barrier_.arrive(now, period_ps, std::move(wakeup));
+                     sim::Wake wake) override {
+    return barrier_.arrive(now, period_ps, wake);
   }
 
   void thread_halted(u32 /*core*/, u32 /*ctx*/, Picos now,

@@ -7,26 +7,38 @@
 namespace mlp::core {
 
 Corelet::Corelet(u32 core_id, const CoreConfig& cfg,
-                 const isa::Program* program, mem::LocalStore* local,
+                 DecodedBlockCache* dcache, mem::LocalStore* local,
                  mem::DramImage* dram, GlobalPort* port, ExecStats* stats,
-                 trace::TraceSession* trace, DecodedBlockCache* dcache,
-                 u32 issue_width, u32* live_corelets)
-    : core_id_(core_id),
-      cfg_(cfg),
-      program_(program),
+                 trace::TraceSession* trace, u32 issue_width,
+                 u32* live_corelets)
+    : contexts_(cfg.contexts),
+      issue_width_(issue_width),
+      branch_penalty_(cfg.branch_penalty),
+      dcache_(dcache),
       local_(local),
       dram_(dram),
-      port_(port),
       stats_(stats),
+      core_id_(core_id),
+      cfg_(cfg),
+      port_(port),
       trace_(trace),
-      dcache_(dcache),
-      issue_width_(issue_width),
       live_corelets_(live_corelets),
-      contexts_(cfg.contexts) {
-  MLP_CHECK(program_ != nullptr && local_ != nullptr && dram_ != nullptr &&
+      issued_(cfg.contexts) {
+  MLP_CHECK(dcache_ != nullptr && local_ != nullptr && dram_ != nullptr &&
                 port_ != nullptr && stats_ != nullptr,
             "corelet wiring incomplete");
   MLP_CHECK(issue_width_ > 0, "corelet issue width must be positive");
+  const auto straight = [this](StepKind kind, Counter* counter, u32 cycles) {
+    timing_[static_cast<u32>(kind)] = {counter, cycles};
+  };
+  straight(StepKind::kAlu, &stats_->int_alu, 1);
+  straight(StepKind::kCsr, &stats_->int_alu, 1);
+  straight(StepKind::kFloat, &stats_->float_alu, 1);
+  straight(StepKind::kBranch, &stats_->branches, 1);
+  straight(StepKind::kJump, &stats_->jumps, 1 + branch_penalty_);
+  if (port_->local_latency_fixed()) {
+    straight(StepKind::kLocal, &stats_->local_ops, cfg_.local_latency);
+  }
   recount_live();
 }
 
@@ -105,6 +117,27 @@ void Corelet::skip_idle(u64 edges) {
   if (!halted()) stats_->idle_cycles.inc(edges * issue_width_);
 }
 
+// Inlined into tick(): the straight path is the per-instruction hot loop.
+[[gnu::always_inline]] inline bool Corelet::issue(u32 index, Picos now,
+                                                  Picos period_ps) {
+  rr_next_ = following(index);
+  Context& ctx = contexts_[index];
+  const DecodedInstr& de = dcache_->entry(ctx.pc);
+  const KindTiming& timing = timing_[static_cast<u32>(de.kind)];
+  if (timing.counter == nullptr) {
+    return issue_to_port(de, ctx, index, now, period_ps);
+  }
+  const bool taken = de.fn(de, ctx, *local_, *dram_);
+  stats_->instructions.inc();
+  stats_->busy_cycles.inc();
+  timing.counter->inc();
+  stats_->branches_taken.inc(taken);
+  ctx.ready_at =
+      now + static_cast<Picos>(timing.cycles + taken * branch_penalty_) *
+                period_ps;
+  return true;
+}
+
 Picos Corelet::tick(Picos now, Picos period_ps) {
   bool ready = false;
   const u32 contexts = static_cast<u32>(contexts_.size());
@@ -129,160 +162,94 @@ Picos Corelet::tick(Picos now, Picos period_ps) {
   return ready ? now : next_event(now);
 }
 
-bool Corelet::issue(u32 chosen_index, Picos now, Picos period_ps) {
-  rr_next_ = following(chosen_index);
-  Context& ctx = contexts_[chosen_index];
-
-  // Decode accounting runs whenever a cache is wired, even with its
-  // dispatch fast path disabled (--no-block-cache), so decode.* counters —
-  // pure functions of the issue stream — stay bit-identical across modes.
-  const DecodedInstr* de =
-      dcache_ != nullptr ? &dcache_->entry(ctx.pc) : nullptr;
-  const bool fast = de != nullptr && dcache_->dispatch_enabled();
-  const isa::Instr& instr = fast ? de->instr : program_->at(ctx.pc);
-  const StepKind kind = fast ? de->kind : classify(instr);
-  const auto exec = [&]() {
-    return fast ? step_decoded(*de, ctx, *local_, *dram_)
-                : step(ctx, *program_, *local_, *dram_);
-  };
-
-  // Global accesses negotiate the port before committing execution.
-  if (kind == StepKind::kGlobalLoad) {
-    const Addr addr = global_addr(ctx, instr);
-    ctx.state = Context::State::kWaitMem;  // callback may fire synchronously
-    PortResult port_result;
-    if (trace_ == nullptr) {
-      port_result =
-          port_->load(core_id_, chosen_index, addr, now,
-                      [this, &ctx](Picos at) { wake(ctx, at); });
-    } else {
-      // A stall slice is only real once the load actually pends; both edges
-      // are emitted at wake time (begin carries the issue timestamp — the
-      // exporter orders by ts), so synchronous hits add no events. The fat
-      // capture is trace-only: the hot path above keeps its two-pointer
-      // closure inside std::function's small-buffer optimisation.
-      const u32 track = core_id_ * cfg_.contexts + chosen_index;
-      port_result = port_->load(
-          core_id_, chosen_index, addr, now,
-          [this, &ctx, track, addr, now](Picos at) {
-            trace_->emit(trace::Domain::kCompute,
-                         trace::EventKind::kStallBegin, now, track, addr);
-            trace_->emit(trace::Domain::kCompute, trace::EventKind::kStallEnd,
-                         at, track, addr);
-            wake(ctx, at);
-          });
-    }
-    if (port_result.status == PortStatus::kRetry) {
-      ctx.state = Context::State::kReady;
-      stats_->retry_stalls.inc();
-      return ctx.state == Context::State::kReady;
-    }
-    exec();
-    stats_->instructions.inc();
-    stats_->global_loads.inc();
-    stats_->busy_cycles.inc();
-    if (port_result.status == PortStatus::kDone) {
-      ctx.state = Context::State::kReady;
-      ctx.ready_at = port_result.ready_at;
-    }
-    return ctx.state == Context::State::kReady;
+void Corelet::wake(u32 index, Picos at) {
+  Context& ctx = contexts_[index];
+  IssueRecord& record = issued_[index];
+  if (record.traced) {
+    // Both edges of the stall slice are emitted at wake time (begin carries
+    // the issue timestamp; the exporter orders by ts), so a load that
+    // completes at once adds no events.
+    const u32 track = core_id_ * cfg_.contexts + index;
+    trace_->emit(trace::Domain::kCompute, trace::EventKind::kStallBegin,
+                 record.began, track, record.addr);
+    trace_->emit(trace::Domain::kCompute, trace::EventKind::kStallEnd, at,
+                 track, record.addr);
+    record.traced = false;
   }
-  if (kind == StepKind::kGlobalStore) {
-    const Addr addr = global_addr(ctx, instr);
-    const PortResult port_result = port_->store(core_id_, chosen_index, addr, now);
-    if (port_result.status == PortStatus::kRetry) {
-      stats_->retry_stalls.inc();
-      return ctx.state == Context::State::kReady;
+  ctx.state = Context::State::kReady;
+  ctx.ready_at = at;
+  wake_at(at);
+}
+
+bool Corelet::issue_to_port(const DecodedInstr& de, Context& ctx, u32 index,
+                            Picos now, Picos period_ps) {
+  if (de.kind == StepKind::kHalt) {
+    de.fn(de, ctx, *local_, *dram_);
+    stats_->instructions.inc();
+    stats_->busy_cycles.inc();
+    if (--live_contexts_ == 0 && live_corelets_ != nullptr) {
+      --*live_corelets_;
     }
-    exec();
+    port_->thread_halted(core_id_, index, now, period_ps);
+    return false;
+  }
+  if (de.kind == StepKind::kGlobalStore) {
+    const PortResult result =
+        port_->store(core_id_, index, global_addr(ctx, de.instr), now);
+    if (result.status == PortStatus::kRetry) {
+      stats_->retry_stalls.inc();
+      return true;
+    }
+    de.fn(de, ctx, *local_, *dram_);
     stats_->instructions.inc();
     stats_->global_stores.inc();
     stats_->busy_cycles.inc();
-    ctx.ready_at = std::max(port_result.ready_at, now + period_ps);
-    return ctx.state == Context::State::kReady;
+    ctx.ready_at = std::max(result.ready_at, now + period_ps);
+    return true;
   }
 
-  if (kind == StepKind::kBarrier) {
-    ctx.state = Context::State::kWaitMem;  // release may fire synchronously
-    const PortResult port_result =
-        port_->barrier(core_id_, chosen_index, now, period_ps,
-                       [this, &ctx](Picos at) { wake(ctx, at); });
-    exec();
-    stats_->instructions.inc();
-    stats_->busy_cycles.inc();
-    if (port_result.status == PortStatus::kDone) {
-      ctx.state = Context::State::kReady;
-      ctx.ready_at = port_result.ready_at;
+  // Loads, port-timed live-state accesses and barriers block the context
+  // until the port fires its wake, which may happen before the call
+  // returns; a retry leaves the instruction unexecuted.
+  const sim::Wake wake{this, index};
+  ctx.state = Context::State::kWaitMem;
+  PortResult result;
+  Counter* counter = nullptr;
+  switch (de.kind) {
+    case StepKind::kGlobalLoad: {
+      const Addr addr = global_addr(ctx, de.instr);
+      if (trace_ != nullptr) issued_[index] = {now, addr, true};
+      result = port_->load(core_id_, index, addr, now, wake);
+      // A load that completes at once or retries opens no stall slice.
+      if (result.status != PortStatus::kPending) issued_[index].traced = false;
+      counter = &stats_->global_loads;
+      break;
     }
-    return ctx.state == Context::State::kReady;
+    case StepKind::kLocal:
+      // Live state behind a cache: the latency is the port's to decide.
+      result = port_->local_access(
+          core_id_, index, global_addr(ctx, de.instr), de.is_store,
+          now + static_cast<Picos>(cfg_.local_latency) * period_ps, now,
+          wake);
+      counter = &stats_->local_ops;
+      break;
+    default:
+      MLP_CHECK(de.kind == StepKind::kBarrier, "kind issues straight");
+      result = port_->barrier(core_id_, index, now, period_ps, wake);
+      break;
   }
-  if (kind == StepKind::kLocal) {
-    // Live-state access: latency is architecture-specific (dedicated local
-    // memory vs. a cached state region competing with the input stream).
-    const Addr addr = global_addr(ctx, instr);
-    const Picos fixed =
-        now + static_cast<Picos>(cfg_.local_latency) * period_ps;
-    ctx.state = Context::State::kWaitMem;  // callback may fire synchronously
-    const bool is_store =
-        fast ? de->is_store : isa::op_info(instr.op).is_store;
-    const PortResult port_result = port_->local_access(
-        core_id_, chosen_index, addr, is_store, fixed, now,
-        [this, &ctx](Picos at) { wake(ctx, at); });
-    if (port_result.status == PortStatus::kRetry) {
-      ctx.state = Context::State::kReady;
-      stats_->retry_stalls.inc();
-      return ctx.state == Context::State::kReady;
-    }
-    exec();
-    stats_->instructions.inc();
-    stats_->local_ops.inc();
-    stats_->busy_cycles.inc();
-    if (port_result.status == PortStatus::kDone) {
-      ctx.state = Context::State::kReady;
-      ctx.ready_at = port_result.ready_at;
-    }
-    return ctx.state == Context::State::kReady;
+  if (result.status == PortStatus::kRetry) {
+    ctx.state = Context::State::kReady;
+    stats_->retry_stalls.inc();
+    return true;
   }
-
-  const StepResult result = exec();
+  de.fn(de, ctx, *local_, *dram_);
   stats_->instructions.inc();
   stats_->busy_cycles.inc();
-  switch (result.kind) {
-    case StepKind::kAlu:
-    case StepKind::kCsr:
-      stats_->int_alu.inc();
-      ctx.ready_at = now + period_ps;
-      break;
-    case StepKind::kFloat:
-      stats_->float_alu.inc();
-      ctx.ready_at = now + period_ps;
-      break;
-    case StepKind::kBranch:
-      stats_->branches.inc();
-      if (result.branch_taken) {
-        stats_->branches_taken.inc();
-        ctx.ready_at =
-            now + static_cast<Picos>(1 + cfg_.branch_penalty) * period_ps;
-      } else {
-        ctx.ready_at = now + period_ps;
-      }
-      break;
-    case StepKind::kJump:
-      stats_->jumps.inc();
-      ctx.ready_at =
-          now + static_cast<Picos>(1 + cfg_.branch_penalty) * period_ps;
-      break;
-    case StepKind::kHalt:
-      if (--live_contexts_ == 0 && live_corelets_ != nullptr) {
-        --*live_corelets_;
-      }
-      port_->thread_halted(core_id_, chosen_index, now, period_ps);
-      break;
-    case StepKind::kLocal:
-    case StepKind::kGlobalLoad:
-    case StepKind::kGlobalStore:
-    case StepKind::kBarrier:
-      MLP_CHECK(false, "handled above");
+  if (counter != nullptr) counter->inc();
+  if (result.status == PortStatus::kDone) {
+    ctx.state = Context::State::kReady;
+    ctx.ready_at = result.ready_at;
   }
   return ctx.state == Context::State::kReady;
 }

@@ -7,6 +7,7 @@
 // multithreading" of Section IV-A. The conventional multicore reuses it with
 // an issue width above one (see the constructor).
 
+#include <array>
 #include <vector>
 
 #include "common/config.hpp"
@@ -15,6 +16,7 @@
 #include "core/port.hpp"
 #include "sim/snapshot.hpp"
 #include "sim/tickable.hpp"
+#include "sim/wake.hpp"
 #include "trace/trace.hpp"
 
 namespace mlp::core {
@@ -46,19 +48,19 @@ struct ExecStats {
   }
 };
 
-class Corelet : public sim::Tickable, public sim::Snapshottable {
+class alignas(64) Corelet : public sim::Tickable,
+                            public sim::Snapshottable,
+                            public sim::Waitable {
  public:
-  /// `dcache` is optional (tests drive bare corelets without one); when
-  /// present it provides decode accounting and, if its dispatch flag is on,
-  /// the predecoded fast path. Shared read-only across a job's corelets.
+  /// `dcache` decodes and dispatches every issued instruction (shared
+  /// read-only across a job's corelets; it also names the program).
   /// `issue_width` > 1 approximates the multicore's wide issue: each edge
   /// runs that many single-issue steps across the contexts. `live_corelets`,
   /// when given, counts corelets with a context not yet halted.
-  Corelet(u32 core_id, const CoreConfig& cfg, const isa::Program* program,
+  Corelet(u32 core_id, const CoreConfig& cfg, DecodedBlockCache* dcache,
           mem::LocalStore* local, mem::DramImage* dram, GlobalPort* port,
           ExecStats* stats, trace::TraceSession* trace = nullptr,
-          DecodedBlockCache* dcache = nullptr, u32 issue_width = 1,
-          u32* live_corelets = nullptr);
+          u32 issue_width = 1, u32* live_corelets = nullptr);
 
   /// One compute-clock edge: issue up to `issue_width` instructions.
   /// `period_ps` is the current compute period (DFS may change it).
@@ -66,18 +68,22 @@ class Corelet : public sim::Tickable, public sim::Snapshottable {
 
   /// Earliest edge at which some context could issue: the soonest kReady
   /// wake-up. Mem-stalled and halted contexts only change via port
-  /// callbacks, which post the context's wake-up as this corelet's wake.
+  /// wakes, which post the context's wake-up as this corelet's wake.
   Picos next_event(Picos now) const override;
 
   /// Idle accounting for edges without a tick (matches tick()'s
   /// nothing-runnable path).
   void skip_idle(u64 edges) override;
 
+  /// sim::Waitable: context `index` has its data (or its barrier release)
+  /// at `at`. A traced context closes its load's stall slice here.
+  void wake(u32 index, Picos at) override;
+
   bool halted() const { return live_contexts_ == 0; }
 
   // sim::Snapshottable: every context's architectural state, the round-robin
   // cursor and this corelet's local-store words. A context blocked on a
-  // global load holds an unserializable port continuation, so capture waits
+  // global load is a live wake in some port's waiter list, so capture waits
   // until no context is in kWaitMem (barrier waiters are kWaitMem too).
   void save_state(sim::SnapshotWriter& w) const override;
   void restore_state(sim::SnapshotCursor& r) override;
@@ -94,40 +100,57 @@ class Corelet : public sim::Tickable, public sim::Snapshottable {
   u32 core_id() const { return core_id_; }
 
  private:
-  /// Issue one instruction from runnable context `chosen_index`; true when
-  /// that context is still ready afterwards (it may go again next edge).
-  bool issue(u32 chosen_index, Picos now, Picos period_ps);
+  /// How a kind issues. A kind with a counter runs straight: execute, count,
+  /// and become ready after `cycles` (plus the branch penalty when taken).
+  /// The other kinds (global accesses, barriers, halt, and live-state
+  /// accesses on a port that times them) negotiate the port first.
+  struct KindTiming {
+    Counter* counter = nullptr;
+    u32 cycles = 1;
+  };
+
+  /// A traced context's pending global load: its stall slice opens at
+  /// `began` and closes when the load's wake fires.
+  struct IssueRecord {
+    Picos began = 0;
+    Addr addr = 0;
+    bool traced = false;
+  };
+
+  /// Issue one instruction from runnable context `index`; true when that
+  /// context is still ready afterwards (it may go again next edge).
+  bool issue(u32 index, Picos now, Picos period_ps);
+  /// issue() for the kinds that go through the port.
+  bool issue_to_port(const DecodedInstr& de, Context& ctx, u32 index,
+                     Picos now, Picos period_ps);
   /// The context after `index` in round-robin order (no division: the
   /// pick runs on every issue slot).
   u32 following(u32 index) const {
     return index + 1 == contexts_.size() ? 0 : index + 1;
   }
-  /// Port callback: the context's data is usable at `at`.
-  void wake(Context& ctx, Picos at) {
-    ctx.state = Context::State::kReady;
-    ctx.ready_at = at;
-    wake_at(at);
-  }
   /// Recount live contexts (construction, restore) and keep the shared
   /// live-corelet count in step.
   void recount_live();
 
-  u32 core_id_;
-  CoreConfig cfg_;
-  const isa::Program* program_;
+  // What every issue reads comes first, next to the vtable pointer the
+  // kernel's tick call loads anyway.
+  std::vector<Context> contexts_;
+  u32 rr_next_ = 0;
+  u32 live_contexts_ = 0;
+  u32 issue_width_;
+  u32 branch_penalty_;  ///< cfg_.branch_penalty, beside the other hot fields
+  DecodedBlockCache* dcache_;
   mem::LocalStore* local_;
   mem::DramImage* dram_;
-  GlobalPort* port_;
   ExecStats* stats_;
+  std::array<KindTiming, kNumStepKinds> timing_;
+
+  u32 core_id_;
+  CoreConfig cfg_;
+  GlobalPort* port_;
   trace::TraceSession* trace_;
-  DecodedBlockCache* dcache_;
-
-  u32 issue_width_;
   u32* live_corelets_;
-
-  std::vector<Context> contexts_;
-  u32 live_contexts_ = 0;
-  u32 rr_next_ = 0;
+  std::vector<IssueRecord> issued_;  ///< per context; used when traced
 };
 
 }  // namespace mlp::core

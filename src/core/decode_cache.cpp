@@ -3,10 +3,10 @@
 namespace mlp::core {
 
 DecodedBlockCache::DecodedBlockCache(const isa::Program& program,
-                                     bool dispatch_enabled)
+                                     bool per_opcode_handlers)
     : program_(&program),
       cfg_(isa::Cfg::build(program)),
-      dispatch_(dispatch_enabled),
+      per_opcode_(per_opcode_handlers),
       entries_(program.size()) {}
 
 void DecodedBlockCache::decode_block(u32 block) {
@@ -17,7 +17,7 @@ void DecodedBlockCache::decode_block(u32 block) {
     de.instr = in;
     de.kind = classify(in);
     de.is_store = isa::op_info(in.op).is_store;
-    de.fn = step_fn_for(in.op);
+    de.fn = per_opcode_ ? step_fn_for(in.op) : step_reference;
     de.block = block;
     de.taken_pc = static_cast<u32>(static_cast<i32>(pc) + in.imm);
   }

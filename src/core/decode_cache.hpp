@@ -1,12 +1,13 @@
 #pragma once
-// Decoded-basic-block cache: the interpreter fast path. Built lazily over
-// the program's CFG (one whole block decoded on first entry), shared
-// read-only by every corelet/lane of one job, and dispatched via per-opcode
-// handler pointers (step_decoded) instead of the per-edge fetch + classify.
-// Accounting (decode.block_hits / block_misses / batched_lanes) is a pure
-// function of the deterministic issue stream and runs in BOTH modes, so
-// every counter stays bit-identical with the cache disabled — the
-// `--no-block-cache` escape hatch turns off only the dispatch fast path.
+// Decoded-basic-block cache: the interpreter's only dispatch. Built lazily
+// over the program's CFG (one whole block decoded on first entry), shared
+// read-only by every corelet/lane of one job; the corelets and the SM
+// execute every issued instruction through its DecodedInstr's handler.
+// `--no-block-cache` installs the reference step() as every instruction's
+// handler instead of the per-opcode ones, which keeps the switch
+// interpreter as a differential oracle. Accounting (decode.block_hits /
+// block_misses / batched_lanes) is a pure function of the deterministic
+// issue stream, so every counter is bit-identical in both modes.
 
 #include <string>
 #include <vector>
@@ -21,10 +22,10 @@ namespace mlp::core {
 class DecodedBlockCache : public sim::Snapshottable {
  public:
   /// Builds the CFG eagerly; instruction decoding happens lazily per block.
-  /// `dispatch_enabled` false keeps the accounting (and the counters it
-  /// feeds) while the execution path stays on the legacy per-edge decode.
+  /// `per_opcode_handlers` false decodes every instruction to the reference
+  /// step() handler (core::step_reference).
   explicit DecodedBlockCache(const isa::Program& program,
-                             bool dispatch_enabled = true);
+                             bool per_opcode_handlers = true);
 
   /// Accounting + lookup for the instruction at `pc`. First touch of a
   /// block decodes it whole (block_misses); later issues into a decoded
@@ -38,7 +39,7 @@ class DecodedBlockCache : public sim::Snapshottable {
       decode_block(cfg_.block_of(pc));
     } else {
       block_hits_.inc();
-      if (de.block == edge_block_) batched_lanes_.inc();
+      batched_lanes_.inc(de.block == edge_block_);  // no branch to mispredict
     }
     edge_block_ = de.block;
     return de;
@@ -53,7 +54,7 @@ class DecodedBlockCache : public sim::Snapshottable {
   /// active_lanes - 1 per issued warp instruction).
   void note_batched(u64 lanes) { batched_lanes_.inc(lanes); }
 
-  bool dispatch_enabled() const { return dispatch_; }
+  const isa::Program& program() const { return *program_; }
   const isa::Cfg& cfg() const { return cfg_; }
 
   void register_with(StatSet* stats, const std::string& prefix);
@@ -74,7 +75,7 @@ class DecodedBlockCache : public sim::Snapshottable {
 
   const isa::Program* program_;
   isa::Cfg cfg_;
-  bool dispatch_;
+  bool per_opcode_;
   std::vector<DecodedInstr> entries_;  ///< indexed by pc
   u32 edge_block_ = kNoBlock;
   Counter block_hits_, block_misses_, batched_lanes_;

@@ -21,36 +21,44 @@ u32 as_u(float value) {
 // ---- Predecoded dispatch handlers ----------------------------------------
 // One function per opcode, mirroring step()'s switch arms exactly. The
 // operand prologue (a/b/sa/sb) matches step()'s so the expressions below can
-// be byte-for-byte copies of the switch cases; handlers return the
-// fall-through/jump next pc and leave branch-target arithmetic to
-// step_decoded()'s shared epilogue.
+// be byte-for-byte copies of the switch cases; every handler retires its
+// instruction itself (instret, next pc), so a caller's dispatch is one
+// indirect call.
 
 #define MLP_STEP_ARGS                                                     \
   [[maybe_unused]] const DecodedInstr& de, [[maybe_unused]] Context& ctx, \
       [[maybe_unused]] mem::LocalStore& local,                            \
-      [[maybe_unused]] mem::DramImage& dram,                              \
-      [[maybe_unused]] StepResult& result
+      [[maybe_unused]] mem::DramImage& dram
+
+/// Retire a non-branch instruction that continues at `next_pc`.
+bool retire(Context& ctx, u32 next_pc) {
+  ++ctx.instret;
+  ctx.pc = next_pc;
+  return false;
+}
 
 #define MLP_REG_OP(name, expr)                           \
-  u32 name(MLP_STEP_ARGS) {                              \
+  bool name(MLP_STEP_ARGS) {                             \
     const isa::Instr& in = de.instr;                     \
     [[maybe_unused]] const u32 a = ctx.reg(in.rs1);      \
     [[maybe_unused]] const u32 b = ctx.reg(in.rs2);      \
     [[maybe_unused]] const i32 sa = static_cast<i32>(a); \
     [[maybe_unused]] const i32 sb = static_cast<i32>(b); \
     ctx.set_reg(in.rd, (expr));                          \
-    return ctx.pc + 1;                                   \
+    return retire(ctx, ctx.pc + 1);                      \
   }
 
 #define MLP_BRANCH_OP(name, expr)                        \
-  u32 name(MLP_STEP_ARGS) {                              \
+  bool name(MLP_STEP_ARGS) {                             \
     const isa::Instr& in = de.instr;                     \
     [[maybe_unused]] const u32 a = ctx.reg(in.rs1);      \
     [[maybe_unused]] const u32 b = ctx.reg(in.rs2);      \
     [[maybe_unused]] const i32 sa = static_cast<i32>(a); \
     [[maybe_unused]] const i32 sb = static_cast<i32>(b); \
-    result.branch_taken = (expr);                        \
-    return ctx.pc + 1;                                   \
+    const bool taken = (expr);                           \
+    ++ctx.instret;                                       \
+    ctx.pc = taken ? de.taken_pc : ctx.pc + 1;           \
+    return taken;                                        \
   }
 
 MLP_REG_OP(fn_add, a + b)
@@ -94,39 +102,19 @@ MLP_REG_OP(fn_srai, static_cast<u32>(sa >> (in.imm & 31)))
 MLP_REG_OP(fn_slti, sa < in.imm ? 1 : 0)
 MLP_REG_OP(fn_lui, static_cast<u32>(in.imm) << 13)
 
-u32 fn_lw(MLP_STEP_ARGS) {
+MLP_REG_OP(fn_lw, dram.read_u32(global_addr(ctx, in)))
+MLP_REG_OP(fn_lwl, local.load(a + static_cast<u32>(in.imm)))
+MLP_REG_OP(fn_amoaddl, local.amoadd(a + static_cast<u32>(in.imm), b))
+MLP_REG_OP(fn_famoaddl, local.famoadd(a + static_cast<u32>(in.imm), b))
+bool fn_sw(MLP_STEP_ARGS) {
   const isa::Instr& in = de.instr;
-  result.mem_addr = global_addr(ctx, in);
-  ctx.set_reg(in.rd, dram.read_u32(result.mem_addr));
-  return ctx.pc + 1;
+  dram.write_u32(global_addr(ctx, in), ctx.reg(in.rs2));
+  return retire(ctx, ctx.pc + 1);
 }
-u32 fn_sw(MLP_STEP_ARGS) {
-  const isa::Instr& in = de.instr;
-  result.mem_addr = global_addr(ctx, in);
-  dram.write_u32(result.mem_addr, ctx.reg(in.rs2));
-  return ctx.pc + 1;
-}
-u32 fn_lwl(MLP_STEP_ARGS) {
-  const isa::Instr& in = de.instr;
-  ctx.set_reg(in.rd, local.load(ctx.reg(in.rs1) + static_cast<u32>(in.imm)));
-  return ctx.pc + 1;
-}
-u32 fn_swl(MLP_STEP_ARGS) {
+bool fn_swl(MLP_STEP_ARGS) {
   const isa::Instr& in = de.instr;
   local.store(ctx.reg(in.rs1) + static_cast<u32>(in.imm), ctx.reg(in.rs2));
-  return ctx.pc + 1;
-}
-u32 fn_amoaddl(MLP_STEP_ARGS) {
-  const isa::Instr& in = de.instr;
-  ctx.set_reg(in.rd, local.amoadd(ctx.reg(in.rs1) + static_cast<u32>(in.imm),
-                                  ctx.reg(in.rs2)));
-  return ctx.pc + 1;
-}
-u32 fn_famoaddl(MLP_STEP_ARGS) {
-  const isa::Instr& in = de.instr;
-  ctx.set_reg(in.rd, local.famoadd(ctx.reg(in.rs1) + static_cast<u32>(in.imm),
-                                   ctx.reg(in.rs2)));
-  return ctx.pc + 1;
+  return retire(ctx, ctx.pc + 1);
 }
 
 MLP_BRANCH_OP(fn_beq, a == b)
@@ -136,28 +124,29 @@ MLP_BRANCH_OP(fn_bge, sa >= sb)
 MLP_BRANCH_OP(fn_bltu, a < b)
 MLP_BRANCH_OP(fn_bgeu, a >= b)
 
-u32 fn_jal(MLP_STEP_ARGS) {
+bool fn_jal(MLP_STEP_ARGS) {
   const isa::Instr& in = de.instr;
   ctx.set_reg(in.rd, ctx.pc + 1);
-  return static_cast<u32>(static_cast<i32>(ctx.pc) + in.imm);
+  return retire(ctx, static_cast<u32>(static_cast<i32>(ctx.pc) + in.imm));
 }
-u32 fn_jalr(MLP_STEP_ARGS) {
+bool fn_jalr(MLP_STEP_ARGS) {
   const isa::Instr& in = de.instr;
   const u32 target = ctx.reg(in.rs1) + static_cast<u32>(in.imm);
   ctx.set_reg(in.rd, ctx.pc + 1);
-  return target;
+  return retire(ctx, target);
 }
-u32 fn_csrr(MLP_STEP_ARGS) {
+bool fn_csrr(MLP_STEP_ARGS) {
   const isa::Instr& in = de.instr;
   ctx.set_reg(in.rd, ctx.csr.values[static_cast<u32>(in.imm)]);
-  return ctx.pc + 1;
+  return retire(ctx, ctx.pc + 1);
 }
-u32 fn_halt(MLP_STEP_ARGS) {
+bool fn_halt(MLP_STEP_ARGS) {
   ctx.state = Context::State::kHalted;
-  return ctx.pc;
+  ++ctx.instret;  // a halted context keeps its pc
+  return false;
 }
-u32 fn_bar(MLP_STEP_ARGS) {
-  return ctx.pc + 1;  // synchronization is the timing model's job
+bool fn_bar(MLP_STEP_ARGS) {
+  return retire(ctx, ctx.pc + 1);  // synchronization is the timing model's job
 }
 
 #undef MLP_BRANCH_OP
@@ -187,10 +176,9 @@ Addr global_addr(const Context& ctx, const isa::Instr& in) {
       static_cast<i64>(ctx.reg(in.rs1)) + in.imm);
 }
 
-StepResult step(Context& ctx, const isa::Program& program,
-                mem::LocalStore& local, mem::DramImage& dram) {
+StepResult step(Context& ctx, const isa::Instr& in, mem::LocalStore& local,
+                mem::DramImage& dram) {
   using isa::Opcode;
-  const isa::Instr& in = program.at(ctx.pc);
   StepResult result;
   result.kind = classify(in);
   ++ctx.instret;
@@ -258,16 +246,12 @@ StepResult step(Context& ctx, const isa::Program& program,
       ctx.set_reg(in.rd, static_cast<u32>(in.imm) << 13);
       break;
 
-    case Opcode::kLw: {
-      result.mem_addr = global_addr(ctx, in);
-      ctx.set_reg(in.rd, dram.read_u32(result.mem_addr));
+    case Opcode::kLw:
+      ctx.set_reg(in.rd, dram.read_u32(global_addr(ctx, in)));
       break;
-    }
-    case Opcode::kSw: {
-      result.mem_addr = global_addr(ctx, in);
-      dram.write_u32(result.mem_addr, b);
+    case Opcode::kSw:
+      dram.write_u32(global_addr(ctx, in), b);
       break;
-    }
     case Opcode::kLwl:
       ctx.set_reg(in.rd, local.load(a + static_cast<u32>(in.imm)));
       break;
@@ -380,6 +364,11 @@ StepFn step_fn_for(isa::Opcode op) {
   }
   MLP_CHECK(false, "invalid opcode");
   return nullptr;
+}
+
+bool step_reference(const DecodedInstr& de, Context& ctx,
+                    mem::LocalStore& local, mem::DramImage& dram) {
+  return step(ctx, de.instr, local, dram).branch_taken;
 }
 
 }  // namespace mlp::core

@@ -1,8 +1,9 @@
 #pragma once
 // The functional executor: one instruction-set semantics shared by every
 // architecture model (corelet, SSMC core, GPGPU lane, multicore context).
-// Timing models call classify()/global_addr() first to negotiate structural
-// resources, then step() to commit architectural state.
+// Timing models read an instruction's kind and global address first to
+// negotiate structural resources, then run its predecoded handler (`fn`) to
+// commit architectural state; step() is the reference interpreter.
 
 #include "core/context.hpp"
 #include "isa/program.hpp"
@@ -24,10 +25,12 @@ enum class StepKind : u8 {
   kBarrier,  ///< processor-wide thread barrier (bar)
 };
 
+/// Number of StepKind values (per-kind tables in the timing models).
+inline constexpr u32 kNumStepKinds = static_cast<u32>(StepKind::kBarrier) + 1;
+
 struct StepResult {
   StepKind kind = StepKind::kAlu;
   bool branch_taken = false;
-  Addr mem_addr = 0;  ///< global accesses only
 };
 
 /// Classification of the instruction at ctx.pc without side effects; timing
@@ -37,21 +40,27 @@ StepKind classify(const isa::Instr& instr);
 /// Effective global address of the (global) memory instruction at ctx.pc.
 Addr global_addr(const Context& ctx, const isa::Instr& instr);
 
-/// Execute the instruction at ctx.pc: updates registers, pc, instret and the
-/// local store; reads global values from `dram` (timing-decoupled). Global
-/// stores also write `dram` immediately. Returns what happened for timing.
-StepResult step(Context& ctx, const isa::Program& program,
-                mem::LocalStore& local, mem::DramImage& dram);
+/// The reference interpreter: execute `instr`, the instruction at ctx.pc.
+/// Updates registers, pc, instret and the local store; reads global values
+/// from `dram` (timing-decoupled). Global stores also write `dram`
+/// immediately. Returns what happened for timing.
+StepResult step(Context& ctx, const isa::Instr& instr, mem::LocalStore& local,
+                mem::DramImage& dram);
+
+/// step() on the instruction the program holds at ctx.pc.
+inline StepResult step(Context& ctx, const isa::Program& program,
+                       mem::LocalStore& local, mem::DramImage& dram) {
+  return step(ctx, program.at(ctx.pc), local, dram);
+}
 
 struct DecodedInstr;
 
-/// Per-opcode execute handler of the predecoded fast path (indirect threaded
-/// dispatch). Commits the instruction's architectural effects and returns the
-/// fall-through/jump next pc; branch targets are applied by step_decoded()
-/// from `result.branch_taken`, exactly like step()'s epilogue.
-using StepFn = u32 (*)(const DecodedInstr& de, Context& ctx,
-                       mem::LocalStore& local, mem::DramImage& dram,
-                       StepResult& result);
+/// Execute handler of one predecoded instruction (indirect threaded
+/// dispatch): commits every architectural effect of the instruction at
+/// ctx.pc, pc and instret included, and returns whether it was a taken
+/// branch.
+using StepFn = bool (*)(const DecodedInstr& de, Context& ctx,
+                        mem::LocalStore& local, mem::DramImage& dram);
 
 /// One predecoded instruction: the raw Instr plus everything the per-edge
 /// hot path would otherwise recompute (classification, local-store
@@ -64,24 +73,15 @@ struct DecodedInstr {
   bool is_store = false;  ///< op_info(instr.op).is_store, for local accesses
   StepFn fn = nullptr;
   u32 block = 0;     ///< CFG basic-block id of this pc
-  u32 taken_pc = 0;  ///< pc + imm: branch target if result.branch_taken
+  u32 taken_pc = 0;  ///< pc + imm: branch target if taken
 };
 
 /// Execute handler for `op`; aborts on kCount_ (never a real instruction).
 StepFn step_fn_for(isa::Opcode op);
 
-/// step() over a predecoded instruction: bit-identical architectural effects
-/// and StepResult, minus the per-edge fetch/classify. `de` must be the
-/// decoding of program.at(ctx.pc).
-inline StepResult step_decoded(const DecodedInstr& de, Context& ctx,
-                               mem::LocalStore& local, mem::DramImage& dram) {
-  StepResult result;
-  result.kind = de.kind;
-  ++ctx.instret;
-  u32 next_pc = de.fn(de, ctx, local, dram, result);
-  if (result.branch_taken) next_pc = de.taken_pc;
-  if (ctx.state != Context::State::kHalted) ctx.pc = next_pc;
-  return result;
-}
+/// Handler that runs the reference step() on `de.instr` for every opcode:
+/// the differential oracle for the per-opcode handlers (--no-block-cache).
+bool step_reference(const DecodedInstr& de, Context& ctx,
+                    mem::LocalStore& local, mem::DramImage& dram);
 
 }  // namespace mlp::core

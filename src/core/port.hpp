@@ -5,15 +5,14 @@
 // L1/L2 hierarchy. Keeping the port virtual is what lets one corelet timing
 // model serve several architectures.
 
-#include <functional>
-
 #include "common/types.hpp"
+#include "sim/wake.hpp"
 
 namespace mlp::core {
 
 enum class PortStatus : u8 {
   kDone,     ///< satisfied locally; data ready at `ready_at`
-  kPending,  ///< in flight; the wakeup callback will fire
+  kPending,  ///< in flight; the wake will fire
   kRetry,    ///< structural hazard (MSHR/queue full); retry next cycle
 };
 
@@ -24,12 +23,19 @@ struct PortResult {
 
 class GlobalPort {
  public:
+  /// `local_latency_fixed`: every live-state access completes after the
+  /// caller's fixed latency (the local_access default below), so a core
+  /// may time those accesses itself without calling local_access.
+  explicit GlobalPort(bool local_latency_fixed = true)
+      : local_latency_fixed_(local_latency_fixed) {}
   virtual ~GlobalPort() = default;
 
+  bool local_latency_fixed() const { return local_latency_fixed_; }
+
   /// Word load from the input stream by (core, context).
-  /// On kPending, `wakeup(at)` fires exactly once when the data is usable.
+  /// On kPending, `wake` fires exactly once when the data is usable.
   virtual PortResult load(u32 core, u32 ctx, Addr addr, Picos now,
-                          std::function<void(Picos)> wakeup) = 0;
+                          sim::Wake wake) = 0;
 
   /// Global store (rare in BMLAs; results live in local state). Default:
   /// fire-and-forget with unit occupancy.
@@ -41,21 +47,21 @@ class GlobalPort {
   /// Live-state (local-space) access timing. Millipede and the GPGPU have a
   /// dedicated local memory / shared memory, so the default is a fixed
   /// latency supplied by the caller. SSMC and the conventional multicore
-  /// override this to route the access through their data caches, where the
-  /// input stream competes with the state for capacity.
+  /// override this (and construct with `local_latency_fixed` false) to
+  /// route the access through their data caches, where the input stream
+  /// competes with the state for capacity.
   virtual PortResult local_access(u32 core, u32 ctx, Addr addr, bool is_write,
                                   Picos fixed_ready_at, Picos now,
-                                  std::function<void(Picos)> wakeup) {
-    (void)core; (void)ctx; (void)addr; (void)is_write; (void)now;
-    (void)wakeup;
+                                  sim::Wake wake) {
+    (void)core; (void)ctx; (void)addr; (void)is_write; (void)now; (void)wake;
     return PortResult{PortStatus::kDone, fixed_ready_at};
   }
 
   /// Processor-wide thread barrier (`bar`). Default: free no-op, for
   /// architectures that don't wire one up (the ablation uses BarrierPort).
   virtual PortResult barrier(u32 core, u32 ctx, Picos now, Picos period_ps,
-                             std::function<void(Picos)> wakeup) {
-    (void)core; (void)ctx; (void)wakeup;
+                             sim::Wake wake) {
+    (void)core; (void)ctx; (void)wake;
     return PortResult{PortStatus::kDone, now + period_ps};
   }
 
@@ -64,6 +70,9 @@ class GlobalPort {
   virtual void thread_halted(u32 core, u32 ctx, Picos now, Picos period_ps) {
     (void)core; (void)ctx; (void)now; (void)period_ps;
   }
+
+ private:
+  bool local_latency_fixed_;
 };
 
 }  // namespace mlp::core

@@ -1,10 +1,8 @@
 #include "gpgpu/sm.hpp"
 
-#include <bit>
-
 #include <algorithm>
+#include <bit>
 #include <cstdio>
-#include <set>
 
 namespace mlp::gpgpu {
 
@@ -14,12 +12,12 @@ StreamingMultiprocessor::StreamingMultiprocessor(const MachineConfig& cfg,
       warp_width_(warp_width),
       groups_(cfg.core.cores / warp_width),
       deps_(deps),
-      reconv_(isa::ReconvergenceTable::build(*deps.program)),
+      reconv_(isa::ReconvergenceTable::build(deps.dcache->program())),
       rr_(groups_, 0) {
   MLP_CHECK(cfg.core.cores % warp_width == 0, "width must divide lanes");
-  MLP_CHECK(deps_.program != nullptr && deps_.lane_state != nullptr &&
-                deps_.dram != nullptr && deps_.banking != nullptr &&
-                deps_.stats != nullptr,
+  MLP_CHECK(warp_width <= kMaxLanes, "warp wider than a lane mask");
+  MLP_CHECK(deps_.lane_state != nullptr && deps_.dram != nullptr &&
+                deps_.banking != nullptr && deps_.stats != nullptr,
             "SM wiring incomplete");
   MLP_CHECK(deps_.l1d != nullptr || deps_.pb != nullptr,
             "SM needs an input path (L1D or prefetch buffer)");
@@ -29,7 +27,7 @@ StreamingMultiprocessor::StreamingMultiprocessor(const MachineConfig& cfg,
   for (u32 g = 0; g < groups_; ++g) {
     for (u32 s = 0; s < cfg.core.contexts; ++s) warps_.emplace_back(warp_width_);
   }
-  for (u32 i = 0; i < warps_.size(); ++i) warps_[i].track = i;
+  for (u32 i = 0; i < warps_.size(); ++i) warps_[i].index = i;
 }
 
 void StreamingMultiprocessor::fill_done(Warp& warp, Picos at) {
@@ -39,9 +37,9 @@ void StreamingMultiprocessor::fill_done(Warp& warp, Picos at) {
     if (deps_.trace != nullptr && warp.waiting) {
       deps_.trace->emit(trace::Domain::kCompute,
                         trace::EventKind::kStallBegin, warp.wait_began,
-                        warp.track);
+                        warp.index);
       deps_.trace->emit(trace::Domain::kCompute, trace::EventKind::kStallEnd,
-                        warp.latest_fill, warp.track);
+                        warp.latest_fill, warp.index);
     }
     warp.waiting = false;
     warp.ready_at = warp.latest_fill;
@@ -153,16 +151,18 @@ std::string StreamingMultiprocessor::debug_dump() const {
 }
 
 Picos StreamingMultiprocessor::tick(Picos now, Picos period_ps) {
+  const u32 contexts = cfg_.core.contexts;
+  bool ready = false;
   for (u32 g = 0; g < groups_; ++g) {
+    Warp* group = &warps_[g * contexts];
     // Retry lines previously bounced by a full MSHR (their `outstanding`
     // slots are already counted; only the L1 access is replayed).
-    for (u32 s = 0; s < cfg_.core.contexts; ++s) {
-      Warp& warp = warps_[g * cfg_.core.contexts + s];
+    for (u32 s = 0; s < contexts; ++s) {
+      Warp& warp = group[s];
       while (!warp.retry_lines.empty()) {
         const Addr line = warp.retry_lines.back();
-        const auto status = deps_.l1d->access(
-            line, /*is_write=*/false, now,
-            [this, &warp](Picos at) { fill_done(warp, at); });
+        const auto status = deps_.l1d->access(line, /*is_write=*/false, now,
+                                              {this, warp.index});
         if (status == mem::AccessStatus::kMshrFull) break;
         warp.retry_lines.pop_back();
         if (status == mem::AccessStatus::kHit) {
@@ -172,19 +172,19 @@ Picos StreamingMultiprocessor::tick(Picos now, Picos period_ps) {
     }
     // Issue one ready warp from this lane group (round robin).
     Warp* chosen = nullptr;
-    for (u32 i = 0; i < cfg_.core.contexts; ++i) {
-      const u32 slot = (rr_[g] + i) % cfg_.core.contexts;
-      Warp& warp = warps_[g * cfg_.core.contexts + slot];
-      if (warp.runnable(now)) {
-        chosen = &warp;
-        rr_[g] = (slot + 1) % cfg_.core.contexts;
+    for (u32 i = 0, slot = rr_[g]; i < contexts; ++i) {
+      const u32 next = slot + 1 == contexts ? 0 : slot + 1;
+      if (group[slot].runnable(now)) {
+        chosen = &group[slot];
+        rr_[g] = next;
         break;
       }
+      slot = next;
     }
     if (chosen == nullptr) {
       bool group_live = false;
-      for (u32 s = 0; s < cfg_.core.contexts; ++s) {
-        group_live |= !warps_[g * cfg_.core.contexts + s].stack.all_halted();
+      for (u32 s = 0; s < contexts; ++s) {
+        group_live |= !group[s].stack.all_halted();
       }
       if (group_live) {
         deps_.stats->issue_slots_idle.inc();
@@ -195,8 +195,11 @@ Picos StreamingMultiprocessor::tick(Picos now, Picos period_ps) {
     }
     deps_.stats->issue_slots_busy.inc();
     issue(*chosen, g, now, period_ps);
+    ready |= !chosen->waiting && !chosen->stack.all_halted();
   }
-  return next_event(now);
+  // As on the corelet: a warp still ready after issuing usually goes again
+  // at the next edge, so only an SM whose warps all blocked looks ahead.
+  return ready ? now : next_event(now);
 }
 
 Picos StreamingMultiprocessor::next_event(Picos now) const {
@@ -227,16 +230,11 @@ void StreamingMultiprocessor::issue(Warp& warp, u32 group, Picos now,
                                     Picos period_ps) {
   const u32 pc = warp.stack.pc();
   const LaneMask mask = warp.stack.active_mask();
-  // Decode accounting is unconditional (counters stay bit-identical with
-  // --no-block-cache); the predecoded dispatch below is what the flag gates.
-  const core::DecodedInstr* de =
-      deps_.dcache != nullptr ? &deps_.dcache->entry(pc) : nullptr;
-  const bool fast = de != nullptr && deps_.dcache->dispatch_enabled();
-  const isa::Instr& instr = fast ? de->instr : deps_.program->at(pc);
-  const core::StepKind kind = fast ? de->kind : core::classify(instr);
+  const core::DecodedInstr& de = deps_.dcache->entry(pc);
+  const isa::Instr& instr = de.instr;
 
   const u64 active_lanes = static_cast<u64>(std::popcount(mask));
-  if (deps_.dcache != nullptr && active_lanes > 0) {
+  if (active_lanes > 0) {
     // SIMT convergence batching: the extra active lanes of this warp all
     // execute the one decoded instruction fetched above.
     deps_.dcache->note_batched(active_lanes - 1);
@@ -244,48 +242,48 @@ void StreamingMultiprocessor::issue(Warp& warp, u32 group, Picos now,
   deps_.stats->warp_instructions.inc();
   deps_.stats->thread_instructions.inc(active_lanes);
   deps_.stats->inactive_lane_slots.inc(warp_width_ - active_lanes);
-  if (kind == core::StepKind::kFloat) {
+  if (de.kind == core::StepKind::kFloat) {
     deps_.stats->thread_float_ops.inc(active_lanes);
-  } else if (kind == core::StepKind::kLocal) {
+  } else if (de.kind == core::StepKind::kLocal) {
     deps_.stats->thread_local_accesses.inc(active_lanes);
-  } else if (kind == core::StepKind::kGlobalLoad) {
+  } else if (de.kind == core::StepKind::kGlobalLoad) {
     deps_.stats->thread_global_loads.inc(active_lanes);
   }
 
-  // Execute all active lanes functionally at the warp pc.
+  // Execute all active lanes functionally at the warp pc, in lane order.
   auto for_active = [&](auto&& fn) {
-    for (u32 l = 0; l < warp_width_; ++l) {
-      if (mask & (LaneMask{1} << l)) fn(l);
+    for (LaneMask rest = mask; rest != 0; rest &= rest - 1) {
+      fn(static_cast<u32>(std::countr_zero(rest)));
     }
   };
-  auto step_lane = [&](u32 l) -> core::StepResult {
+  auto step_lane = [&](u32 l) {
     core::Context& ctx = warp.lanes[l];
     ctx.pc = pc;
-    mem::LocalStore& state = (*deps_.lane_state)[lane_id(group, l)];
-    return fast ? core::step_decoded(*de, ctx, state, *deps_.dram)
-                : core::step(ctx, *deps_.program, state, *deps_.dram);
+    return de.fn(de, ctx, (*deps_.lane_state)[lane_id(group, l)],
+                 *deps_.dram);
   };
 
-  switch (kind) {
+  switch (de.kind) {
     case core::StepKind::kAlu:
     case core::StepKind::kFloat:
-    case core::StepKind::kCsr: {
-      for_active([&](u32 l) { step_lane(l); });
+    case core::StepKind::kCsr:
+    case core::StepKind::kGlobalStore: {
+      for_active(step_lane);
       warp.stack.advance(pc + 1);
       warp.ready_at = now + period_ps;
       break;
     }
     case core::StepKind::kLocal: {
       // Gather each lane's shared-memory address for the conflict model.
-      std::vector<mem::SharedMemBanking::LaneAccess> accesses;
+      u32 accesses = 0;
       for_active([&](u32 l) {
-        core::Context& ctx = warp.lanes[l];
-        accesses.push_back(
-            {lane_id(group, l),
-             ctx.reg(instr.rs1) + static_cast<u32>(instr.imm)});
+        lane_accesses_[accesses++] = {
+            lane_id(group, l),
+            warp.lanes[l].reg(instr.rs1) + static_cast<u32>(instr.imm)};
         step_lane(l);
       });
-      const u32 conflicts = deps_.banking->conflict_cycles(accesses);
+      const u32 conflicts = deps_.banking->conflict_cycles(
+          {lane_accesses_.data(), accesses});
       deps_.stats->shared_accesses.inc();
       if (conflicts > 1) {
         deps_.stats->shared_conflict_cycles.inc(conflicts - 1);
@@ -299,12 +297,11 @@ void StreamingMultiprocessor::issue(Warp& warp, u32 group, Picos now,
     case core::StepKind::kBranch: {
       LaneMask taken = 0;
       for_active([&](u32 l) {
-        if (step_lane(l).branch_taken) taken |= LaneMask{1} << l;
+        if (step_lane(l)) taken |= LaneMask{1} << l;
       });
       deps_.stats->branches.inc();
-      const u32 target = static_cast<u32>(static_cast<i32>(pc) + instr.imm);
       const bool diverged =
-          warp.stack.branch(taken, target, pc + 1, reconv_.at(pc));
+          warp.stack.branch(taken, de.taken_pc, pc + 1, reconv_.at(pc));
       if (diverged) deps_.stats->divergent_branches.inc();
       u32 cycles = 1;
       if (diverged) {
@@ -334,21 +331,15 @@ void StreamingMultiprocessor::issue(Warp& warp, u32 group, Picos now,
       break;
     }
     case core::StepKind::kHalt: {
-      for_active([&](u32 l) { step_lane(l); });
+      for_active(step_lane);
       warp.stack.halt_lanes(mask);
       break;
     }
     case core::StepKind::kBarrier: {
-      // The software-barrier ablation targets the MIMD machines; SIMT warps
-      // are already lockstep within a warp and the kernels never emit `bar`
-      // for the SM.
+      // Internal invariant: the software-barrier ablation targets the MIMD
+      // machines, and run_arch rejects record barriers on the SIMT kinds
+      // as a config error before any program reaches the SM.
       MLP_CHECK(false, "bar is not supported on the SM");
-      break;
-    }
-    case core::StepKind::kGlobalStore: {
-      for_active([&](u32 l) { step_lane(l); });
-      warp.stack.advance(pc + 1);
-      warp.ready_at = now + period_ps;
       break;
     }
     case core::StepKind::kGlobalLoad: {
@@ -360,11 +351,9 @@ void StreamingMultiprocessor::issue(Warp& warp, u32 group, Picos now,
         // buffer (slab discipline: lane == slab).
         for_active([&](u32 l) {
           core::Context& ctx = warp.lanes[l];
-          ctx.pc = pc;
           const Addr addr = core::global_addr(ctx, instr);
-          const auto result = deps_.pb->load(
-              lane_id(group, l), 0, addr, now,
-              [this, &warp](Picos at) { fill_done(warp, at); });
+          const auto result = deps_.pb->load(lane_id(group, l), 0, addr, now,
+                                             {this, warp.index});
           step_lane(l);
           if (result.status == core::PortStatus::kDone) {
             warp.latest_fill = std::max(warp.latest_fill, result.ready_at);
@@ -376,22 +365,19 @@ void StreamingMultiprocessor::issue(Warp& warp, u32 group, Picos now,
         });
       } else {
         // Plain path: coalesce active lanes' addresses into L1 lines.
-        std::set<Addr> lines;
+        num_lines_ = 0;
         for_active([&](u32 l) {
-          core::Context& ctx = warp.lanes[l];
-          ctx.pc = pc;
-          const Addr addr = core::global_addr(ctx, instr);
-          lines.insert(addr & ~static_cast<Addr>(cfg_.gpgpu.line_bytes - 1));
+          const Addr addr = core::global_addr(warp.lanes[l], instr);
+          add_line(addr & ~static_cast<Addr>(cfg_.gpgpu.line_bytes - 1));
           step_lane(l);
         });
-        deps_.stats->global_lines.inc(lines.size());
-        for (Addr line : lines) {
+        deps_.stats->global_lines.inc(num_lines_);
+        for (u32 i = 0; i < num_lines_; ++i) {
           if (deps_.prefetcher != nullptr) {
-            for (Addr pf : deps_.prefetcher->observe(line)) {
-              deps_.l1d->prefetch(pf, now);
-            }
+            deps_.prefetcher->observe(lines_[i], &prefetch_lines_);
+            for (const Addr pf : prefetch_lines_) deps_.l1d->prefetch(pf, now);
           }
-          start_line_fill(warp, line, now);
+          start_line_fill(warp, lines_[i], now);
         }
       }
       warp.stack.advance(pc + 1);
@@ -408,11 +394,20 @@ void StreamingMultiprocessor::issue(Warp& warp, u32 group, Picos now,
   }
 }
 
+void StreamingMultiprocessor::add_line(Addr line) {
+  u32 at = num_lines_;
+  while (at > 0 && lines_[at - 1] > line) --at;
+  if (at > 0 && lines_[at - 1] == line) return;
+  std::copy_backward(lines_.begin() + at, lines_.begin() + num_lines_,
+                     lines_.begin() + num_lines_ + 1);
+  lines_[at] = line;
+  ++num_lines_;
+}
+
 void StreamingMultiprocessor::start_line_fill(Warp& warp, Addr line,
                                               Picos now) {
-  const auto status = deps_.l1d->access(
-      line, /*is_write=*/false, now,
-      [this, &warp](Picos at) { fill_done(warp, at); });
+  const auto status =
+      deps_.l1d->access(line, /*is_write=*/false, now, {this, warp.index});
   switch (status) {
     case mem::AccessStatus::kHit:
       warp.latest_fill =

@@ -14,6 +14,7 @@
 //  * optionally (VWS-row) the input stream is served by Millipede's row
 //    prefetch buffer instead of the L1D.
 
+#include <array>
 #include <vector>
 
 #include "common/config.hpp"
@@ -28,6 +29,7 @@
 #include "millipede/prefetch_buffer.hpp"
 #include "sim/snapshot.hpp"
 #include "sim/tickable.hpp"
+#include "sim/wake.hpp"
 #include "trace/trace.hpp"
 
 namespace mlp::gpgpu {
@@ -62,10 +64,12 @@ struct SmStats {
 };
 
 class StreamingMultiprocessor : public sim::Tickable,
-                                public sim::Snapshottable {
+                                public sim::Snapshottable,
+                                public sim::Waitable {
  public:
   struct Deps {
-    const isa::Program* program = nullptr;
+    /// Decodes and dispatches every warp instruction; names the program.
+    core::DecodedBlockCache* dcache = nullptr;
     std::vector<mem::LocalStore>* lane_state = nullptr;  ///< one per lane
     mem::DramImage* dram = nullptr;
     mem::Cache* l1d = nullptr;                        ///< input path (plain)
@@ -74,7 +78,6 @@ class StreamingMultiprocessor : public sim::Tickable,
     const mem::SharedMemBanking* banking = nullptr;
     SmStats* stats = nullptr;
     trace::TraceSession* trace = nullptr;
-    core::DecodedBlockCache* dcache = nullptr;  ///< optional fast path
   };
 
   StreamingMultiprocessor(const MachineConfig& cfg, u32 warp_width, Deps deps);
@@ -97,6 +100,10 @@ class StreamingMultiprocessor : public sim::Tickable,
   /// edge, matching tick()'s nothing-runnable path.
   void skip_idle(u64 edges) override;
 
+  /// sim::Waitable: one of warp `index`'s outstanding line or word fills
+  /// arrived at `at`; the last one releases the warp.
+  void wake(u32 index, Picos at) override { fill_done(warps_[index], at); }
+
   bool halted() const;
 
   u32 warp_width() const { return warp_width_; }
@@ -104,8 +111,8 @@ class StreamingMultiprocessor : public sim::Tickable,
 
   // sim::Snapshottable: every warp's SIMT stack, lane contexts and timing
   // fields, the per-group schedulers and the per-lane local state. A warp
-  // with outstanding fills or bounced lines holds callback/replay state, so
-  // capture waits for all of those to drain.
+  // with outstanding fills or bounced lines is a live wake or replay state,
+  // so capture waits for all of those to drain.
   void save_state(sim::SnapshotWriter& w) const override;
   void restore_state(sim::SnapshotCursor& r) override;
   bool quiescent() const override {
@@ -130,7 +137,7 @@ class StreamingMultiprocessor : public sim::Tickable,
     u32 outstanding = 0;
     Picos latest_fill = 0;
     Picos wait_began = 0;  ///< issue time of the blocking load (trace)
-    u32 track = 0;         ///< trace track id (warp index)
+    u32 index = 0;         ///< position in warps_: wake index, trace track
     std::vector<Addr> retry_lines;  ///< lines bounced by a full MSHR
 
     explicit Warp(u32 width) : stack(width), lanes(width) {}
@@ -139,7 +146,13 @@ class StreamingMultiprocessor : public sim::Tickable,
     }
   };
 
+  /// Most lanes a warp can have: one bit of a LaneMask each.
+  static constexpr u32 kMaxLanes = 64;
+
   void issue(Warp& warp, u32 group, Picos now, Picos period_ps);
+  /// The coalescer: adds `line` to lines_ unless present, keeping them in
+  /// ascending address order.
+  void add_line(Addr line);
   void start_line_fill(Warp& warp, Addr line, Picos now);
   /// One outstanding line/word fill arrived at `at`; releases the warp (and
   /// closes its trace stall slice) when it was the last one.
@@ -162,6 +175,12 @@ class StreamingMultiprocessor : public sim::Tickable,
   /// warps_[group * contexts + slot]
   std::vector<Warp> warps_;
   std::vector<u32> rr_;  ///< per-group round-robin cursor
+
+  // Per-instruction scratch, reused so issuing a warp never allocates.
+  std::array<mem::SharedMemBanking::LaneAccess, kMaxLanes> lane_accesses_;
+  std::array<Addr, kMaxLanes> lines_;  ///< distinct lines, ascending
+  u32 num_lines_ = 0;
+  std::vector<Addr> prefetch_lines_;
 };
 
 }  // namespace mlp::gpgpu

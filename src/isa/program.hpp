@@ -43,6 +43,12 @@ class Program {
   StaticCounts static_counts() const;
 
   bool empty() const { return instrs_.empty(); }
+  bool contains(Opcode op) const {
+    for (const Instr& in : instrs_) {
+      if (in.op == op) return true;
+    }
+    return false;
+  }
 
  private:
   std::string name_;

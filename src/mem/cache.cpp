@@ -10,6 +10,7 @@ Cache::Cache(std::string name, u32 size_bytes, u32 line_bytes, u32 assoc,
     : Requester(backend),
       name_(std::move(name)),
       line_bytes_(line_bytes),
+      line_shift_(log2_exact(line_bytes)),
       sets_(size_bytes / (line_bytes * assoc)),
       assoc_(assoc),
       max_mshrs_(mshrs),
@@ -38,8 +39,8 @@ Cache::Line* Cache::find(Addr line) {
   return nullptr;
 }
 
-AccessStatus Cache::access(Addr addr, bool is_write, Picos now,
-                           FillCallback on_fill) {
+template <typename Wait>
+AccessStatus Cache::lookup(Addr addr, bool is_write, Picos now, Wait wait) {
   const Addr line = line_base(addr);
   if (Line* hit = find(line)) {
     hit->lru = ++lru_clock_;
@@ -54,8 +55,8 @@ AccessStatus Cache::access(Addr addr, bool is_write, Picos now,
 
   auto it = mshrs_.find(line);
   if (it != mshrs_.end()) {
-    it->second.waiters.push_back(std::move(on_fill));
-    it->second.waiter_writes.push_back(is_write);
+    wait(it->second);
+    it->second.dirty |= is_write;
     it->second.is_prefetch = false;  // demand access upgrades a prefetch
     mshr_merges_.inc();
     misses_.inc();
@@ -68,11 +69,17 @@ AccessStatus Cache::access(Addr addr, bool is_write, Picos now,
   }
 
   Mshr& mshr = mshrs_[line];
-  mshr.waiters.push_back(std::move(on_fill));
-  mshr.waiter_writes.push_back(is_write);
+  wait(mshr);
+  mshr.dirty = is_write;
   misses_.inc();
   queue_fill(line, now);
   return AccessStatus::kMiss;
+}
+
+AccessStatus Cache::access(Addr addr, bool is_write, Picos now,
+                           sim::Wake on_fill) {
+  return lookup(addr, is_write, now,
+                [on_fill](Mshr& mshr) { mshr.waiters.push_back(on_fill); });
 }
 
 void Cache::prefetch(Addr addr, Picos now) {
@@ -103,12 +110,11 @@ void Cache::on_fill_arrived(Addr line, Picos at) {
   mshrs_.erase(it);
   wake_parked(&upstream_, at);  // the freed MSHR may admit a refused miss
 
-  bool write = false;
-  for (bool w : mshr.waiter_writes) write |= w;
-  install(line, write, mshr.is_prefetch && mshr.waiters.empty(), at);
-  for (FillCallback& waiter : mshr.waiters) {
-    if (waiter) waiter(at + hit_latency_ps_);
-  }
+  // A demand merge clears is_prefetch, so a prefetch-only MSHR has no
+  // waiters: its line installs as prefetched.
+  install(line, mshr.dirty, mshr.is_prefetch, at);
+  for (const sim::Wake& waiter : mshr.waiters) waiter(at + hit_latency_ps_);
+  for (const auto& forward : mshr.forwards) forward(at + hit_latency_ps_);
 }
 
 void Cache::install(Addr line, bool dirty, bool prefetched, Picos now) {
@@ -186,15 +192,13 @@ bool Cache::request(MemRequest request, Picos now) {
   // Serving as a backend (e.g. L2 under L1): a hit completes after our hit
   // latency; a miss is tracked by an MSHR like any demand access.
   MLP_CHECK(request.bytes <= line_bytes_, "upstream line larger than ours");
-  auto cb = request.on_complete;
-  const Picos latency = hit_latency_ps_;
+  std::function<void(Picos)>& done = request.on_complete;
   const AccessStatus status =
-      access(request.addr, request.is_write, now,
-             [cb](Picos at) {
-               if (cb) cb(at);
-             });
+      lookup(request.addr, request.is_write, now, [&done](Mshr& mshr) {
+        if (done) mshr.forwards.push_back(std::move(done));
+      });
   if (status == AccessStatus::kHit) {
-    if (cb) cb(now + latency);
+    if (done) done(now + hit_latency_ps_);
     return true;
   }
   return status != AccessStatus::kMshrFull;

@@ -15,6 +15,7 @@
 #include "mem/req.hpp"
 #include "sim/snapshot.hpp"
 #include "sim/tickable.hpp"
+#include "sim/wake.hpp"
 
 namespace mlp::mem {
 
@@ -27,14 +28,12 @@ enum class AccessStatus : u8 {
 class Cache : public MemBackend, public Requester,
               public sim::Snapshottable {
  public:
-  using FillCallback = std::function<void(Picos)>;
-
   Cache(std::string name, u32 size_bytes, u32 line_bytes, u32 assoc, u32 mshrs,
         Picos hit_latency_ps, MemBackend* backend, StatSet* stats);
 
   /// Demand access. On kMiss, `on_fill` fires once the line (plus hit
   /// latency) is available; on kHit the caller adds hit_latency itself.
-  AccessStatus access(Addr addr, bool is_write, Picos now, FillCallback on_fill);
+  AccessStatus access(Addr addr, bool is_write, Picos now, sim::Wake on_fill);
 
   /// Best-effort prefetch of the line containing `addr`; silently dropped if
   /// the line is present, already being fetched, or no MSHR is free.
@@ -54,7 +53,8 @@ class Cache : public MemBackend, public Requester,
   }
 
   // sim::Snapshottable: the full tag/LRU/dirty array plus the LRU clock;
-  // MSHRs and the issue queue hold callbacks, so capture requires quiesce.
+  // MSHRs hold waiters and the issue queue callbacks, so capture requires
+  // quiesce.
   void save_state(sim::SnapshotWriter& w) const override;
   void restore_state(sim::SnapshotCursor& r) override;
 
@@ -69,10 +69,13 @@ class Cache : public MemBackend, public Requester,
     u64 lru = 0;
   };
 
+  /// One line in flight. A cache serves either cores (wakes) or the
+  /// cache above it (forwarded request completions), never both.
   struct Mshr {
     bool is_prefetch = false;
-    std::vector<FillCallback> waiters;
-    std::vector<bool> waiter_writes;
+    bool dirty = false;  ///< some merged demand was a write
+    std::vector<sim::Wake> waiters;
+    std::vector<std::function<void(Picos)>> forwards;
   };
 
   Addr line_base(Addr addr) const { return addr & ~static_cast<Addr>(line_bytes_ - 1); }
@@ -81,18 +84,25 @@ class Cache : public MemBackend, public Requester,
   /// into one set of a small cache. Real L1s hash the index for exactly this
   /// reason; fold higher line-number bits in.
   u32 set_of(Addr line) const {
-    const u64 n = line / line_bytes_;
+    const u64 n = tag_of(line);
     return static_cast<u32>((n ^ (n >> 4) ^ (n >> 8)) & (sets_ - 1));
   }
-  u64 tag_of(Addr line) const { return line / line_bytes_; }
+  /// The line number (a shift: the line size is a power of two).
+  u64 tag_of(Addr line) const { return line >> line_shift_; }
 
   Line* find(Addr line);
+  /// The hit / MSHR-merge / MSHR-allocate decision of a demand access or an
+  /// upstream request; on a miss `wait(mshr)` registers the waiter before
+  /// the fill is queued.
+  template <typename Wait>
+  AccessStatus lookup(Addr addr, bool is_write, Picos now, Wait wait);
   void install(Addr line, bool dirty, bool prefetched, Picos now);
   void queue_fill(Addr line, Picos now);
   void on_fill_arrived(Addr line, Picos at);
 
   std::string name_;
   u32 line_bytes_;
+  u32 line_shift_;  ///< log2(line_bytes_)
   u32 sets_;
   u32 assoc_;
   u32 max_mshrs_;

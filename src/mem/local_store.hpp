@@ -6,8 +6,10 @@
 // "claim a slot" idioms (sample selection) race-free too.
 
 #include <cstring>
+#include <string>
 #include <vector>
 
+#include "common/error.hpp"
 #include "common/types.hpp"
 
 namespace mlp::mem {
@@ -65,11 +67,26 @@ class LocalStore {
   std::vector<u32>& words() { return words_; }
 
  private:
+  /// The word at `addr`. A kernel indexing its live state with a corrupted
+  /// input word (no-ECC fault injection) can reach any address, so a bad
+  /// one is a typed per-run error, checked with one predictable branch.
   u32 index(u32 addr) const {
-    MLP_CHECK(addr % 4 == 0, "unaligned local access");
     const u32 i = addr / 4;
-    MLP_CHECK(i < words_.size(), "local access out of bounds");
+    if ((addr % 4 != 0) | (i >= words_.size())) [[unlikely]] {
+      bad_access(addr);
+    }
     return i;
+  }
+
+  [[noreturn, gnu::cold, gnu::noinline]] void bad_access(u32 addr) const {
+    std::string what = "local address " + std::to_string(addr);
+    if (addr % 4 != 0) {
+      what += " is unaligned";
+    } else {
+      what += " is outside the " + std::to_string(size_bytes()) +
+              " B local store";
+    }
+    throw SimError("local-access", what);
   }
 
   std::vector<u32> words_;

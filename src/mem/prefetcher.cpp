@@ -9,22 +9,21 @@ void StreamPrefetcher::reset() {
   issued_up_to_ = 0;
 }
 
-std::vector<Addr> SequentialPrefetcher::observe(Addr addr) {
+void SequentialPrefetcher::observe(Addr addr, std::vector<Addr>* lines) {
   const u64 line = addr / line_bytes_;
-  std::vector<Addr> out;
+  lines->clear();
   if (!started_) {
     started_ = true;
     next_line_ = line + 1;
-    return out;
+    return;
   }
   const u64 horizon = line + distance_;
-  if (horizon < next_line_) return out;  // behind the head: covered
+  if (horizon < next_line_) return;  // behind the head: covered
   u64 next = std::max(next_line_, line + 1);
   for (u32 issued = 0; issued < degree_ && next <= horizon; ++issued, ++next) {
-    out.push_back(next * line_bytes_);
+    lines->push_back(next * line_bytes_);
   }
   next_line_ = next;
-  return out;
 }
 
 StreamTable::StreamTable(u32 line_bytes, u32 degree, u32 distance,
@@ -37,7 +36,8 @@ StreamTable::StreamTable(u32 line_bytes, u32 degree, u32 distance,
   }
 }
 
-std::vector<Addr> StreamTable::observe(Addr addr) {
+void StreamTable::observe(Addr addr, std::vector<Addr>* lines) {
+  lines->clear();
   const u64 line = addr / line_bytes_;
   // Route to the nearest tracked stream (within a generous window scaled by
   // the prefetch distance); otherwise claim the LRU slot for a new stream.
@@ -61,14 +61,13 @@ std::vector<Addr> StreamTable::observe(Addr addr) {
   }
   best->last_line = line;
   best->lru = ++clock_;
-  return best->prefetcher.observe(addr);
+  best->prefetcher.observe(addr, lines);
 }
 
-std::vector<Addr> StreamPrefetcher::observe(Addr addr) {
+void StreamPrefetcher::observe(Addr addr, std::vector<Addr>* lines) {
   const u64 line = addr / line_bytes_;
-  std::vector<Addr> out;
   if (has_last_) {
-    if (line == last_line_) return out;  // same line: no new information
+    if (line == last_line_) return;  // same line: no new information
     const i64 stride = static_cast<i64>(line) - static_cast<i64>(last_line_);
     if (stride == stride_) {
       if (confidence_ < 4) ++confidence_;
@@ -91,7 +90,7 @@ std::vector<Addr> StreamPrefetcher::observe(Addr addr) {
              ((stride_ > 0 && next <= horizon) ||
               (stride_ < 0 && next >= horizon))) {
         if (next >= 0) {
-          out.push_back(static_cast<Addr>(next) * line_bytes_);
+          lines->push_back(static_cast<Addr>(next) * line_bytes_);
           issued_up_to_ = static_cast<u64>(next);
         }
         next += stride_;
@@ -101,7 +100,6 @@ std::vector<Addr> StreamPrefetcher::observe(Addr addr) {
   }
   has_last_ = true;
   last_line_ = line;
-  return out;
 }
 
 }  // namespace mlp::mem

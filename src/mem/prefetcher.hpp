@@ -17,8 +17,8 @@ class StreamPrefetcher : public sim::Snapshottable {
   StreamPrefetcher(u32 line_bytes, u32 degree, u32 distance)
       : line_bytes_(line_bytes), degree_(degree), distance_(distance) {}
 
-  /// Observe a demand access; returns line addresses to prefetch now.
-  std::vector<Addr> observe(Addr addr);
+  /// Observe a demand access; appends the line addresses to prefetch now.
+  void observe(Addr addr, std::vector<Addr>* lines);
 
   void reset();
 
@@ -60,7 +60,9 @@ class SequentialPrefetcher : public sim::Snapshottable {
   SequentialPrefetcher(u32 line_bytes, u32 degree, u32 distance)
       : line_bytes_(line_bytes), degree_(degree), distance_(distance) {}
 
-  std::vector<Addr> observe(Addr addr);
+  /// Observe a demand access; replaces `*lines` with the line addresses to
+  /// prefetch now (the caller reuses one buffer across calls).
+  void observe(Addr addr, std::vector<Addr>* lines);
 
   // sim::Snapshottable: the high-water-mark window cursor.
   void save_state(sim::SnapshotWriter& w) const override {
@@ -89,8 +91,9 @@ class StreamTable : public sim::Snapshottable {
  public:
   StreamTable(u32 line_bytes, u32 degree, u32 distance, u32 streams);
 
-  /// Observe a demand access; returns line addresses to prefetch now.
-  std::vector<Addr> observe(Addr addr);
+  /// Observe a demand access; replaces `*lines` with the line addresses to
+  /// prefetch now (the caller reuses one buffer across calls).
+  void observe(Addr addr, std::vector<Addr>* lines);
 
   // sim::Snapshottable: every stream slot (including its nested stride
   // prefetcher) plus the LRU clock.

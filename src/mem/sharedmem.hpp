@@ -10,6 +10,8 @@
 //  * kWordInterleaved — the generic CUDA mapping (bank = word % banks),
 //    under which indirect accesses from different lanes can collide.
 
+#include <algorithm>
+#include <span>
 #include <vector>
 
 #include "common/types.hpp"
@@ -21,7 +23,7 @@ enum class BankMapping : u8 { kLanePrivate, kWordInterleaved };
 class SharedMemBanking {
  public:
   SharedMemBanking(u32 banks, BankMapping mapping)
-      : banks_(banks), mapping_(mapping) {
+      : banks_(banks), mapping_(mapping), per_bank_(banks, 0) {
     MLP_CHECK(banks_ > 0, "need at least one bank");
   }
 
@@ -31,24 +33,27 @@ class SharedMemBanking {
   };
 
   /// Cycles to service all of a warp's accesses in one shared-memory op.
-  u32 conflict_cycles(const std::vector<LaneAccess>& accesses) const {
-    if (accesses.empty()) return 0;
-    std::vector<u32> per_bank(banks_, 0);
+  /// Not reentrant: the per-bank histogram is reused across calls.
+  u32 conflict_cycles(std::span<const LaneAccess> accesses) const {
     u32 worst = 0;
     for (const LaneAccess& a : accesses) {
-      const u32 bank = mapping_ == BankMapping::kLanePrivate
-                           ? a.lane % banks_
-                           : (a.addr / 4) % banks_;
-      worst = std::max(worst, ++per_bank[bank]);
+      worst = std::max(worst, ++per_bank_[bank_of(a)]);
     }
+    for (const LaneAccess& a : accesses) per_bank_[bank_of(a)] = 0;
     return worst;
   }
 
   BankMapping mapping() const { return mapping_; }
 
  private:
+  u32 bank_of(const LaneAccess& a) const {
+    return mapping_ == BankMapping::kLanePrivate ? a.lane % banks_
+                                                 : (a.addr / 4) % banks_;
+  }
+
   u32 banks_;
   BankMapping mapping_;
+  mutable std::vector<u32> per_bank_;  ///< all zero between calls
 };
 
 }  // namespace mlp::mem

@@ -43,7 +43,10 @@ PrefetchBuffer::PrefetchBuffer(const MachineConfig& cfg, RowPlan plan,
 }
 
 u32 PrefetchBuffer::index_of(u64 row) const {
-  return static_cast<u32>((head_ + (row - head_row())) % num_entries_);
+  // row is in the window, so the sum is below twice the entry count: wrap
+  // with a subtraction rather than a division on every demand access.
+  const u32 index = head_ + static_cast<u32>(row - head_row());
+  return index >= num_entries_ ? index - num_entries_ : index;
 }
 
 PrefetchBuffer::Entry* PrefetchBuffer::find(u64 row) {
@@ -124,9 +127,9 @@ void PrefetchBuffer::on_fill(u64 row, Picos at) {
     trace_->emit(trace::Domain::kChannel, trace::EventKind::kPrefetchFill, at,
                  trace::kPrefetchTrack, row);
   }
-  auto waiters = std::move(entry->waiters);
+  std::vector<sim::Wake> waiters = std::move(entry->waiters);
   entry->waiters.clear();
-  for (auto& waiter : waiters) waiter(at + hit_latency_ps_);
+  for (const sim::Wake& waiter : waiters) waiter(at + hit_latency_ps_);
   retire_saturated_heads(at);
 }
 
@@ -191,11 +194,11 @@ void PrefetchBuffer::trigger(Picos now, bool force_evict) {
                      (u64{head.df} << 1) | (head.pft ? 1 : 0));
       }
       // Orphaned waiters must still get data: direct slab fetches.
-      for (auto& waiter : head.waiters) {
+      for (const sim::Wake& waiter : head.waiters) {
         mem::MemRequest req;
         req.addr = ctrl_->address_map().row_base(head.row);
         req.bytes = slab_bytes_;
-        req.on_complete = std::move(waiter);
+        req.on_complete = waiter;
         direct_fetches_.inc();
         submit(std::move(req), now);
       }
@@ -301,19 +304,19 @@ std::string PrefetchBuffer::debug_dump() const {
   return out;
 }
 
-core::PortResult PrefetchBuffer::victim_fetch(
-    u32 core, u64 row, Picos now, std::function<void(Picos)> wakeup) {
+core::PortResult PrefetchBuffer::victim_fetch(u32 core, u64 row, Picos now,
+                                              sim::Wake wake) {
   const auto key = std::make_pair(row, core);
   auto it = victim_slabs_.find(key);
   if (it != victim_slabs_.end()) {
     if (it->second.filled) {
       return {core::PortStatus::kDone, now + hit_latency_ps_};
     }
-    it->second.waiters.push_back(std::move(wakeup));
+    it->second.waiters.push_back(wake);
     return {core::PortStatus::kPending, 0};
   }
   VictimSlab& slab = victim_slabs_[key];
-  slab.waiters.push_back(std::move(wakeup));
+  slab.waiters.push_back(wake);
   mem::MemRequest req;
   req.addr = ctrl_->address_map().row_base(row) +
              static_cast<Addr>(core) * slab_bytes_;
@@ -323,9 +326,9 @@ core::PortResult PrefetchBuffer::victim_fetch(
     auto entry = victim_slabs_.find(key);
     MLP_CHECK(entry != victim_slabs_.end(), "victim slab vanished");
     entry->second.filled = true;
-    auto batch = std::move(entry->second.waiters);
+    std::vector<sim::Wake> batch = std::move(entry->second.waiters);
     entry->second.waiters.clear();
-    for (auto& waiter : batch) waiter(at + lat);
+    for (const sim::Wake& waiter : batch) waiter(at + lat);
   };
   direct_fetches_.inc();
   submit(std::move(req), now);
@@ -333,8 +336,7 @@ core::PortResult PrefetchBuffer::victim_fetch(
 }
 
 core::PortResult PrefetchBuffer::load(u32 core, u32 /*ctx*/, Addr addr,
-                                      Picos now,
-                                      std::function<void(Picos)> wakeup) {
+                                      Picos now, sim::Wake wake) {
   const u64 row = addr >> row_shift_;
   Entry* entry = find(row);
 
@@ -346,7 +348,7 @@ core::PortResult PrefetchBuffer::load(u32 core, u32 /*ctx*/, Addr addr,
       // the refetched slab hit the victim-slab side structure.
       MLP_CHECK(!cfg_.millipede.flow_control,
                 "flow control must prevent post-retirement demands");
-      return victim_fetch(core, row, now, std::move(wakeup));
+      return victim_fetch(core, row, now, wake);
     }
     // The row is beyond the allocated window: a leading corelet ran into the
     // flow-control barrier (or, without flow control, raced ahead of the
@@ -358,7 +360,7 @@ core::PortResult PrefetchBuffer::load(u32 core, u32 /*ctx*/, Addr addr,
       pending_triggers_ += static_cast<u32>(needed);
     }
     flow_waits_.inc();
-    future_waiters_[row].push_back(std::move(wakeup));
+    future_waiters_[row].push_back(wake);
     // A demand past the window is the "leading corelet wrapping around":
     // without flow control it may evict unsaturated heads.
     trigger(now, /*force_evict=*/!cfg_.millipede.flow_control);
@@ -393,7 +395,7 @@ core::PortResult PrefetchBuffer::load(u32 core, u32 /*ctx*/, Addr addr,
   } else {
     fill_waits_.inc();
     entry->demanded_before_fill = true;
-    entry->waiters.push_back(std::move(wakeup));
+    entry->waiters.push_back(wake);
     result = {core::PortStatus::kPending, 0};
   }
 

@@ -20,6 +20,7 @@
 //    a deferred trigger against a fully-delivered queue votes "compute-bound".
 
 #include <deque>
+#include <functional>
 #include <map>
 #include <vector>
 
@@ -58,15 +59,14 @@ class PrefetchBuffer : public core::GlobalPort, public mem::Requester,
 
   /// GlobalPort: demand access from (corelet, ctx) to an input word.
   core::PortResult load(u32 core, u32 ctx, Addr addr, Picos now,
-                        std::function<void(Picos)> wakeup) override;
+                        sim::Wake wake) override;
 
   // mem::Requester (the channel-domain Tickable): a channel edge retries
   // issues the controller refused; otherwise the buffer only reacts to
   // fills and demand accesses driven from other components.
 
-  /// Quiesce for snapshot capture: no backpressured issues, no wakeup
-  /// closures anywhere (entry waiters, flow-control waits, victim-slab
-  /// waits) and every allocated entry's row data delivered. Holds whenever
+  /// Quiesce for snapshot capture: no backpressured issues, no waiters
+  /// anywhere (entry waiters, flow-control waits, victim-slab waits) and every allocated entry's row data delivered. Holds whenever
   /// the window is fully filled and compute lags — including the final
   /// compute-only reduce phase.
   bool quiescent() const override {
@@ -114,7 +114,7 @@ class PrefetchBuffer : public core::GlobalPort, public mem::Requester,
     u32 df = 0;  ///< corelets that fully consumed their slab
     std::vector<u64> consumed;  ///< per-corelet consumed-word bitmask
     std::vector<u64> expected;  ///< per-corelet expected-word bitmask
-    std::vector<std::function<void(Picos)>> waiters;
+    std::vector<sim::Wake> waiters;
   };
 
   u32 index_of(u64 row) const;   ///< entry index; entries hold consecutive rows
@@ -132,7 +132,7 @@ class PrefetchBuffer : public core::GlobalPort, public mem::Requester,
   void trigger(Picos now, bool force_evict = false);
   bool all_filled() const;
   core::PortResult victim_fetch(u32 core, u64 row, Picos now,
-                                std::function<void(Picos)> wakeup);
+                                sim::Wake wake);
 
   MachineConfig cfg_;
   RowPlan plan_;
@@ -154,14 +154,14 @@ class PrefetchBuffer : public core::GlobalPort, public mem::Requester,
   u64 retired_rows_ = 0;  ///< for the rate-matching warmup window
 
   /// Flow-control waits: demands for rows beyond the allocated window.
-  std::map<u64, std::vector<std::function<void(Picos)>>> future_waiters_;
+  std::map<u64, std::vector<sim::Wake>> future_waiters_;
 
   /// Victim slabs (no-flow-control only): after a premature eviction, a
   /// lagging corelet refetches its 64 B slab once; later words of the slab
   /// hit this side structure instead of issuing further DRAM traffic.
   struct VictimSlab {
     bool filled = false;
-    std::vector<std::function<void(Picos)>> waiters;
+    std::vector<sim::Wake> waiters;
   };
   std::map<std::pair<u64, u32>, VictimSlab> victim_slabs_;
 

@@ -93,9 +93,9 @@ void usage() {
   --no-fast-forward tick every component at every clock edge instead of
                     only those with work due (the poll oracle: bit-identical
                     results, slower; equivalence checks)
-  --no-block-cache  disable the decoded-basic-block interpreter fast path
-                    and re-decode every issued instruction (bit-identical
-                    results; A/B equivalence checks)
+  --no-block-cache  execute every instruction with the reference
+                    interpreter instead of its per-opcode handler
+                    (bit-identical results; A/B equivalence checks)
   --checkpoint-at N capture a snapshot of the machine state at the first
                     quiescent cycle >= N (the run still completes; requires
                     a single --bench and --checkpoint-out)

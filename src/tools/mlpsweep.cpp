@@ -54,8 +54,8 @@ Execution:
   --no-fast-forward     tick every component at every clock edge instead of
                         only those with work due (bit-identical output;
                         equivalence checks)
-  --no-block-cache      re-decode every issued instruction instead of
-                        dispatching over the decoded-basic-block cache
+  --no-block-cache      execute every instruction with the reference
+                        interpreter instead of its per-opcode handler
                         (bit-identical output; equivalence checks)
   --server ADDR[,...]   run the grid on mlpserved daemon(s) instead of
                         in-process (same output bytes, warm caches persist

@@ -5,7 +5,9 @@
 // update into the live state.
 
 #include <cstring>
+#include <string>
 
+#include "common/error.hpp"
 #include "isa/assembler.hpp"
 #include "workloads/bmla.hpp"
 #include "workloads/skeleton.hpp"
@@ -90,7 +92,10 @@ Workload make_nbayes(const WorkloadParams& params) {
       const u32 cls = year > kThreshold ? 1 : 0;
       class_count[cls] += 1.0;
       for (u32 d = 0; d < kNbDims; ++d) {
+        // A no-ECC fault run recomputes this from a possibly corrupted image.
         const u32 x = image.read_u32(layout.address(1 + d, r));
+        MLP_SIM_CHECK(x < kNbBins, "verification",
+                      "nbayes input " + std::to_string(x) + " is not a bin");
         cprob[(d * kNbBins + x) * 2 + cls] += 1.0;
       }
     }

@@ -5,7 +5,9 @@
 // skewed bin distribution).
 
 #include <cmath>
+#include <string>
 
+#include "common/error.hpp"
 #include "isa/assembler.hpp"
 #include "workloads/bmla.hpp"
 #include "workloads/skeleton.hpp"
@@ -65,7 +67,11 @@ Workload make_sample(const WorkloadParams& params) {
                     const InterleavedLayout& layout) {
     std::vector<double> counts(kSampleBins, 0.0);
     for (u64 r = 0; r < layout.num_records(); ++r) {
-      counts[image.read_u32(layout.address(0, r))] += 1.0;
+      // A no-ECC fault run recomputes this from a possibly corrupted image.
+      const u32 bin = image.read_u32(layout.address(0, r));
+      MLP_SIM_CHECK(bin < kSampleBins, "verification",
+                    "sample input " + std::to_string(bin) + " is not a bin");
+      counts[bin] += 1.0;
     }
     return counts;
   };

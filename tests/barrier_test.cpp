@@ -8,46 +8,50 @@
 #include "arch/system.hpp"
 #include "core/barrier.hpp"
 #include "core/corelet.hpp"
+#include "core/decode_cache.hpp"
 #include "isa/assembler.hpp"
 #include "isa/encoding.hpp"
+#include "sim/runner.hpp"
+#include "wake_probe.hpp"
 
 namespace mlp::core {
 namespace {
 
 TEST(Barrier, LastArrivalReleasesAll) {
   Barrier barrier(3);
-  int released = 0;
-  auto wake = [&](Picos) { ++released; };
-  EXPECT_EQ(barrier.arrive(0, 10, wake).status, PortStatus::kPending);
-  EXPECT_EQ(barrier.arrive(0, 10, wake).status, PortStatus::kPending);
-  EXPECT_EQ(released, 0);
-  const PortResult last = barrier.arrive(100, 10, wake);
+  test::WakeProbe threads;
+  EXPECT_EQ(barrier.arrive(0, 10, threads.handle(0)).status,
+            PortStatus::kPending);
+  EXPECT_EQ(barrier.arrive(0, 10, threads.handle(1)).status,
+            PortStatus::kPending);
+  EXPECT_TRUE(threads.woken.empty());
+  const PortResult last = barrier.arrive(100, 10, threads.handle(2));
   EXPECT_EQ(last.status, PortStatus::kDone);
   EXPECT_EQ(last.ready_at, 110u);
-  EXPECT_EQ(released, 2);
+  const std::vector<std::pair<u32, Picos>> released = {{0, 110}, {1, 110}};
+  EXPECT_EQ(threads.woken, released);
   EXPECT_EQ(barrier.episodes(), 1u);
 }
 
 TEST(Barrier, ReusableAcrossEpisodes) {
   Barrier barrier(2);
-  int released = 0;
-  auto wake = [&](Picos) { ++released; };
+  test::WakeProbe threads;
   for (int episode = 0; episode < 5; ++episode) {
-    barrier.arrive(0, 1, wake);
-    barrier.arrive(0, 1, wake);
+    barrier.arrive(0, 1, threads);
+    barrier.arrive(0, 1, threads);
   }
   EXPECT_EQ(barrier.episodes(), 5u);
-  EXPECT_EQ(released, 5);
+  EXPECT_EQ(threads.woken.size(), 5u);
 }
 
 TEST(Barrier, HaltedThreadDeregistersAndReleases) {
   Barrier barrier(3);
-  int released = 0;
-  barrier.arrive(0, 1, [&](Picos) { ++released; });
-  barrier.arrive(0, 1, [&](Picos) { ++released; });
+  test::WakeProbe threads;
+  barrier.arrive(0, 1, threads);
+  barrier.arrive(0, 1, threads);
   // The third thread halts instead of arriving: barrier must release.
   barrier.deregister(0, 1);
-  EXPECT_EQ(released, 2);
+  EXPECT_EQ(threads.woken.size(), 2u);
   EXPECT_EQ(barrier.episodes(), 1u);
 }
 
@@ -71,14 +75,14 @@ at_bar:
   mem::LocalStore local(1024);
   mem::DramImage dram(1024);
   struct Nop : GlobalPort {
-    PortResult load(u32, u32, Addr, Picos now,
-                    std::function<void(Picos)>) override {
+    PortResult load(u32, u32, Addr, Picos now, sim::Wake) override {
       return {PortStatus::kDone, now};
     }
   } nop;
   BarrierPort port(&nop, cfg.contexts);
   ExecStats stats;
-  Corelet corelet(0, cfg, &program, &local, &dram, &port, &stats);
+  DecodedBlockCache dcache(program);
+  Corelet corelet(0, cfg, &dcache, &local, &dram, &port, &stats);
   for (u32 x = 0; x < 4; ++x) {
     corelet.context(x).csr.set(isa::Csr::kCtx, x);
   }
@@ -110,14 +114,14 @@ out:
   mem::LocalStore local(64);
   mem::DramImage dram(64);
   struct Nop : GlobalPort {
-    PortResult load(u32, u32, Addr, Picos now,
-                    std::function<void(Picos)>) override {
+    PortResult load(u32, u32, Addr, Picos now, sim::Wake) override {
       return {PortStatus::kDone, now};
     }
   } nop;
   BarrierPort port(&nop, cfg.contexts);
   ExecStats stats;
-  Corelet corelet(0, cfg, &program, &local, &dram, &port, &stats);
+  DecodedBlockCache dcache(program);
+  Corelet corelet(0, cfg, &dcache, &local, &dram, &port, &stats);
   for (u32 x = 0; x < 4; ++x) corelet.context(x).csr.set(isa::Csr::kCtx, x);
   Picos now = 0;
   u64 guard = 0;
@@ -152,6 +156,25 @@ TEST(BarrierWorkload, KernelsWithRecordBarriersStayCorrect) {
         arch::ArchKind::kMillipedeNoFlowControl,
         MachineConfig::paper_defaults(), wl);
     EXPECT_EQ(r.verification, "") << name;
+  }
+}
+
+TEST(BarrierWorkload, RecordBarriersOnTheSmAreAConfigError) {
+  // The SM does not model `bar`: every SIMT kind rejects a record-barrier
+  // job as a typed per-run config error instead of aborting the process.
+  for (const arch::ArchKind kind :
+       {arch::ArchKind::kGpgpu, arch::ArchKind::kVws,
+        arch::ArchKind::kVwsRow}) {
+    sim::MatrixJob job;
+    job.kind = kind;
+    job.bench = "count";
+    job.options.rows = 24;
+    job.options.record_barrier = true;
+    const sim::MatrixResult r = sim::run_job(job);
+    const char* name = arch::arch_name(kind);
+    EXPECT_FALSE(r.ok()) << name;
+    EXPECT_EQ(r.error.rfind("config: record barriers", 0), 0u)
+        << name << ": " << r.error;
   }
 }
 

@@ -5,6 +5,7 @@
 #include <cstring>
 
 #include "core/corelet.hpp"
+#include "core/decode_cache.hpp"
 #include "core/functional.hpp"
 #include "isa/assembler.hpp"
 
@@ -217,11 +218,14 @@ TEST(Functional, GlobalAddrComputesBasePlusOffset) {
 // --- Corelet timing ---
 
 /// Port with scripted latency; can also withhold completions (kPending) or
-/// force retries.
+/// force retries. Live-state accesses take the caller's fixed latency and
+/// are counted; `local_latency_fixed` says whether the corelet may skip them.
 class FakePort : public GlobalPort {
  public:
-  PortResult load(u32, u32, Addr addr, Picos now,
-                  std::function<void(Picos)> wakeup) override {
+  explicit FakePort(bool local_latency_fixed = true)
+      : GlobalPort(local_latency_fixed) {}
+
+  PortResult load(u32, u32, Addr addr, Picos now, sim::Wake wake) override {
     ++loads;
     last_addr = addr;
     if (retries_left > 0) {
@@ -229,24 +233,31 @@ class FakePort : public GlobalPort {
       return {PortStatus::kRetry, 0};
     }
     if (pend) {
-      pending.push_back(std::move(wakeup));
+      pending.push_back(wake);
       return {PortStatus::kPending, 0};
     }
     return {PortStatus::kDone, now + latency};
   }
 
+  PortResult local_access(u32, u32, Addr, bool, Picos fixed_ready_at, Picos,
+                          sim::Wake) override {
+    ++local_accesses;
+    return {PortStatus::kDone, fixed_ready_at};
+  }
+
   void complete_all(Picos at) {
-    auto batch = std::move(pending);
+    std::vector<sim::Wake> batch = std::move(pending);
     pending.clear();
-    for (auto& cb : batch) cb(at);
+    for (const sim::Wake& wake : batch) wake(at);
   }
 
   int loads = 0;
+  int local_accesses = 0;
   Addr last_addr = 0;
   int retries_left = 0;
   bool pend = false;
   Picos latency = 0;
-  std::vector<std::function<void(Picos)>> pending;
+  std::vector<sim::Wake> pending;
 };
 
 struct CoreletFixture : ::testing::Test {
@@ -255,8 +266,10 @@ struct CoreletFixture : ::testing::Test {
   }
 
   void make(const std::string& src) {
+    corelet.reset();
     program = isa::must_assemble("core", src);
-    corelet = std::make_unique<Corelet>(0, cfg, &program, &local, &dram,
+    dcache = std::make_unique<DecodedBlockCache>(program);
+    corelet = std::make_unique<Corelet>(0, cfg, dcache.get(), &local, &dram,
                                         &port, &stats);
   }
 
@@ -278,6 +291,7 @@ struct CoreletFixture : ::testing::Test {
   mem::DramImage dram;
   FakePort port;
   ExecStats stats;
+  std::unique_ptr<DecodedBlockCache> dcache;
   std::unique_ptr<Corelet> corelet;
   Picos now = 0;
   Picos period = 1429;
@@ -418,6 +432,64 @@ TEST_F(CoreletFixture, GlobalStoreGoesThroughPort) {
   run();
   EXPECT_EQ(stats.global_stores.value, 1u);
   EXPECT_EQ(dram.read_u32(256), 7u);
+}
+
+TEST(CoreletPort, FixedLatencyLocalAccessesSkipThePort) {
+  // The same live-state traffic on a port that says its local latency is
+  // fixed (Millipede, the GPGPU) and on one that times each access (SSMC,
+  // the multicore): the corelet calls local_access only on the latter, and
+  // every counter and the cycle count agree.
+  const isa::Program program = isa::must_assemble("local", R"(
+    csrr r1, CTX
+    slli r1, r1, 2
+    li   r2, 5
+    sw.l r2, 0(r1)
+    lw.l r3, 0(r1)
+    amoadd.l r4, r2, 0(r1)
+    famoadd.l r4, r2, 16(r1)
+    halt
+  )");
+  CoreConfig cfg;
+  cfg.contexts = 2;
+  cfg.local_latency = 3;
+  struct Outcome {
+    int local_accesses;
+    u64 cycles, instructions, local_ops, busy, idle;
+    u32 word0, word1;
+  };
+  const auto run = [&](bool fixed) {
+    FakePort port(fixed);
+    mem::LocalStore local(64);
+    mem::DramImage dram(64);
+    ExecStats stats;
+    DecodedBlockCache dcache(program);
+    Corelet corelet(0, cfg, &dcache, &local, &dram, &port, &stats);
+    for (u32 x = 0; x < cfg.contexts; ++x) {
+      corelet.context(x).csr.set(Csr::kCtx, x);
+    }
+    u64 cycles = 0;
+    for (Picos now = 0; !corelet.halted(); now += 1000) {
+      corelet.tick(now, 1000);
+      ++cycles;
+    }
+    return Outcome{port.local_accesses,   cycles,
+                   stats.instructions.value, stats.local_ops.value,
+                   stats.busy_cycles.value,  stats.idle_cycles.value,
+                   local.load(0),          local.load(4)};
+  };
+  const Outcome fixed = run(true);
+  const Outcome timed = run(false);
+  EXPECT_EQ(fixed.local_accesses, 0);
+  EXPECT_EQ(timed.local_accesses, 8) << "one call per local op";
+  EXPECT_EQ(fixed.local_ops, 8u);
+  EXPECT_EQ(fixed.cycles, timed.cycles);
+  EXPECT_EQ(fixed.instructions, timed.instructions);
+  EXPECT_EQ(fixed.local_ops, timed.local_ops);
+  EXPECT_EQ(fixed.busy, timed.busy);
+  EXPECT_EQ(fixed.idle, timed.idle);
+  EXPECT_EQ(fixed.word0, 10u);
+  EXPECT_EQ(fixed.word0, timed.word0);
+  EXPECT_EQ(fixed.word1, timed.word1);
 }
 
 TEST(FloatBits, HelperSanity) {

@@ -1,21 +1,23 @@
-// Differential-equivalence suite for the decoded-block interpreter fast
-// path: every (architecture, benchmark) pair of the evaluation matrix runs
-// twice — block cache on (the default) and off (`--no-block-cache`) — and
-// the two runs must be indistinguishable in every observable artifact:
+// Differential-equivalence suite for the decoded-block interpreter: every
+// (architecture, benchmark) pair of the evaluation matrix runs twice — with
+// the per-opcode handlers (the default) and with the reference step() as
+// every instruction's handler (`--no-block-cache`) — and the two runs must
+// be indistinguishable in every observable artifact:
 //
 //   * every registered counter (the full StatSet, decode.* included — the
 //     accounting runs in both modes by design),
 //   * every derived metric and the whole stats-JSON run document,
 //   * every trace file, byte for byte (Chrome JSON + interval CSV).
 //
-// The cache is a simulator-speed optimization; if any number moves, it is
-// not an optimization but a model change, and this suite names the exact
+// The handlers are a simulator-speed optimization; if any number moves, it
+// is not an optimization but a model change, and this suite names the exact
 // counter/file that drifted.
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <sstream>
 #include <string>
@@ -31,14 +33,21 @@ namespace fs = std::filesystem;
 
 constexpr u64 kRows = 24;
 
+/// Every architecture: the corelet's straight and port paths (fixed-latency
+/// and cached live state, the barrier-free and flow-control variants) and
+/// the SM on both input paths and warp widths.
 const arch::ArchKind kArches[] = {
     arch::ArchKind::kMillipede,
+    arch::ArchKind::kMillipedeNoFlowControl,
+    arch::ArchKind::kMillipedeNoRateMatch,
     arch::ArchKind::kSsmc,
     arch::ArchKind::kGpgpu,
+    arch::ArchKind::kVws,
+    arch::ArchKind::kVwsRow,
     arch::ArchKind::kMulticore,
 };
 
-/// One full 4x8 matrix with the block cache on or off, tracing into `dir`.
+/// One full 8x8 matrix with the block cache on or off, tracing into `dir`.
 std::vector<sim::MatrixResult> run_mode(bool block_cache,
                                         const std::string& dir) {
   fs::create_directories(dir);
@@ -83,8 +92,9 @@ TEST(Differential, BlockCacheOnOffIsObservationallyIdentical) {
   const std::string dir_off = (root / "cache_off").string();
   const std::vector<sim::MatrixResult> on = run_mode(true, dir_on);
   const std::vector<sim::MatrixResult> off = run_mode(false, dir_off);
-  ASSERT_EQ(on.size(), 32u);
-  ASSERT_EQ(off.size(), 32u);
+  const size_t points = std::size(kArches) * workloads::bmla_names().size();
+  ASSERT_EQ(on.size(), points);
+  ASSERT_EQ(off.size(), points);
 
   for (size_t i = 0; i < on.size(); ++i) {
     const sim::MatrixResult& a = on[i];

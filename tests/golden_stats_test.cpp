@@ -187,8 +187,8 @@ std::string diff_golden(const Golden& golden, const Golden& measured) {
 
 /// The whole 8x8 matrix in one parallel batch (each point is an isolated
 /// deterministic simulation, so the pool only changes wall-clock time).
-/// `block_cache` false re-runs the matrix on the legacy per-edge decode
-/// path; the SAME goldens pin both interpreter modes.
+/// `block_cache` false re-runs the matrix with the reference step() as
+/// every instruction's handler; the SAME goldens pin both modes.
 std::vector<sim::MatrixResult> run_golden_matrix(bool block_cache = true) {
   std::vector<sim::MatrixJob> jobs;
   for (const arch::ArchKind kind : arch::all_arch_kinds()) {
@@ -237,9 +237,9 @@ TEST(GoldenStats, FullMatrixMatchesSnapshots) {
 }
 
 TEST(GoldenStats, NoBlockCachePathMatchesSameSnapshots) {
-  // The decoded-block cache is a simulator-speed optimization: with it
-  // disabled (the --no-block-cache escape hatch) every counter must hit the
-  // SAME goldens, decode.* accounting included. Update mode only writes from
+  // The per-opcode handlers are a simulator-speed optimization: with the
+  // reference interpreter in their place (--no-block-cache) every counter
+  // must hit the SAME goldens, decode.* accounting included. Update mode only writes from
   // the cache-on matrix above, so this pass pins cache-off against it.
   if (update_mode()) {
     GTEST_SKIP() << "goldens regenerate from the cache-on matrix only";

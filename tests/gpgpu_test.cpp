@@ -3,10 +3,26 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdlib>
+#include <new>
+
 #include "common/units.hpp"
 #include "gpgpu/sm.hpp"
 #include "isa/assembler.hpp"
 #include "mem/channels.hpp"
+
+/// Heap allocations made by this test binary, for the allocation-free issue
+/// check below (every other test ignores it).
+std::atomic<unsigned long> g_heap_allocations{0};
+
+void* operator new(std::size_t bytes) {
+  ++g_heap_allocations;
+  if (void* p = std::malloc(bytes == 0 ? 1 : bytes)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace mlp::gpgpu {
 namespace {
@@ -126,8 +142,9 @@ struct SmFixture : ::testing::Test {
                                                        nullptr, &stats, "pb");
     }
     sm_stats.register_with(&stats, "sm");
+    dcache = std::make_unique<core::DecodedBlockCache>(program);
     StreamingMultiprocessor::Deps deps;
-    deps.program = &program;
+    deps.dcache = dcache.get();
     deps.lane_state = &lane_state;
     deps.dram = dram.get();
     deps.l1d = row_oriented ? nullptr : l1d.get();
@@ -165,6 +182,7 @@ struct SmFixture : ::testing::Test {
   MachineConfig cfg;
   StatSet stats;
   isa::Program program;
+  std::unique_ptr<core::DecodedBlockCache> dcache;
   std::unique_ptr<mem::DramImage> dram;
   std::unique_ptr<mem::ChannelDemux> ctrl;
   std::unique_ptr<mem::Cache> l1d;
@@ -394,6 +412,53 @@ j2:
   const u64 wide = measure(8);
   const u64 narrow = measure(2);
   EXPECT_LT(narrow, wide) << "narrower warps suffer less serialization";
+}
+
+TEST_F(SmFixture, IssuingWarpInstructionsDoesNotAllocate) {
+  // Shared-memory accesses (the conflict model), divergent branches and
+  // ALU work: once the first loop trip has sized the SIMT stacks, issuing
+  // allocates nothing.
+  make(R"(
+    csrr r1, TID
+    andi r5, r1, 3
+    slli r5, r5, 2
+    li   r8, 1
+    li   r2, 0
+    li   r3, 40
+loop:
+    lw.l r4, 0(r5)
+    addi r4, r4, 1
+    sw.l r4, 0(r5)
+    amoadd.l r7, r8, 16(r5)
+    andi r6, r1, 1
+    beq  r6, r0, even
+    addi r9, r9, 1
+    j    join
+even:
+    addi r9, r9, 2
+join:
+    addi r2, r2, 1
+    blt  r2, r3, loop
+    halt
+  )");
+  u32 tid = 0;
+  for (u32 g = 0; g < sm->groups(); ++g) {
+    for (u32 s = 0; s < cfg.core.contexts; ++s) {
+      for (u32 l = 0; l < sm->warp_width(); ++l) {
+        sm->context(g, s, l).csr.set(isa::Csr::kTid, tid++);
+      }
+    }
+  }
+  const Picos period = cfg.core.period_ps();
+  Picos now = 0;
+  for (int edge = 0; edge < 200; ++edge, now += period) sm->tick(now, period);
+  const u64 issued = sm_stats.warp_instructions.value;
+  const unsigned long before = g_heap_allocations.load();
+  for (; !sm->halted(); now += period) sm->tick(now, period);
+  EXPECT_EQ(g_heap_allocations.load(), before);
+  EXPECT_GT(sm_stats.warp_instructions.value, issued + 1000);
+  EXPECT_GT(sm_stats.shared_accesses.value, 0u);
+  EXPECT_GT(sm_stats.divergent_branches.value, 0u);
 }
 
 }  // namespace

@@ -279,13 +279,16 @@ TEST(DecoderFuzz, RandomProgramsPredecodeIdentically) {
 
     // The decoded-block cache must agree with the per-edge decode at every
     // pc: same instruction, classification, handler, and branch target.
+    // Without per-opcode handlers every slot runs the reference step().
     core::DecodedBlockCache dcache(p);
+    core::DecodedBlockCache reference(p, /*per_opcode_handlers=*/false);
     for (u32 pc = 0; pc < p.size(); ++pc) {
       const core::DecodedInstr& de = dcache.entry(pc);
       const Instr& in = p.at(pc);
       ASSERT_EQ(de.instr, in) << "pc " << pc << ": " << disassemble(in);
       EXPECT_EQ(de.kind, core::classify(in)) << disassemble(in);
       EXPECT_EQ(de.fn, core::step_fn_for(in.op)) << disassemble(in);
+      EXPECT_EQ(reference.entry(pc).fn, &core::step_reference);
       EXPECT_EQ(de.is_store, op_info(in.op).is_store) << disassemble(in);
       EXPECT_EQ(de.block, dcache.cfg().block_of(pc));
       EXPECT_EQ(de.taken_pc,

@@ -276,14 +276,15 @@ TEST(KernelFastForward, ParkedRequesterIsNotTickedButChargedItsRefusals) {
 
 /// Streams reads of consecutive lines through an L1, one access per compute
 /// edge, retrying an access the L1 bounces for want of an MSHR.
-struct LineStreamer final : sim::Tickable {
+struct LineStreamer final : sim::Tickable, sim::Waitable {
   LineStreamer(mem::Cache* l1, u32 lines) : l1(l1), lines(lines) {}
+
+  void wake(u32 /*index*/, Picos /*at*/) override { ++filled; }
 
   Picos tick(Picos now, Picos /*period_ps*/) override {
     if (issued == lines) return sim::kNoEvent;
     const Addr addr = static_cast<Addr>(issued) * l1->line_bytes();
-    const mem::AccessStatus status =
-        l1->access(addr, false, now, [this](Picos) { ++filled; });
+    const mem::AccessStatus status = l1->access(addr, false, now, {this, 0});
     if (status != mem::AccessStatus::kMshrFull) ++issued;
     if (status == mem::AccessStatus::kHit) ++filled;
     return next_event(now);

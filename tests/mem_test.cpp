@@ -19,6 +19,7 @@
 #include "mem/local_store.hpp"
 #include "mem/prefetcher.hpp"
 #include "mem/sharedmem.hpp"
+#include "wake_probe.hpp"
 
 namespace mlp::mem {
 namespace {
@@ -642,20 +643,21 @@ struct CacheFixture : ::testing::Test {
   FakeBackend backend;
   StatSet stats;
   Cache cache;
+  test::WakeProbe sink;  ///< a waiter whose fills the test does not watch
   Picos now = 0;
 };
 
 TEST_F(CacheFixture, MissThenHit) {
   Picos filled = 0;
-  EXPECT_EQ(cache.access(0x100, false, now, [&](Picos at) { filled = at; }),
-            AccessStatus::kMiss);
+  test::WakeProbe waiter([&](Picos at) { filled = at; });
+  EXPECT_EQ(cache.access(0x100, false, now, waiter), AccessStatus::kMiss);
   ASSERT_EQ(backend.requests.size(), 1u);
   EXPECT_EQ(backend.requests[0].addr, 0x100u);
   EXPECT_EQ(backend.requests[0].bytes, 128u);
   backend.complete_all(1000);
   EXPECT_EQ(filled, 1000u + cache.hit_latency_ps());
-  EXPECT_EQ(cache.access(0x100, false, now, nullptr), AccessStatus::kHit);
-  EXPECT_EQ(cache.access(0x17c, false, now, nullptr), AccessStatus::kHit)
+  EXPECT_EQ(cache.access(0x100, false, now, sink), AccessStatus::kHit);
+  EXPECT_EQ(cache.access(0x17c, false, now, sink), AccessStatus::kHit)
       << "same line";
   EXPECT_EQ(stats.get("l1.hits"), 2u);
   EXPECT_EQ(stats.get("l1.misses"), 1u);
@@ -663,9 +665,10 @@ TEST_F(CacheFixture, MissThenHit) {
 
 TEST_F(CacheFixture, MshrMergesSameLine) {
   int fills = 0;
-  EXPECT_EQ(cache.access(0x200, false, now, [&](Picos) { ++fills; }),
+  test::WakeProbe waiter([&](Picos) { ++fills; });
+  EXPECT_EQ(cache.access(0x200, false, now, waiter.handle(0)),
             AccessStatus::kMiss);
-  EXPECT_EQ(cache.access(0x240, false, now, [&](Picos) { ++fills; }),
+  EXPECT_EQ(cache.access(0x240, false, now, waiter.handle(1)),
             AccessStatus::kMiss);
   EXPECT_EQ(backend.requests.size(), 1u) << "one fill for both waiters";
   backend.complete_all(500);
@@ -675,13 +678,13 @@ TEST_F(CacheFixture, MshrMergesSameLine) {
 
 TEST_F(CacheFixture, MshrFullStalls) {
   for (u32 i = 0; i < 8; ++i) {
-    EXPECT_EQ(cache.access(i * 128, false, now, nullptr), AccessStatus::kMiss);
+    EXPECT_EQ(cache.access(i * 128, false, now, sink), AccessStatus::kMiss);
   }
-  EXPECT_EQ(cache.access(9 * 128, false, now, nullptr),
+  EXPECT_EQ(cache.access(9 * 128, false, now, sink),
             AccessStatus::kMshrFull);
   EXPECT_EQ(stats.get("l1.mshr_stalls"), 1u);
   backend.complete_all(100);
-  EXPECT_EQ(cache.access(9 * 128, false, now, nullptr), AccessStatus::kMiss);
+  EXPECT_EQ(cache.access(9 * 128, false, now, sink), AccessStatus::kMiss);
 }
 
 /// Line addresses that collide in one set under the XOR-hashed index.
@@ -698,11 +701,11 @@ TEST_F(CacheFixture, DirtyEvictionWritesBack) {
   // Fill all 5 ways of one (hashed) set with writes, then force an eviction.
   const std::vector<Addr> lines = same_set_lines(6);
   for (u32 way = 0; way < 5; ++way) {
-    cache.access(lines[way], true, now, nullptr);
+    cache.access(lines[way], true, now, sink);
   }
   backend.complete_all(10);
   backend.requests.clear();
-  cache.access(lines[5], false, now, nullptr);
+  cache.access(lines[5], false, now, sink);
   backend.complete_all(20);  // installs, evicting the LRU dirty line
   ASSERT_FALSE(backend.requests.empty());
   EXPECT_TRUE(backend.requests.back().is_write);
@@ -712,14 +715,14 @@ TEST_F(CacheFixture, DirtyEvictionWritesBack) {
 
 TEST_F(CacheFixture, LruVictimSelection) {
   const std::vector<Addr> lines = same_set_lines(6);
-  for (u32 way = 0; way < 5; ++way) cache.access(lines[way], false, now, nullptr);
+  for (u32 way = 0; way < 5; ++way) cache.access(lines[way], false, now, sink);
   backend.complete_all(10);
   // Touch lines[0] so lines[1] becomes LRU.
-  cache.access(lines[0], false, now, nullptr);
-  cache.access(lines[5], false, now, nullptr);
+  cache.access(lines[0], false, now, sink);
+  cache.access(lines[5], false, now, sink);
   backend.complete_all(20);
-  EXPECT_EQ(cache.access(lines[0], false, now, nullptr), AccessStatus::kHit);
-  EXPECT_EQ(cache.access(lines[1], false, now, nullptr), AccessStatus::kMiss)
+  EXPECT_EQ(cache.access(lines[0], false, now, sink), AccessStatus::kHit);
+  EXPECT_EQ(cache.access(lines[1], false, now, sink), AccessStatus::kMiss)
       << "LRU way was evicted";
 }
 
@@ -738,12 +741,12 @@ TEST_F(CacheFixture, PrefetchFillsLineAndCountsUsefulness) {
   cache.prefetch(0x800, now);
   EXPECT_EQ(stats.get("l1.prefetch_issued"), 1u);
   backend.complete_all(50);
-  EXPECT_EQ(cache.access(0x800, false, now, nullptr), AccessStatus::kHit);
+  EXPECT_EQ(cache.access(0x800, false, now, sink), AccessStatus::kHit);
   EXPECT_EQ(stats.get("l1.prefetch_useful"), 1u);
 }
 
 TEST_F(CacheFixture, PrefetchDroppedWhenLineBusy) {
-  cache.access(0x800, false, now, nullptr);
+  cache.access(0x800, false, now, sink);
   cache.prefetch(0x800, now);  // already in flight: dropped
   EXPECT_EQ(stats.get("l1.prefetch_issued"), 0u);
   EXPECT_EQ(backend.requests.size(), 1u);
@@ -752,24 +755,24 @@ TEST_F(CacheFixture, PrefetchDroppedWhenLineBusy) {
 TEST_F(CacheFixture, DemandUpgradesPrefetchMshr) {
   cache.prefetch(0xa00, now);
   Picos filled = 0;
-  EXPECT_EQ(cache.access(0xa00, false, now, [&](Picos at) { filled = at; }),
-            AccessStatus::kMiss);
+  test::WakeProbe waiter([&](Picos at) { filled = at; });
+  EXPECT_EQ(cache.access(0xa00, false, now, waiter), AccessStatus::kMiss);
   backend.complete_all(300);
   EXPECT_GT(filled, 0u) << "waiter attached to in-flight prefetch";
 }
 
 TEST_F(CacheFixture, PumpRetriesAfterBackpressure) {
   backend.reject_next = 1;
-  cache.access(0xc00, false, now, nullptr);
+  cache.access(0xc00, false, now, sink);
   EXPECT_TRUE(backend.requests.empty());
   cache.pump(now);
   EXPECT_EQ(backend.requests.size(), 1u);
   backend.complete_all(99);
-  EXPECT_EQ(cache.access(0xc00, false, now, nullptr), AccessStatus::kHit);
+  EXPECT_EQ(cache.access(0xc00, false, now, sink), AccessStatus::kHit);
 }
 
 TEST_F(CacheFixture, SnapshotKeepsInvalidWaysAfterTheValidOnes) {
-  cache.access(0x100, /*is_write=*/true, now, nullptr);
+  cache.access(0x100, /*is_write=*/true, now, sink);
   backend.complete_all(10);  // one dirty line, in way 0 of its set
   sim::SnapshotWriter w;
   cache.save_state(w);
@@ -815,11 +818,19 @@ TEST_F(CacheFixture, ActsAsBackendForUpstreamCache) {
 
 // --- StreamPrefetcher ---
 
+/// The lines a prefetcher asks for on a demand access to `addr`.
+template <typename Prefetcher>
+std::vector<Addr> observe(Prefetcher& pf, Addr addr) {
+  std::vector<Addr> lines;
+  pf.observe(addr, &lines);
+  return lines;
+}
+
 TEST(StreamPrefetcher, DetectsUnitStride) {
   StreamPrefetcher pf(128, /*degree=*/2, /*distance=*/8);
-  EXPECT_TRUE(pf.observe(0).empty());
-  EXPECT_TRUE(pf.observe(128).empty()) << "confidence 1: not yet";
-  const auto lines = pf.observe(256);
+  EXPECT_TRUE(observe(pf, 0).empty());
+  EXPECT_TRUE(observe(pf, 128).empty()) << "confidence 1: not yet";
+  const auto lines = observe(pf, 256);
   ASSERT_FALSE(lines.empty());
   EXPECT_EQ(lines[0], 384u);
 }
@@ -827,36 +838,36 @@ TEST(StreamPrefetcher, DetectsUnitStride) {
 TEST(StreamPrefetcher, DetectsRowStride) {
   // SSMC core stream: one line per field row, stride 16 lines (2 KB / 128 B).
   StreamPrefetcher pf(128, 2, 8);
-  pf.observe(0);
-  pf.observe(2048);
-  const auto lines = pf.observe(4096);
+  observe(pf, 0);
+  observe(pf, 2048);
+  const auto lines = observe(pf, 4096);
   ASSERT_FALSE(lines.empty());
   EXPECT_EQ(lines[0], 6144u);
 }
 
 TEST(StreamPrefetcher, RepeatedSameLineIsIgnored) {
   StreamPrefetcher pf(128, 2, 8);
-  pf.observe(0);
-  pf.observe(128);
-  pf.observe(128);  // same line: keeps stream state
-  const auto lines = pf.observe(256);
+  observe(pf, 0);
+  observe(pf, 128);
+  observe(pf, 128);  // same line: keeps stream state
+  const auto lines = observe(pf, 256);
   EXPECT_FALSE(lines.empty());
 }
 
 TEST(StreamPrefetcher, StrideChangeResetsConfidence) {
   StreamPrefetcher pf(128, 2, 8);
-  pf.observe(0);
-  pf.observe(128);
-  pf.observe(256);
-  EXPECT_TRUE(pf.observe(10'000 * 128).empty()) << "new stream, no prefetch";
+  observe(pf, 0);
+  observe(pf, 128);
+  observe(pf, 256);
+  EXPECT_TRUE(observe(pf, 10'000 * 128).empty()) << "new stream, no prefetch";
 }
 
 TEST(StreamPrefetcher, DoesNotReissueCoveredLines) {
   StreamPrefetcher pf(128, 4, 8);
-  pf.observe(0);
-  pf.observe(128);
-  const auto first = pf.observe(256);
-  const auto second = pf.observe(384);
+  observe(pf, 0);
+  observe(pf, 128);
+  const auto first = observe(pf, 256);
+  const auto second = observe(pf, 384);
   for (Addr a : second) {
     for (Addr b : first) EXPECT_NE(a, b) << "line prefetched twice";
   }
@@ -924,10 +935,25 @@ TEST(LocalStore, FamoaddAccumulatesFloats) {
   EXPECT_FLOAT_EQ(store.load_f32(4), 3.75f);
 }
 
-TEST(LocalStoreDeathTest, OutOfBoundsAborts) {
+TEST(LocalStore, BadAddressIsATypedError) {
+  // Reachable from data (a kernel indexing its state with a corrupted input
+  // word), so a per-run SimError rather than an abort.
   LocalStore store(64);
-  EXPECT_DEATH(store.load(64), "out of bounds");
-  EXPECT_DEATH(store.load(2), "unaligned");
+  const auto kind_of = [&](auto&& access) -> std::string {
+    try {
+      access();
+    } catch (const SimError& e) {
+      return e.kind() + ": " + e.what();
+    }
+    return "no error";
+  };
+  EXPECT_NE(kind_of([&] { store.load(64); }).find("local-access"),
+            std::string::npos);
+  EXPECT_NE(kind_of([&] { store.store(0xfffffffc, 1); }).find("outside"),
+            std::string::npos);
+  EXPECT_NE(kind_of([&] { store.amoadd(2, 1); }).find("unaligned"),
+            std::string::npos);
+  EXPECT_EQ(kind_of([&] { store.store(60, 7); }), "no error");
 }
 
 TEST(DramImage, ReadWriteRoundTrip) {

@@ -4,9 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <functional>
 #include <optional>
 
 #include "millipede/prefetch_buffer.hpp"
+#include "wake_probe.hpp"
 
 namespace mlp::millipede {
 namespace {
@@ -52,11 +55,13 @@ struct PbFixture : ::testing::Test {
     ASSERT_TRUE(ctrl->idle());
   }
 
-  /// Demand-fetch one word; returns the result.
+  /// Demand-fetch one word; returns the result. `on_wake` runs when a
+  /// pending demand's data arrives.
   core::PortResult demand(u32 corelet, u64 row, u32 word,
-                          std::function<void(Picos)> wakeup = nullptr) {
+                          std::function<void(Picos)> on_wake = nullptr) {
     const Addr addr = row * cfg.dram.row_bytes + corelet * 64 + word * 4;
-    return pb->load(corelet, 0, addr, now, std::move(wakeup));
+    return pb->load(corelet, 0, addr, now,
+                    waiters.emplace_back(std::move(on_wake)));
   }
 
   /// Consume an entire slab (all 16 words) for `corelet` on `row`.
@@ -72,6 +77,7 @@ struct PbFixture : ::testing::Test {
   StatSet stats;
   std::unique_ptr<mem::ChannelDemux> ctrl;
   std::unique_ptr<PrefetchBuffer> pb;
+  std::deque<test::WakeProbe> waiters;  ///< one per demand, never moved
   Picos now = 0;
 };
 
@@ -237,7 +243,8 @@ TEST_F(PbFixture, ForeignSlabAccessAborts) {
   pb->prime(now);
   drain();
   // Corelet 2 reaching into corelet 0's slab violates the interconnect.
-  EXPECT_DEATH(pb->load(2, 0, /*addr=*/0, now, nullptr), "foreign slab");
+  EXPECT_DEATH(pb->load(2, 0, /*addr=*/0, now, waiters.emplace_back()),
+               "foreign slab");
 }
 
 TEST_F(PbFixture, SequentialRowStreamKeepsRowLocality) {

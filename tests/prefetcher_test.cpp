@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <set>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "mem/prefetcher.hpp"
@@ -14,12 +15,20 @@
 namespace mlp::mem {
 namespace {
 
+/// The lines a prefetcher asks for on a demand access to `addr`.
+template <typename Prefetcher>
+std::vector<Addr> observe(Prefetcher& pf, Addr addr) {
+  std::vector<Addr> lines;
+  pf.observe(addr, &lines);
+  return lines;
+}
+
 // --- SequentialPrefetcher ---
 
 TEST(SequentialPrefetcher, RunsAheadOfSequentialStream) {
   SequentialPrefetcher pf(128, /*degree=*/2, /*distance=*/4);
-  EXPECT_TRUE(pf.observe(0).empty());  // warm up
-  auto lines = pf.observe(128);
+  EXPECT_TRUE(observe(pf, 0).empty());  // warm up
+  auto lines = observe(pf, 128);
   ASSERT_EQ(lines.size(), 2u);
   EXPECT_EQ(lines[0], 256u);
   EXPECT_EQ(lines[1], 384u);
@@ -29,7 +38,7 @@ TEST(SequentialPrefetcher, NeverReissuesCoveredLines) {
   SequentialPrefetcher pf(128, 4, 8);
   std::set<Addr> issued;
   for (u32 i = 0; i < 64; ++i) {
-    for (Addr a : pf.observe(i * 128)) {
+    for (Addr a : observe(pf, i * 128)) {
       EXPECT_TRUE(issued.insert(a).second) << "line issued twice";
     }
   }
@@ -45,7 +54,7 @@ TEST(SequentialPrefetcher, ToleratesJitterFromManyRequesters) {
   for (u32 step = 4; step < 512; ++step) {
     const u64 jitter = rng.below(4);
     const u64 line = step >= jitter ? step - jitter : 0;
-    prefetched += pf.observe(line * 128).size();
+    prefetched += observe(pf, line * 128).size();
   }
   // It must cover most of the stream despite the jitter.
   EXPECT_GT(prefetched, 400u);
@@ -53,15 +62,15 @@ TEST(SequentialPrefetcher, ToleratesJitterFromManyRequesters) {
 
 TEST(SequentialPrefetcher, AccessBehindHeadIsIgnored) {
   SequentialPrefetcher pf(128, 2, 4);
-  for (u32 i = 0; i < 16; ++i) pf.observe(i * 128);
-  EXPECT_TRUE(pf.observe(0).empty()) << "stale access far behind the head";
+  for (u32 i = 0; i < 16; ++i) observe(pf, i * 128);
+  EXPECT_TRUE(observe(pf, 0).empty()) << "stale access far behind the head";
 }
 
 TEST(SequentialPrefetcher, ForwardJumpFollowsTheStream) {
   SequentialPrefetcher pf(128, 2, 4);
-  pf.observe(0);
-  pf.observe(128);
-  const auto lines = pf.observe(100 * 128);  // new row region
+  observe(pf, 0);
+  observe(pf, 128);
+  const auto lines = observe(pf, 100 * 128);  // new row region
   ASSERT_FALSE(lines.empty());
   EXPECT_GE(lines[0] / 128, 101u);
 }
@@ -73,10 +82,10 @@ TEST(StreamTable, SeparatesSpatiallyDistantStreams) {
   StreamTable table(128, 2, 4, 4);
   u64 hits_a = 0, hits_b = 0;
   for (u32 i = 0; i < 16; ++i) {
-    for (Addr a : table.observe(i * 128)) {
+    for (Addr a : observe(table, i * 128)) {
       if (a < 1u << 20) ++hits_a;
     }
-    for (Addr a : table.observe((1u << 24) + i * 128)) {
+    for (Addr a : observe(table, (1u << 24) + i * 128)) {
       if (a >= 1u << 24) ++hits_b;
     }
   }
@@ -92,7 +101,7 @@ TEST(StreamTable, TracksRowStridedFieldStreams) {
   u64 prefetched = 0;
   for (u32 rec = 0; rec < 8; ++rec) {
     for (u32 f = 0; f < 4; ++f) {
-      prefetched += table.observe((rec * 64 + f * 16) * 128).size();
+      prefetched += observe(table, (rec * 64 + f * 16) * 128).size();
     }
   }
   EXPECT_GT(prefetched, 10u);
@@ -103,11 +112,11 @@ TEST(StreamTable, LruReplacementUnderManyStreams) {
   StreamTable table(128, 1, 2, 2);
   for (u32 s = 0; s < 8; ++s) {
     for (u32 i = 0; i < 4; ++i) {
-      table.observe(static_cast<Addr>(s) * (1u << 22) + i * 128);
+      observe(table, static_cast<Addr>(s) * (1u << 22) + i * 128);
     }
   }
   // The most recent stream still detects its stride.
-  EXPECT_FALSE(table.observe(7ull * (1u << 22) + 4 * 128).empty());
+  EXPECT_FALSE(observe(table, 7ull * (1u << 22) + 4 * 128).empty());
 }
 
 // --- Parameterized stride sweep for the basic detector ---
@@ -118,9 +127,9 @@ TEST_P(StrideSweep, DetectsConstantStride) {
   const int stride = GetParam();
   StreamPrefetcher pf(128, 2, 8);
   const i64 base = 1 << 20;  // room for negative strides
-  pf.observe(base * 128);
-  pf.observe((base + stride) * 128);
-  const auto lines = pf.observe((base + 2 * stride) * 128);
+  observe(pf, base * 128);
+  observe(pf, (base + stride) * 128);
+  const auto lines = observe(pf, (base + 2 * stride) * 128);
   ASSERT_FALSE(lines.empty()) << "stride " << stride;
   EXPECT_EQ(lines[0], static_cast<Addr>((base + 3 * stride)) * 128);
 }

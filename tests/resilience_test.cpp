@@ -103,6 +103,32 @@ TEST(FaultInjection, UnprotectedBitFlipsAreCaughtByVerification) {
   EXPECT_GT(r.result.stats.at("dram.silent_corruptions"), 0u);
 }
 
+TEST(FaultInjection, UnprotectedFlipsInIndexWordsAreTypedRunErrors) {
+  // sample and nbayes index their live state (and their host references)
+  // with input words; a flipped word becomes an out-of-range index. The
+  // run must end in a typed per-run error: a local-store access outside
+  // the store, or a verification failure. Never a crash.
+  using arch::ArchKind;
+  for (const ArchKind kind : {ArchKind::kMillipede, ArchKind::kSsmc,
+                              ArchKind::kGpgpu, ArchKind::kMulticore}) {
+    for (const char* bench : {"sample", "nbayes"}) {
+      for (const u64 seed : {1, 2, 3}) {
+        SuiteOptions options;
+        options.rows = 24;
+        options.cfg.dram.fault.bit_flip_rate = 1e-5;
+        options.cfg.dram.fault.seed = seed;
+        const MatrixResult r = run_job(job(kind, bench, options));
+        const std::string label = std::string(arch::arch_name(kind)) + "/" +
+                                  bench + " seed " + std::to_string(seed);
+        EXPECT_FALSE(r.ok()) << label;
+        EXPECT_TRUE(r.error.rfind("local-access: ", 0) == 0 ||
+                    r.error.rfind("verification", 0) == 0)
+            << label << ": " << r.error;
+      }
+    }
+  }
+}
+
 TEST(FaultInjection, EccCorrectsEveryArchitectureAtCorrectableRates) {
   using arch::ArchKind;
   for (const ArchKind kind :

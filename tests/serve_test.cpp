@@ -1038,6 +1038,35 @@ TEST(Service, PerJobErrorsTravelInTheResult) {
   EXPECT_NE(result.doc.str_at("csv").find("watchdog"), std::string::npos);
 }
 
+TEST(Service, RecordBarrierOnTheSmIsATypedErrorAndServingGoesOn) {
+  // The protocol accepts record_barrier for any arch; on the SIMT kinds the
+  // run is rejected as a config error, which must come back in the result
+  // while the daemon keeps answering.
+  LiveServer live(ServeConfig{"", "", /*threads=*/1, /*queue_limit=*/4});
+  Client client;
+  client.connect(live.path());
+  for (const arch::ArchKind kind :
+       {arch::ArchKind::kGpgpu, arch::ArchKind::kVws,
+        arch::ArchKind::kVwsRow}) {
+    JobSpec spec = small_job("count", kind);
+    spec.job.options.record_barrier = true;
+    const Response sub = client.submit(spec);
+    ASSERT_TRUE(sub.ok) << sub.message;
+    const Response result = client.result(sub.doc.u64_at("id"), true);
+    ASSERT_TRUE(result.ok) << result.message;
+    EXPECT_FALSE(result.doc.find("run_ok")->boolean);
+    EXPECT_NE(result.doc.str_at("csv").find("config: record barriers"),
+              std::string::npos)
+        << result.doc.str_at("csv");
+  }
+  EXPECT_TRUE(client.ping().ok);
+  const Response after = client.submit(small_job("count"));
+  ASSERT_TRUE(after.ok) << after.message;
+  const Response done = client.result(after.doc.u64_at("id"), true);
+  ASSERT_TRUE(done.ok) << done.message;
+  EXPECT_TRUE(done.doc.find("run_ok")->boolean);
+}
+
 TEST(Service, BoundedResultWaitHeartbeatsInsteadOfHanging) {
   // result(id, wait, wait_ms): a long job must NOT hold the reply hostage —
   // the bounded wait expires into a typed job-running/job-pending heartbeat
