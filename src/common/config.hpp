@@ -37,6 +37,7 @@ struct FaultConfig {
   bool enabled() const {
     return bit_flip_rate > 0.0 || delay_rate > 0.0 || drop_rate > 0.0;
   }
+  bool operator==(const FaultConfig&) const = default;
 };
 
 /// Per-bank row-buffer management policy (the phobos-style `Policy` knob).
@@ -132,6 +133,7 @@ struct DramConfig {
   double peak_gbps() const {
     return channel_mhz * 1e6 * bytes_per_cycle() / 1e9;
   }
+  bool operator==(const DramConfig&) const = default;
 };
 
 /// Parameters shared by corelets, SSMC cores and GPGPU lanes: the paper holds
@@ -149,6 +151,7 @@ struct CoreConfig {
 
   Picos period_ps() const { return period_ps_from_hz(clock_mhz * 1e6); }
   u32 threads() const { return cores * contexts; }
+  bool operator==(const CoreConfig&) const = default;
 };
 
 /// Millipede-specific structures (Section IV).
@@ -175,6 +178,7 @@ struct MillipedeConfig {
   /// falls quadratically with V, floored at min_voltage_ratio).
   bool voltage_scaling = false;
   double min_voltage_ratio = 0.7;
+  bool operator==(const MillipedeConfig&) const = default;
 };
 
 /// GPGPU SM parameters (Table III) plus the VWS / VWS-row variants.
@@ -199,6 +203,7 @@ struct GpgpuConfig {
   /// mapping on the plain GPGPU, destroying coalescing — demonstrates why
   /// GPGPUs need word-size columns in the interleaved layout.
   bool slab_mapping_ablation = false;
+  bool operator==(const GpgpuConfig&) const = default;
 };
 
 /// Plain SSMC: simple MIMD cores with small private L1 D-caches that hold
@@ -214,6 +219,7 @@ struct SsmcConfig {
   u32 prefetch_degree = 1;
   u32 prefetch_distance = 2;
   u32 prefetch_streams = 4;  ///< per-core stride streams tracked
+  bool operator==(const SsmcConfig&) const = default;
 };
 
 /// Conventional multicore for the Fig. 5 comparison: Xeon-like out-of-order
@@ -231,6 +237,7 @@ struct MulticoreConfig {
   u32 l1_latency = 3;
   u32 l2_latency = 12;
   double offchip_bw_fraction = 0.25;  ///< of one die-stacked channel
+  bool operator==(const MulticoreConfig&) const = default;
 };
 
 /// Top-level configuration handed to every System.
@@ -275,6 +282,9 @@ struct MachineConfig {
 
   /// Paper Table III defaults.
   static MachineConfig paper_defaults() { return MachineConfig{}; }
+
+  /// Field-wise; a field added to any config struct joins it unlisted.
+  bool operator==(const MachineConfig&) const = default;
 };
 
 }  // namespace mlp

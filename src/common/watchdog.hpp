@@ -47,6 +47,8 @@ struct WatchdogConfig {
   /// only set by service deployments (mlpserved --job-timeout-ms) where a
   /// client-visible deadline matters more than reproducing the trip point.
   u64 wall_ms = 0;
+
+  bool operator==(const WatchdogConfig&) const = default;
 };
 
 class Watchdog {

@@ -1,9 +1,7 @@
 #pragma once
 // Client side of the mlpserved protocol: a blocking connection wrapper plus
-// typed helpers for each request, and run_matrix_remote — the drop-in
-// counterpart of sim::run_matrix that ships a job list to a daemon with
-// sliding-window submission (respecting the server's queue-full
-// backpressure) and returns per-job results in submission order.
+// typed helpers for each request. Grids run through serve/shard.hpp's
+// run_matrix_sharded, on one address or several.
 
 #include <optional>
 #include <string>
@@ -94,16 +92,7 @@ struct RemoteResult {
   std::string message;
 };
 
-/// Decode an ok result response into a RemoteResult (shared by the
-/// single-connection and sharded sweep paths).
+/// Decode an ok result response into a RemoteResult.
 void decode_result_response(const Response& r, RemoteResult* out);
-
-/// Submit `jobs` through one connection with at most `window` outstanding at
-/// a time; a queue-full rejection retries after draining one in-flight
-/// result, so the caller never has to tune the window to the daemon's
-/// admission bound. `window` 0 sizes to the daemon's queue_limit.
-std::vector<RemoteResult> run_matrix_remote(Client& client,
-                                            const std::vector<sim::MatrixJob>& jobs,
-                                            u64 window = 0);
 
 }  // namespace mlp::serve

@@ -8,60 +8,27 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 
 #include "common/error.hpp"
-#include "mem/addrmap.hpp"
+#include "sim/knobs.hpp"
 #include "sim/report.hpp"
 
 namespace mlp::serve {
 
 namespace {
 
-/// Read exactly `len` bytes; false on clean EOF at offset 0, throws on EOF
-/// mid-buffer (a truncated frame is a protocol violation, not a shutdown).
-bool read_exact(int fd, char* buf, std::size_t len) {
-  std::size_t done = 0;
-  while (done < len) {
-    const ssize_t n = ::read(fd, buf + done, len - done);
-    if (n > 0) {
-      done += static_cast<std::size_t>(n);
-      continue;
-    }
-    if (n < 0 && (errno == EINTR || errno == EAGAIN)) continue;
-    if (n == 0 && done == 0) return false;  // clean EOF between frames
-    MLP_SIM_CHECK(false, "protocol",
-                  "connection closed mid-frame (" + std::to_string(done) +
-                      "/" + std::to_string(len) + " bytes)");
-  }
-  return true;
-}
-
-bool write_exact(int fd, const char* buf, std::size_t len) {
-  std::size_t done = 0;
-  while (done < len) {
-    // MSG_NOSIGNAL: a peer that closed mid-write must surface as EPIPE,
-    // not kill the process with SIGPIPE.
-    const ssize_t n = ::send(fd, buf + done, len - done, MSG_NOSIGNAL);
-    if (n > 0) {
-      done += static_cast<std::size_t>(n);
-      continue;
-    }
-    if (n < 0 && (errno == EINTR || errno == EAGAIN)) continue;
-    return false;  // EPIPE / closed peer: caller drops the connection
-  }
-  return true;
-}
-
 [[noreturn]] void bad_request(const std::string& message) {
   throw SimError(kErrBadRequest, message);
 }
 
-// ---- deadline-bounded I/O --------------------------------------------------
-// The fds stay BLOCKING; each read/write is gated by a poll() with the time
-// remaining until the frame's deadline, so the EINTR/EAGAIN semantics of
-// the untimed helpers carry over unchanged and a timeout is always a typed
-// SimError("timeout", ...), never a silent partial frame.
+// ---- frame I/O -------------------------------------------------------------
+// The fds stay BLOCKING. With a deadline, each read/write is gated by a
+// poll() with the time remaining until the frame's deadline, so a timeout
+// is always a typed SimError("timeout", ...), never a silent partial frame.
+// Without one (kNoDeadline) the poll is skipped and I/O blocks as plain
+// read/send calls.
+
+constexpr i64 kNoDeadline = -1;
 
 i64 steady_now_ms() {
   return std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -69,7 +36,12 @@ i64 steady_now_ms() {
       .count();
 }
 
-void poll_until(int fd, short events, i64 deadline_ms) {
+i64 deadline_after(i64 timeout_ms) {
+  return timeout_ms > 0 ? steady_now_ms() + timeout_ms : kNoDeadline;
+}
+
+void wait_ready(int fd, short events, i64 deadline_ms) {
+  if (deadline_ms == kNoDeadline) return;
   for (;;) {
     const i64 remaining = deadline_ms - steady_now_ms();
     MLP_SIM_CHECK(remaining > 0, kErrTimeout,
@@ -86,11 +58,12 @@ void poll_until(int fd, short events, i64 deadline_ms) {
   }
 }
 
-bool read_exact_deadline(int fd, char* buf, std::size_t len,
-                         i64 deadline_ms) {
+/// Read exactly `len` bytes; false on clean EOF at offset 0, throws on EOF
+/// mid-buffer (a truncated frame is a protocol violation, not a shutdown).
+bool read_exact(int fd, char* buf, std::size_t len, i64 deadline_ms) {
   std::size_t done = 0;
   while (done < len) {
-    poll_until(fd, POLLIN, deadline_ms);
+    wait_ready(fd, POLLIN, deadline_ms);
     const ssize_t n = ::read(fd, buf + done, len - done);
     if (n > 0) {
       done += static_cast<std::size_t>(n);
@@ -105,11 +78,12 @@ bool read_exact_deadline(int fd, char* buf, std::size_t len,
   return true;
 }
 
-bool write_exact_deadline(int fd, const char* buf, std::size_t len,
-                          i64 deadline_ms) {
+bool write_exact(int fd, const char* buf, std::size_t len, i64 deadline_ms) {
   std::size_t done = 0;
   while (done < len) {
-    poll_until(fd, POLLOUT, deadline_ms);
+    wait_ready(fd, POLLOUT, deadline_ms);
+    // MSG_NOSIGNAL: a peer that closed mid-write must surface as EPIPE,
+    // not kill the process with SIGPIPE.
     const ssize_t n = ::send(fd, buf + done, len - done, MSG_NOSIGNAL);
     if (n > 0) {
       done += static_cast<std::size_t>(n);
@@ -133,26 +107,6 @@ u64 member_u64(const trace::JsonValue& obj, const std::string& name, u64 def) {
     bad_request("\"" + name + "\" must be a non-negative integer");
   }
   return v->unsigned_integer;
-}
-
-double member_double(const trace::JsonValue& obj, const std::string& name,
-                     double def) {
-  const trace::JsonValue* v = obj.find(name);
-  if (v == nullptr) return def;
-  if (v->type != trace::JsonValue::Type::kNumber) {
-    bad_request("\"" + name + "\" must be a number");
-  }
-  return v->number;
-}
-
-bool member_bool(const trace::JsonValue& obj, const std::string& name,
-                 bool def) {
-  const trace::JsonValue* v = obj.find(name);
-  if (v == nullptr) return def;
-  if (v->type != trace::JsonValue::Type::kBool) {
-    bad_request("\"" + name + "\" must be a boolean");
-  }
-  return v->boolean;
 }
 
 std::string member_string(const trace::JsonValue& obj, const std::string& name,
@@ -205,28 +159,33 @@ const char* job_state_name(JobState state) {
 
 // ---- framing ---------------------------------------------------------------
 
-bool write_frame(int fd, const std::string& payload) {
+std::array<char, 4> frame_header(u32 payload_bytes) {
+  return {static_cast<char>(payload_bytes & 0xff),
+          static_cast<char>((payload_bytes >> 8) & 0xff),
+          static_cast<char>((payload_bytes >> 16) & 0xff),
+          static_cast<char>((payload_bytes >> 24) & 0xff)};
+}
+
+bool write_frame(int fd, const std::string& payload, i64 timeout_ms) {
   MLP_SIM_CHECK(payload.size() <= kMaxFrameBytes, "protocol",
                 "outgoing frame exceeds " + std::to_string(kMaxFrameBytes) +
                     " bytes");
-  const u32 len = static_cast<u32>(payload.size());
-  char header[4] = {static_cast<char>(len & 0xff),
-                    static_cast<char>((len >> 8) & 0xff),
-                    static_cast<char>((len >> 16) & 0xff),
-                    static_cast<char>((len >> 24) & 0xff)};
-  if (!write_exact(fd, header, sizeof(header))) return false;
-  return write_exact(fd, payload.data(), payload.size());
+  const i64 deadline = deadline_after(timeout_ms);
+  const std::array<char, 4> header =
+      frame_header(static_cast<u32>(payload.size()));
+  return write_exact(fd, header.data(), header.size(), deadline) &&
+         write_exact(fd, payload.data(), payload.size(), deadline);
 }
 
-std::optional<std::string> read_frame(int fd) {
-  char header[4];
-  if (!read_exact(fd, header, sizeof(header))) return std::nullopt;
-  const u32 len = static_cast<u32>(static_cast<unsigned char>(header[0])) |
-                  static_cast<u32>(static_cast<unsigned char>(header[1])) << 8 |
-                  static_cast<u32>(static_cast<unsigned char>(header[2]))
-                      << 16 |
-                  static_cast<u32>(static_cast<unsigned char>(header[3]))
-                      << 24;
+std::optional<std::string> read_frame(int fd, i64 timeout_ms) {
+  const i64 deadline = deadline_after(timeout_ms);
+  unsigned char header[4];
+  if (!read_exact(fd, reinterpret_cast<char*>(header), sizeof(header),
+                  deadline)) {
+    return std::nullopt;
+  }
+  const u32 len = u32{header[0]} | u32{header[1]} << 8 |
+                  u32{header[2]} << 16 | u32{header[3]} << 24;
   MLP_SIM_CHECK(len <= kMaxFrameBytes, "protocol",
                 "frame length " + std::to_string(len) + " exceeds limit (" +
                     std::to_string(kMaxFrameBytes) + ")");
@@ -235,48 +194,7 @@ std::optional<std::string> read_frame(int fd) {
   // kind instead of surfacing downstream as a confusing parse error.
   MLP_SIM_CHECK(len > 0, kErrBadRequest, "zero-length frame");
   std::string payload(len, '\0');
-  if (!read_exact(fd, payload.data(), len)) {
-    MLP_SIM_CHECK(false, "protocol", "connection closed before frame payload");
-  }
-  return payload;
-}
-
-bool write_frame(int fd, const std::string& payload, i64 timeout_ms) {
-  if (timeout_ms <= 0) return write_frame(fd, payload);
-  MLP_SIM_CHECK(payload.size() <= kMaxFrameBytes, "protocol",
-                "outgoing frame exceeds " + std::to_string(kMaxFrameBytes) +
-                    " bytes");
-  const i64 deadline = steady_now_ms() + timeout_ms;
-  const u32 len = static_cast<u32>(payload.size());
-  char header[4] = {static_cast<char>(len & 0xff),
-                    static_cast<char>((len >> 8) & 0xff),
-                    static_cast<char>((len >> 16) & 0xff),
-                    static_cast<char>((len >> 24) & 0xff)};
-  if (!write_exact_deadline(fd, header, sizeof(header), deadline)) {
-    return false;
-  }
-  return write_exact_deadline(fd, payload.data(), payload.size(), deadline);
-}
-
-std::optional<std::string> read_frame(int fd, i64 timeout_ms) {
-  if (timeout_ms <= 0) return read_frame(fd);
-  const i64 deadline = steady_now_ms() + timeout_ms;
-  char header[4];
-  if (!read_exact_deadline(fd, header, sizeof(header), deadline)) {
-    return std::nullopt;
-  }
-  const u32 len = static_cast<u32>(static_cast<unsigned char>(header[0])) |
-                  static_cast<u32>(static_cast<unsigned char>(header[1])) << 8 |
-                  static_cast<u32>(static_cast<unsigned char>(header[2]))
-                      << 16 |
-                  static_cast<u32>(static_cast<unsigned char>(header[3]))
-                      << 24;
-  MLP_SIM_CHECK(len <= kMaxFrameBytes, "protocol",
-                "frame length " + std::to_string(len) + " exceeds limit (" +
-                    std::to_string(kMaxFrameBytes) + ")");
-  MLP_SIM_CHECK(len > 0, kErrBadRequest, "zero-length frame");
-  std::string payload(len, '\0');
-  if (!read_exact_deadline(fd, payload.data(), len, deadline)) {
+  if (!read_exact(fd, payload.data(), len, deadline)) {
     MLP_SIM_CHECK(false, "protocol", "connection closed before frame payload");
   }
   return payload;
@@ -285,7 +203,6 @@ std::optional<std::string> read_frame(int fd, i64 timeout_ms) {
 // ---- job spec (de)serialization --------------------------------------------
 
 std::string job_json(const JobSpec& spec) {
-  const sim::SuiteOptions& o = spec.job.options;
   trace::JsonWriter w;
   w.begin_object();
   w.key("arch");
@@ -294,60 +211,10 @@ std::string job_json(const JobSpec& spec) {
   w.value(spec.job.bench);
   w.key("tag");
   w.value(spec.job.tag);
-  w.key("records");
-  w.value(o.records);
-  w.key("rows");
-  w.value(o.rows);
-  w.key("seed");
-  w.value(o.seed);
-  w.key("record_barrier");
-  w.value(o.record_barrier);
-  w.key("cores");
-  w.value(o.cfg.core.cores);
-  w.key("pf_entries");
-  w.value(o.cfg.millipede.pf_entries);
-  w.key("bus_efficiency");
-  w.value(o.cfg.dram.bus_efficiency);
-  w.key("channels");
-  w.value(o.cfg.dram.channels);
-  w.key("ranks");
-  w.value(o.cfg.dram.ranks);
-  w.key("mapping");
-  w.value(o.cfg.dram.mapping);
-  w.key("page_policy");
-  w.value(o.cfg.dram.page_policy);
-  w.key("refresh");
-  w.value(o.cfg.dram.refresh);
-  w.key("slab_layout");
-  w.value(o.cfg.slab_layout);
-  w.key("fault_rate");
-  w.value(o.cfg.dram.fault.bit_flip_rate);
-  w.key("fault_delay");
-  w.value(o.cfg.dram.fault.delay_rate);
-  w.key("fault_drop");
-  w.value(o.cfg.dram.fault.drop_rate);
-  w.key("fault_seed");
-  w.value(o.cfg.dram.fault.seed);
-  w.key("ecc");
-  w.value(o.cfg.dram.fault.ecc);
-  w.key("watchdog_cycles");
-  w.value(o.cfg.watchdog.max_cycles);
-  w.key("watchdog_stall");
-  w.value(o.cfg.watchdog.stall_cycles);
-  w.key("watchdog_wall");
-  w.value(o.cfg.watchdog.wall_ms);
-  w.key("fast_forward");
-  w.value(o.cfg.fast_forward);
-  w.key("block_cache");
-  w.value(o.cfg.block_cache);
-  w.key("trace");
-  w.value(o.trace.chrome_json);
-  w.key("trace_dir");
-  w.value(o.trace.dir);
-  w.key("trace_ring");
-  w.value(o.trace.ring_entries);
-  w.key("trace_interval");
-  w.value(o.trace.interval_cycles);
+  for (const sim::Knob& knob : sim::knobs()) {
+    w.key(knob.name);
+    sim::knob_json(w, sim::knob_get(knob, spec.job.options));
+  }
   w.key("hold_ms");
   w.value(spec.hold_ms);
   w.end_object();
@@ -356,34 +223,17 @@ std::string job_json(const JobSpec& spec) {
 
 JobSpec job_from_json(const trace::JsonValue& doc) {
   if (!doc.is_object()) bad_request("job must be a JSON object");
-  static const char* const kKnown[] = {
-      "arch",        "bench",          "tag",            "records",
-      "rows",        "seed",           "record_barrier", "cores",
-      "pf_entries",  "bus_efficiency", "slab_layout",    "fault_rate",
-      "channels",    "ranks",          "mapping",        "page_policy",
-      "refresh",
-      "fault_delay", "fault_drop",     "fault_seed",     "ecc",
-      "watchdog_cycles", "watchdog_stall", "watchdog_wall", "fast_forward",
-      "block_cache",
-      "trace",       "trace_dir",      "trace_ring",     "trace_interval",
-      "hold_ms",
-  };
   for (const auto& [name, value] : doc.object) {
-    bool known = false;
-    for (const char* k : kKnown) {
-      if (name == k) {
-        known = true;
-        break;
-      }
+    if (name != "arch" && name != "bench" && name != "tag" &&
+        name != "hold_ms" && sim::knob_named(name) == nullptr) {
+      bad_request("unknown job member \"" + name + "\"");
     }
-    if (!known) bad_request("unknown job member \"" + name + "\"");
   }
 
   JobSpec spec;
   sim::MatrixJob& job = spec.job;
-  sim::SuiteOptions& o = job.options;
-
-  const std::string arch_name = member_string(doc, "arch", "millipede");
+  const std::string arch_name =
+      member_string(doc, "arch", arch::arch_name(job.kind));
   if (!arch::arch_from_name(arch_name, &job.kind)) {
     bad_request("unknown architecture \"" + arch_name + "\"");
   }
@@ -391,83 +241,20 @@ JobSpec job_from_json(const trace::JsonValue& doc) {
   if (job.bench.empty()) bad_request("\"bench\" is required");
   job.tag = member_string(doc, "tag", "");
 
-  o.records = member_u64(doc, "records", 0);
-  o.rows = member_u64(doc, "rows", sim::kDefaultRows);
-  if (o.rows == 0) bad_request("\"rows\" must be positive");
-  o.seed = member_u64(doc, "seed", 1);
-  o.record_barrier = member_bool(doc, "record_barrier", false);
-
-  const u64 cores = member_u64(doc, "cores", o.cfg.core.cores);
-  if (cores == 0 || cores > 0xffffffffull) {
-    bad_request("\"cores\" must be a positive 32-bit integer");
-  }
-  o.cfg.core.cores = static_cast<u32>(cores);
-  // Match mlpsweep's convention: one --cores axis sizes the GPGPU warp too,
-  // keeping cross-architecture resources identical by construction.
-  o.cfg.gpgpu.warp_width = static_cast<u32>(cores);
-  const u64 pf = member_u64(doc, "pf_entries", o.cfg.millipede.pf_entries);
-  if (pf == 0 || pf > 0xffffffffull) {
-    bad_request("\"pf_entries\" must be a positive 32-bit integer");
-  }
-  o.cfg.millipede.pf_entries = static_cast<u32>(pf);
-  o.cfg.dram.bus_efficiency =
-      member_double(doc, "bus_efficiency", o.cfg.dram.bus_efficiency);
-  if (!(o.cfg.dram.bus_efficiency > 0.0)) {
-    bad_request("\"bus_efficiency\" must be positive");
-  }
-  o.cfg.slab_layout = member_bool(doc, "slab_layout", false);
-
-  const u64 channels = member_u64(doc, "channels", o.cfg.dram.channels);
-  if (channels == 0 || channels > 0xffffffffull) {
-    bad_request("\"channels\" must be a positive 32-bit integer");
-  }
-  o.cfg.dram.channels = static_cast<u32>(channels);
-  const u64 ranks = member_u64(doc, "ranks", o.cfg.dram.ranks);
-  if (ranks == 0 || ranks > 0xffffffffull) {
-    bad_request("\"ranks\" must be a positive 32-bit integer");
-  }
-  o.cfg.dram.ranks = static_cast<u32>(ranks);
-  o.cfg.dram.mapping = member_string(doc, "mapping", o.cfg.dram.mapping);
-  o.cfg.dram.page_policy =
-      member_string(doc, "page_policy", o.cfg.dram.page_policy);
-  o.cfg.dram.refresh = member_string(doc, "refresh", o.cfg.dram.refresh);
   // Spec-string grammar errors surface here as kErrBadRequest rather than
   // per-job failures (geometry-dependent checks stay per-job: the worker
   // validates the full config when it builds the machine).
-  try {
-    mem::AddressMap::check_grammar(o.cfg.dram.mapping);
-    (void)parse_page_policy(o.cfg.dram.page_policy);
-    (void)parse_refresh(o.cfg.dram.refresh);
-  } catch (const SimError& e) {
-    bad_request(e.what());
-  }
-
-  o.cfg.dram.fault.bit_flip_rate = member_double(doc, "fault_rate", 0.0);
-  o.cfg.dram.fault.delay_rate = member_double(doc, "fault_delay", 0.0);
-  o.cfg.dram.fault.drop_rate = member_double(doc, "fault_drop", 0.0);
-  for (const double rate :
-       {o.cfg.dram.fault.bit_flip_rate, o.cfg.dram.fault.delay_rate,
-        o.cfg.dram.fault.drop_rate}) {
-    if (!(rate >= 0.0) || rate > 1.0) {
-      bad_request("fault rates must be probabilities in [0, 1]");
+  for (const sim::Knob& knob : sim::knobs()) {
+    const trace::JsonValue* member = doc.find(knob.name);
+    if (member == nullptr) continue;
+    const std::optional<sim::KnobValue> value =
+        sim::knob_from_json(knob, *member);
+    if (!value) {
+      bad_request("\"" + std::string(knob.name) + "\" must be " +
+                  sim::knob_expects(knob));
     }
+    sim::knob_set(knob, job.options, *value);
   }
-  o.cfg.dram.fault.seed = member_u64(doc, "fault_seed", 1);
-  o.cfg.dram.fault.ecc = member_bool(doc, "ecc", false);
-
-  o.cfg.watchdog.max_cycles =
-      member_u64(doc, "watchdog_cycles", o.cfg.watchdog.max_cycles);
-  o.cfg.watchdog.stall_cycles =
-      member_u64(doc, "watchdog_stall", o.cfg.watchdog.stall_cycles);
-  o.cfg.watchdog.wall_ms =
-      member_u64(doc, "watchdog_wall", o.cfg.watchdog.wall_ms);
-  o.cfg.fast_forward = member_bool(doc, "fast_forward", true);
-  o.cfg.block_cache = member_bool(doc, "block_cache", true);
-
-  o.trace.chrome_json = member_bool(doc, "trace", false);
-  o.trace.dir = member_string(doc, "trace_dir", o.trace.dir);
-  o.trace.ring_entries = member_u64(doc, "trace_ring", 0);
-  o.trace.interval_cycles = member_u64(doc, "trace_interval", 0);
 
   spec.hold_ms = member_u64(doc, "hold_ms", 0);
   return spec;

@@ -30,12 +30,14 @@
 // declare it ("protocol_version":2 in the request): an old client replaying
 // captured frames gets a typed version-mismatch, never a silent misparse.
 // Snapshot blobs never cross the wire — they live in the daemon's LRU cache
-// keyed (prepare key, architecture, requested cycle).
+// keyed (architecture, benchmark, every knob, requested cycle), so a restore
+// under a different config is a typed no-such-snapshot.
 //
 // The result's "stats" member is the run's stats-JSON object shipped as an
 // escaped string, byte-for-byte what a local sim::stats_json_run() emits, so
 // client-side document reassembly is bit-identical to a local run.
 
+#include <array>
 #include <optional>
 #include <string>
 
@@ -66,7 +68,7 @@ inline constexpr char kErrShuttingDown[] = "shutting-down";
 /// A version-gated request (snapshot/restore) without the right
 /// "protocol_version" declaration — the typed rejection old clients see.
 inline constexpr char kErrVersionMismatch[] = "version-mismatch";
-/// Restore for a (prepare key, arch, cycle) the daemon has not captured (or
+/// Restore for an (arch, bench, knobs, cycle) the daemon has not captured (or
 /// has LRU-evicted).
 inline constexpr char kErrNoSuchSnapshot[] = "no-such-snapshot";
 /// CLIENT-side kind for a deadline expiring mid-exchange (connect handshake,
@@ -93,30 +95,31 @@ struct JobSpec {
 
 // ---- framing ----
 
-/// Write one frame; false on a broken/closed peer (EPIPE, short write).
-bool write_frame(int fd, const std::string& payload);
+/// The 4-byte little-endian length header that starts every frame.
+std::array<char, 4> frame_header(u32 payload_bytes);
 
+/// Write one frame; false on a broken/closed peer (EPIPE, short write).
 /// Read one frame; std::nullopt on clean EOF before a length byte. Throws
 /// SimError("protocol", ...) on oversized/truncated frames.
-std::optional<std::string> read_frame(int fd);
-
-/// Deadline variants: poll the (blocking) fd before every read/write with
-/// the time remaining, so the existing EINTR/EAGAIN retry loops stay
-/// correct, and throw SimError("timeout", ...) when `timeout_ms` elapses
-/// before the frame completes. The deadline covers the WHOLE frame, not
-/// each syscall — a peer trickling one byte per poll cannot stretch it.
-/// `timeout_ms` <= 0 delegates to the untimed variants.
-bool write_frame(int fd, const std::string& payload, i64 timeout_ms);
-std::optional<std::string> read_frame(int fd, i64 timeout_ms);
+///
+/// With a deadline, both poll the (blocking) fd before every read/write
+/// with the time remaining, so the EINTR/EAGAIN retry loops stay correct,
+/// and throw SimError("timeout", ...) when `timeout_ms` elapses before the
+/// frame completes. The deadline covers the WHOLE frame, not each syscall —
+/// a peer trickling one byte per poll cannot stretch it. `timeout_ms` <= 0
+/// means no deadline: no poll, plain blocking read/send calls.
+bool write_frame(int fd, const std::string& payload, i64 timeout_ms = 0);
+std::optional<std::string> read_frame(int fd, i64 timeout_ms = 0);
 
 // ---- job spec (de)serialization ----
 
-/// The job object of a submit request. Omitted fields take the same
-/// defaults as the command-line tools.
+/// The job object of a submit request: arch, bench, tag, every knob of the
+/// knob table (sim/knobs.hpp) under its member name, and hold_ms. Omitted
+/// members take the same defaults as the command-line tools.
 std::string job_json(const JobSpec& spec);
 
-/// Strict parse: unknown members, wrong types, or unknown arch/bench
-/// spellings throw SimError(kErrBadRequest, ...).
+/// Strict parse: unknown members, wrong types, out-of-range values or
+/// unknown arch spellings throw SimError(kErrBadRequest, ...).
 JobSpec job_from_json(const trace::JsonValue& doc);
 
 // ---- request builders (client side) ----

@@ -10,6 +10,7 @@
 
 #include "common/error.hpp"
 #include "serve/transport.hpp"
+#include "sim/knobs.hpp"
 #include "sim/report.hpp"
 #include "sim/runner.hpp"
 
@@ -43,9 +44,8 @@ JobSpec snapshot_verb_spec(const trace::JsonValue& doc, u64* cycle) {
   MLP_SIM_CHECK(job != nullptr, kErrBadRequest,
                 "request lacks a \"job\" object");
   JobSpec spec = job_from_json(*job);
-  // The cache key ignores trace config, and a restored run's trace would
-  // silently lack every warmup event — tracing and server-side snapshots
-  // don't compose.
+  // A restored run's trace would silently lack every warmup event —
+  // tracing and server-side snapshots don't compose.
   MLP_SIM_CHECK(!spec.job.options.trace.enabled(), kErrBadRequest,
                 "snapshot/restore jobs cannot enable tracing");
   MLP_SIM_CHECK(doc.find("cycle") != nullptr, kErrBadRequest,
@@ -55,12 +55,13 @@ JobSpec snapshot_verb_spec(const trace::JsonValue& doc, u64* cycle) {
   return spec;
 }
 
-/// Cache key of a captured blob: preparation identity + architecture +
-/// REQUESTED cycle (what the client can reproduce; the quiesce-drained
-/// capture cycle travels in the response instead).
+/// Cache key of a captured blob: architecture, benchmark, every knob of
+/// the knob table in lossless text, and the REQUESTED cycle (what the
+/// client can reproduce; the quiesce-drained capture cycle travels in the
+/// response instead). A restore under any other config misses.
 std::string snapshot_cache_key(const sim::MatrixJob& job, u64 cycle) {
-  return sim::prepare_key(job) + "|" + arch::arch_name(job.kind) + "|" +
-         std::to_string(cycle);
+  return std::string(arch::arch_name(job.kind)) + "|" + job.bench + "|" +
+         sim::knob_identity(job.options) + "|" + std::to_string(cycle);
 }
 
 }  // namespace

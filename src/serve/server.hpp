@@ -128,7 +128,7 @@ class Server {
 
   std::unique_ptr<sim::ThreadPool> pool_;
   sim::PrepareCache cache_;
-  /// Captured snapshot blobs keyed "prepare_key|arch|cycle"; thread-safe,
+  /// Captured snapshot blobs keyed "arch|bench|knobs|cycle"; thread-safe,
   /// shared by every connection thread. Blobs never leave the daemon.
   sim::SnapshotCache snapshots_;
 

@@ -24,17 +24,19 @@
 
 namespace mlp::sim {
 
-/// Groups jobs whose runs are identical up to any cycle where no fault has
-/// fired: every protocol-visible knob EXCEPT the fault rates (bit flip,
-/// delay, drop) — plus whether fault injection is wired at all, since the
-/// snapshot records the injector's draw sequence. Jobs with equal keys may
-/// share a warm snapshot when the fault streams check out clean.
-std::string fork_key(const MatrixJob& job);
+/// True when the runs of `a` and `b` are identical up to any cycle where no
+/// fault has fired: same architecture, same preparation (prepare_key), and
+/// equal MachineConfigs once the three fault rates (bit flip, delay, drop)
+/// are masked. Whether fault injection is wired at all still counts, since
+/// the snapshot records the injector's draw sequence. A field added to any
+/// config struct joins the comparison without being listed. Compatible
+/// jobs may share a warm snapshot when the fault streams check out clean.
+bool fork_compatible(const MatrixJob& a, const MatrixJob& b);
 
 /// True when `member` can be restored from a snapshot `leader` captured:
-/// same fork key, and no fault draw among the `fault_sequence` transfers the
-/// leader consumed before capture would have fired under EITHER config (a
-/// conservative per-transfer bound of one DRAM row). Unsafe members simply
+/// fork-compatible, and no fault draw among the `fault_sequence` transfers
+/// the leader consumed before capture would have fired under EITHER config
+/// (a conservative per-transfer bound of one DRAM row). Unsafe members simply
 /// run in full — correctness never depends on this predicate.
 bool fork_safe(const MatrixJob& leader, const MatrixJob& member,
                u64 fault_sequence);
@@ -49,19 +51,19 @@ struct ForkStats {
   u64 warmup_cycles_saved = 0;  ///< sum of captured cycles skipped
 };
 
-/// run_matrix with warm-snapshot forking: group `jobs` by fork_key, run each
-/// multi-point group's first job as a capturing leader (checkpoint at the
-/// first quiescent cycle >= fork_at), then restore the remaining members
-/// from the leader's blob. Singleton groups, traced jobs and unsafe members
-/// run exactly as run_matrix would. Results are in submission order,
-/// byte-identical to run_matrix for any thread count.
+/// run_matrix with warm-snapshot forking: group `jobs` by fork_compatible,
+/// run each multi-point group's first job as a capturing leader (checkpoint
+/// at the first quiescent cycle >= fork_at), then restore the remaining
+/// members from the leader's blob. Singleton groups, traced jobs and unsafe
+/// members run exactly as run_matrix would. Results are in submission
+/// order, byte-identical to run_matrix for any thread count.
 std::vector<MatrixResult> run_matrix_forked(const std::vector<MatrixJob>& jobs,
                                             u64 fork_at, u32 threads = 0,
                                             PrepareCache* cache = nullptr,
                                             ForkStats* fork_stats = nullptr);
 
-/// Thread-safe LRU cache of captured snapshot blobs, keyed by
-/// (prepare key, architecture, requested checkpoint cycle) — the mlpserved
+/// Thread-safe LRU cache of captured snapshot blobs, keyed by (architecture,
+/// benchmark, knobs, requested checkpoint cycle) — the mlpserved
 /// `snapshot`/`restore` verbs. Blobs are shared_ptr so a restore can run
 /// against an entry concurrently evicted by a later capture.
 class SnapshotCache {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "sim/knobs.hpp"
 #include "trace/json.hpp"
 
 namespace mlp::sim {
@@ -44,45 +45,36 @@ const char* arch_column(const MatrixResult& run) {
 
 u64 job_records(const MatrixJob& job) {
   if (job.options.records != 0) return job.options.records;
-  // An unknown benchmark (already a per-job error) cannot be sized.
+  // An unknown benchmark or an input too large to size (already a per-job
+  // error) reports 0.
   const std::vector<std::string>& names = workloads::bmla_names();
   if (std::find(names.begin(), names.end(), job.bench) == names.end()) {
     return 0;
   }
-  return records_for(job.bench, job.options.cfg, job.options.rows);
+  try {
+    return records_for(job.bench, job.options.cfg, job.options.rows);
+  } catch (const SimError&) {
+    return 0;
+  }
 }
 
 std::string sweep_csv_header() {
-  return "arch,bench,cores,pf_entries,bus_efficiency,rows,records,seed,"
-         "fault_rate,ecc,channels,ranks,mapping,page_policy,refresh,"
-         "runtime_us,cycles,insts,insts_per_word,clock_mhz,"
-         "core_uj,dram_uj,leak_uj,row_miss_rate,ecc_corrected,ecc_detected,"
-         "fault_retries,error\n";
+  std::string header = "arch,bench,";
+  for (const Knob& knob : knobs()) {
+    if (!knob.csv) continue;
+    header += knob.name;
+    header += ',';
+  }
+  return header + csv_metric_header() + ",error\n";
 }
 
-std::string sweep_csv_row(const MatrixResult& run) {
-  const SuiteOptions& o = run.job.options;
+std::string csv_metric_header() {
+  return "runtime_us,cycles,insts,insts_per_word,clock_mhz,core_uj,dram_uj,"
+         "leak_uj,row_miss_rate,ecc_corrected,ecc_detected,fault_retries";
+}
+
+std::string csv_metric_cells(const arch::RunResult& r) {
   char buf[512];
-  std::snprintf(buf, sizeof(buf),
-                "%s,%s,%u,%u,%.3f,%llu,%llu,%llu,%g,%d,%u,%u,%s,%s,%s,",
-                arch_column(run), run.job.bench.c_str(), o.cfg.core.cores,
-                o.cfg.millipede.pf_entries, o.cfg.dram.bus_efficiency,
-                static_cast<unsigned long long>(o.rows),
-                static_cast<unsigned long long>(job_records(run.job)),
-                static_cast<unsigned long long>(o.seed),
-                o.cfg.dram.fault.bit_flip_rate, o.cfg.dram.fault.ecc ? 1 : 0,
-                o.cfg.dram.channels, o.cfg.dram.ranks,
-                o.cfg.dram.mapping.c_str(), o.cfg.dram.page_policy.c_str(),
-                o.cfg.dram.refresh.c_str());
-  std::string row = buf;
-  if (!run.ok()) {
-    // 12 empty metric cells, then the error column.
-    row += std::string(12, ',');
-    row += csv_sanitize(run.error);
-    row += '\n';
-    return row;
-  }
-  const arch::RunResult& r = run.result;
   std::snprintf(buf, sizeof(buf),
                 "%.3f,%llu,%llu,%.2f,%.0f,%.3f,%.3f,%.3f,%.4f,%llu,%llu,%llu",
                 static_cast<double>(r.runtime_ps) / 1e6,
@@ -96,13 +88,32 @@ std::string sweep_csv_row(const MatrixResult& run) {
                     stat_or_zero(r, "dram.ecc_detected")),
                 static_cast<unsigned long long>(
                     stat_or_zero(r, "dram.fault_retries")));
-  row += buf;
+  return buf;
+}
+
+std::string sweep_csv_row(const MatrixResult& run) {
+  std::string row = arch_column(run);
+  row += ',';
+  row += run.job.bench;
+  row += ',';
+  for (const Knob& knob : knobs()) {
+    if (!knob.csv) continue;
+    row += knob_cell(knob, knob_reported(knob, run.job));
+    row += ',';
+  }
+  if (!run.ok()) {
+    // 12 empty metric cells, then the error column.
+    row += std::string(12, ',');
+    row += csv_sanitize(run.error);
+    row += '\n';
+    return row;
+  }
+  row += csv_metric_cells(run.result);
   row += ",\n";  // empty error column
   return row;
 }
 
 std::string stats_json_run(const MatrixResult& run) {
-  const SuiteOptions& o = run.job.options;
   trace::JsonWriter w;
   w.begin_object();
   w.key("arch");
@@ -117,34 +128,11 @@ std::string stats_json_run(const MatrixResult& run) {
   w.value(run.error);
   w.key("config");
   w.begin_object();
-  w.key("cores");
-  w.value(o.cfg.core.cores);
-  w.key("pf_entries");
-  w.value(o.cfg.millipede.pf_entries);
-  w.key("bus_efficiency");
-  w.value(o.cfg.dram.bus_efficiency);
-  w.key("rows");
-  w.value(o.rows);
-  w.key("records");
-  w.value(job_records(run.job));
-  w.key("seed");
-  w.value(o.seed);
-  w.key("record_barrier");
-  w.value(o.record_barrier);
-  w.key("fault_rate");
-  w.value(o.cfg.dram.fault.bit_flip_rate);
-  w.key("ecc");
-  w.value(o.cfg.dram.fault.ecc);
-  w.key("channels");
-  w.value(o.cfg.dram.channels);
-  w.key("ranks");
-  w.value(o.cfg.dram.ranks);
-  w.key("mapping");
-  w.value(o.cfg.dram.mapping);
-  w.key("page_policy");
-  w.value(o.cfg.dram.page_policy);
-  w.key("refresh");
-  w.value(o.cfg.dram.refresh);
+  for (const Knob& knob : knobs()) {
+    if (!knob.config) continue;
+    w.key(knob.name);
+    knob_json(w, knob_reported(knob, run.job));
+  }
   w.end_object();
   if (run.ok()) {
     const arch::RunResult& r = run.result;

@@ -37,6 +37,11 @@ std::string sweep_csv_header();
 /// partially failed sweep still parses as a rectangular table.
 std::string sweep_csv_row(const MatrixResult& run);
 
+/// The metric columns the sweep CSV shares with mlpsim --csv (no trailing
+/// comma), and one run's cells for them.
+std::string csv_metric_header();
+std::string csv_metric_cells(const arch::RunResult& r);
+
 /// Effective record count of a job (explicit records or sized by rows).
 u64 job_records(const MatrixJob& job);
 

@@ -93,7 +93,12 @@ u64 records_for(const std::string& bench, const MachineConfig& cfg,
   const u32 fields = workloads::make_bmla(bench, probe).fields;
   const u64 group_records = cfg.dram.row_bytes / 4;
   const u64 groups = std::max<u64>(1, rows / fields);
-  return groups * group_records;
+  u64 records = 0;
+  MLP_SIM_CHECK(!__builtin_mul_overflow(groups, group_records, &records),
+                "config",
+                std::to_string(rows) + " rows of " + bench +
+                    " overflow the record count");
+  return records;
 }
 
 MatrixResult run_job(const MatrixJob& job, PrepareCache* cache,

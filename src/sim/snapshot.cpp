@@ -1,11 +1,10 @@
-// Warm-snapshot forking (sim/fork.hpp): fork-key grouping, the provable
+// Warm-snapshot forking (sim/fork.hpp): fork grouping, the provable
 // fault-stream safety predicate, the two-phase forked matrix runner, and the
 // mlpserved snapshot blob cache.
 
 #include "sim/fork.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <future>
 #include <unordered_map>
 
@@ -18,131 +17,28 @@ namespace mlp::sim {
 
 namespace {
 
-void append_kv(std::string& out, const char* name, double value) {
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "|%s%.17g", name, value);
-  out += buf;
-}
-
-void append_kv(std::string& out, const char* name, u64 value) {
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "|%s%llu", name,
-                static_cast<unsigned long long>(value));
-  out += buf;
-}
-
-void append_kv(std::string& out, const char* name, bool value) {
-  out += '|';
-  out += name;
-  out += value ? '1' : '0';
-}
-
-void append_kv(std::string& out, const char* name, const std::string& value) {
-  out += '|';
-  out += name;
-  out += value;
+/// The config with the three fault rates masked. Injector presence stays,
+/// folded into the bit-flip rate: a snapshot records the injector's draw
+/// cursor, so a no-injector machine cannot restore an injector one.
+MachineConfig fork_config(const MachineConfig& cfg) {
+  MachineConfig out = cfg;
+  FaultConfig& fault = out.dram.fault;
+  fault.bit_flip_rate = fault.enabled() ? 1.0 : 0.0;
+  fault.delay_rate = 0.0;
+  fault.drop_rate = 0.0;
+  return out;
 }
 
 }  // namespace
 
-std::string fork_key(const MatrixJob& job) {
-  const MachineConfig& c = job.options.cfg;
-  // arch + preparation identity (bench, effective records, data seed,
-  // record-barrier, row geometry, slab layout)...
-  std::string key = std::string(arch::arch_name(job.kind)) + "|" +
-                    prepare_key(job);
-  // ...then EVERY remaining knob that shapes the run, except the three
-  // fault-firing rates — those are exactly what forked points diverge in.
-  // The injector's presence bit stays: a snapshot records the draw-sequence
-  // cursor, so a no-injector machine cannot restore an injector one.
-  const FaultConfig& f = c.dram.fault;
-  append_kv(key, "fen", f.enabled());
-  append_kv(key, "fdc", u64{f.delay_cycles});
-  append_kv(key, "fs", f.seed);
-  append_kv(key, "fecc", f.ecc);
-  append_kv(key, "fmr", u64{f.max_retries});
-  append_kv(key, "drb", u64{c.dram.row_bytes});
-  append_kv(key, "dbk", u64{c.dram.banks});
-  append_kv(key, "dmhz", c.dram.channel_mhz);
-  append_kv(key, "dcb", u64{c.dram.channel_bits});
-  append_kv(key, "dcas", u64{c.dram.t_cas});
-  append_kv(key, "drp", u64{c.dram.t_rp});
-  append_kv(key, "drcd", u64{c.dram.t_rcd});
-  append_kv(key, "dras", u64{c.dram.t_ras});
-  append_kv(key, "dqd", u64{c.dram.queue_depth});
-  append_kv(key, "dbe", c.dram.bus_efficiency);
-  append_kv(key, "dch", u64{c.dram.channels});
-  append_kv(key, "drk", u64{c.dram.ranks});
-  append_kv(key, "dmap", c.dram.mapping);
-  append_kv(key, "dpp", c.dram.page_policy);
-  append_kv(key, "dref", c.dram.refresh);
-  append_kv(key, "cmhz", c.core.clock_mhz);
-  append_kv(key, "cc", u64{c.core.cores});
-  append_kv(key, "cx", u64{c.core.contexts});
-  append_kv(key, "cr", u64{c.core.regs});
-  append_kv(key, "cic", u64{c.core.icache_bytes});
-  append_kv(key, "clm", u64{c.core.local_mem_bytes});
-  append_kv(key, "cll", u64{c.core.local_latency});
-  append_kv(key, "cbp", u64{c.core.branch_penalty});
-  append_kv(key, "mpf", u64{c.millipede.pf_entries});
-  append_kv(key, "mpr", u64{c.millipede.prime_rows});
-  append_kv(key, "mfc", c.millipede.flow_control);
-  append_kv(key, "mrm", c.millipede.rate_match);
-  append_kv(key, "mrs", c.millipede.rate_step);
-  append_kv(key, "mmc", c.millipede.min_clock_mhz);
-  append_kv(key, "mhl", u64{c.millipede.pb_hit_latency});
-  append_kv(key, "mrw", u64{c.millipede.rate_window});
-  append_kv(key, "musw", c.millipede.unsafe_skip_window_check);
-  append_kv(key, "mvs", c.millipede.voltage_scaling);
-  append_kv(key, "mmv", c.millipede.min_voltage_ratio);
-  append_kv(key, "gww", u64{c.gpgpu.warp_width});
-  append_kv(key, "gvws", c.gpgpu.vws);
-  append_kv(key, "gro", c.gpgpu.row_oriented);
-  append_kv(key, "gl1", u64{c.gpgpu.l1d_bytes});
-  append_kv(key, "glb", u64{c.gpgpu.line_bytes});
-  append_kv(key, "gla", u64{c.gpgpu.l1d_assoc});
-  append_kv(key, "gm", u64{c.gpgpu.mshrs});
-  append_kv(key, "gsm", u64{c.gpgpu.shared_mem_bytes});
-  append_kv(key, "gsb", u64{c.gpgpu.shared_banks});
-  append_kv(key, "ghl", u64{c.gpgpu.l1_hit_latency});
-  append_kv(key, "gsl", u64{c.gpgpu.shared_latency});
-  append_kv(key, "gdp", u64{c.gpgpu.divergence_penalty});
-  append_kv(key, "gpd", u64{c.gpgpu.prefetch_degree});
-  append_kv(key, "gpx", u64{c.gpgpu.prefetch_distance});
-  append_kv(key, "gps", u64{c.gpgpu.prefetch_streams});
-  append_kv(key, "gsma", c.gpgpu.slab_mapping_ablation);
-  append_kv(key, "sl1", u64{c.ssmc.l1d_bytes});
-  append_kv(key, "slb", u64{c.ssmc.line_bytes});
-  append_kv(key, "sa", u64{c.ssmc.assoc});
-  append_kv(key, "sm", u64{c.ssmc.mshrs});
-  append_kv(key, "shl", u64{c.ssmc.hit_latency});
-  append_kv(key, "spd", u64{c.ssmc.prefetch_degree});
-  append_kv(key, "spx", u64{c.ssmc.prefetch_distance});
-  append_kv(key, "sps", u64{c.ssmc.prefetch_streams});
-  append_kv(key, "uc", u64{c.multicore.cores});
-  append_kv(key, "us", u64{c.multicore.smt});
-  append_kv(key, "uiw", u64{c.multicore.issue_width});
-  append_kv(key, "umhz", c.multicore.clock_mhz);
-  append_kv(key, "ul1", u64{c.multicore.l1_bytes});
-  append_kv(key, "ul1a", u64{c.multicore.l1_assoc});
-  append_kv(key, "ul2", u64{c.multicore.l2_bytes});
-  append_kv(key, "ul2a", u64{c.multicore.l2_assoc});
-  append_kv(key, "ulb", u64{c.multicore.line_bytes});
-  append_kv(key, "ul1l", u64{c.multicore.l1_latency});
-  append_kv(key, "ul2l", u64{c.multicore.l2_latency});
-  append_kv(key, "ubw", c.multicore.offchip_bw_fraction);
-  append_kv(key, "wmc", c.watchdog.max_cycles);
-  append_kv(key, "wsc", c.watchdog.stall_cycles);
-  append_kv(key, "ww", c.watchdog.wall_ms);
-  append_kv(key, "sl", c.slab_layout);
-  append_kv(key, "ff", c.fast_forward);
-  append_kv(key, "bc", c.block_cache);
-  return key;
+bool fork_compatible(const MatrixJob& a, const MatrixJob& b) {
+  return a.kind == b.kind && prepare_key(a) == prepare_key(b) &&
+         fork_config(a.options.cfg) == fork_config(b.options.cfg);
 }
 
 bool fork_safe(const MatrixJob& leader, const MatrixJob& member,
                u64 fault_sequence) {
-  if (fork_key(leader) != fork_key(member)) return false;
+  if (!fork_compatible(leader, member)) return false;
   // Every transfer the leader's injector drew before capture must have been
   // clean — no flip, no delay, no drop — under BOTH fault configurations;
   // then the member's uninterrupted warmup is bit-identical to the leader's,
@@ -164,21 +60,38 @@ std::vector<MatrixResult> run_matrix_forked(const std::vector<MatrixJob>& jobs,
   const std::size_t n = jobs.size();
   std::vector<MatrixResult> results(n);
 
-  // Group by fork key. Traced jobs never fork: a restored member's trace
-  // would lack the warmup events an unforked run records, breaking per-point
-  // trace byte-identity. Unknown benchmarks can't compute a prepare key;
-  // they run solo and fail in run_job exactly as run_matrix would fail them.
-  const std::vector<std::string>& known = workloads::bmla_names();
-  std::unordered_map<std::string, std::vector<std::size_t>> groups;
+  // Group by fork_compatible: bucket by architecture and prepare key, each
+  // computed once per job, then split each bucket by masked config. Traced
+  // jobs never fork: a restored member's trace would lack the warmup events
+  // an unforked run records, breaking per-point trace byte-identity. Jobs
+  // without a prepare key (unknown benchmark, unsizable input) run solo
+  // and fail in run_job exactly as run_matrix would fail them.
+  std::vector<std::vector<std::size_t>> groups;
+  std::unordered_map<std::string, std::vector<std::size_t>> buckets;
   for (std::size_t i = 0; i < n; ++i) {
     std::string key;
-    if (jobs[i].options.trace.enabled() ||
-        std::find(known.begin(), known.end(), jobs[i].bench) == known.end()) {
-      key = "!solo" + std::to_string(i);
-    } else {
-      key = fork_key(jobs[i]);
+    try {
+      key = std::string(arch::arch_name(jobs[i].kind)) + "|" +
+            prepare_key(jobs[i]);
+    } catch (const SimError&) {
+      // No prepare key: the job runs solo.
     }
-    groups[key].push_back(i);
+    if (key.empty() || jobs[i].options.trace.enabled()) {
+      groups.push_back({i});
+      continue;
+    }
+    std::vector<std::size_t>& bucket = buckets[key];
+    const MachineConfig cfg = fork_config(jobs[i].options.cfg);
+    const auto group = std::find_if(
+        bucket.begin(), bucket.end(), [&](std::size_t g) {
+          return fork_config(jobs[groups[g].front()].options.cfg) == cfg;
+        });
+    if (group != bucket.end()) {
+      groups[*group].push_back(i);
+    } else {
+      bucket.push_back(groups.size());
+      groups.push_back({i});
+    }
   }
 
   // Leaders capture; everyone else in phase 1 runs plain. group_of[i] points
@@ -187,7 +100,7 @@ std::vector<MatrixResult> run_matrix_forked(const std::vector<MatrixJob>& jobs,
   std::vector<std::size_t> leader_of(n, n);  // member index -> leader index
   std::vector<std::size_t> plan_of(n, ~std::size_t{0});
   std::vector<std::size_t> phase1, phase2;
-  for (auto& [key, bucket] : groups) {
+  for (const std::vector<std::size_t>& bucket : groups) {
     if (bucket.size() < 2) {
       phase1.push_back(bucket.front());
       continue;

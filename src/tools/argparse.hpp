@@ -131,32 +131,6 @@ inline u32 parse_u32(const std::string& flag, const std::string& text,
   return static_cast<u32>(value);
 }
 
-/// Strictly positive floating-point value; the whole string must parse.
-inline double parse_positive_double(const std::string& flag,
-                                    const std::string& text) {
-  char* end = nullptr;
-  errno = 0;
-  const double value = std::strtod(text.c_str(), &end);
-  if (text.empty() || end != text.c_str() + text.size() || errno != 0 ||
-      !(value > 0.0)) {
-    flag_error(flag, text, "a positive number");
-  }
-  return value;
-}
-
-/// Probability in [0, 1]; the whole string must parse. 0 is allowed so a
-/// sweep axis can include the fault-free baseline.
-inline double parse_rate(const std::string& flag, const std::string& text) {
-  char* end = nullptr;
-  errno = 0;
-  const double value = std::strtod(text.c_str(), &end);
-  if (text.empty() || end != text.c_str() + text.size() || errno != 0 ||
-      !(value >= 0.0) || value > 1.0) {
-    flag_error(flag, text, "a probability in [0, 1]");
-  }
-  return value;
-}
-
 /// Render a name list one entry per line — the --list-arches /
 /// --list-benches output contract shared by mlpsim and mlpsweep, kept
 /// grep/xargs-friendly (no header, no indentation, trailing newline).

@@ -4,12 +4,12 @@
 //   mlpclient --socket /tmp/mlp.sock run --arch millipede --bench count
 //   mlpclient --socket /tmp/mlp.sock submit --bench kmeans --hold-ms 500
 //   mlpclient --socket /tmp/mlp.sock result --id 1 --wait
-//   mlpclient --socket /tmp/mlp.sock sweep --arch all --bench count,kmeans
 //   mlpclient --socket /tmp/mlp.sock shutdown
 //
 // Exit status: 0 on success, 1 on a typed server error (queue-full,
-// no-such-job, ...) or a failed simulation, 2 on usage errors. `run` and
-// `sweep` print the same CSV / stats-JSON bytes the local tools emit.
+// no-such-job, ...) or a failed simulation, 2 on usage errors. `run` prints
+// the same CSV / stats-JSON bytes the local tools emit; grids go through
+// `mlpsweep --server`.
 
 #include <cstdio>
 #include <string>
@@ -43,16 +43,7 @@ Commands:
   cancel --id N      cancel a queued job (running jobs are not preempted)
   run JOB            submit + wait + print (CSV with header, or
                      --stats-json document)
-  sweep GRID         expand a config grid (same axes as mlpsweep), run it
-                     through the daemon with queue-full-aware windowing,
-                     print CSV rows in grid order (or --stats-json)
   shutdown           ask the daemon to drain and exit
-
-Job flags (submit/run): --arch NAME --bench NAME --records N --rows N
-  --seed N --cores N --pf-entries N --bus-efficiency F --fault-rate P
-  --ecc --fault-seed N --record-barrier --slab-layout --tag TEXT
-  --watchdog-cycles N --watchdog-stall N --watchdog-wall MS
-  --trace --trace-dir DIR --trace-ring N --trace-interval N --hold-ms N
 
 Common:
   --raw                   print raw JSON response frames instead of decoding
@@ -62,8 +53,15 @@ Common:
                           hanging it (default 0 = no deadline)
   --version               print the toolchain version
 
-%s)",
-              tools::SweepGrid::help());
+Job flags (submit/run):
+  --arch NAME             architecture (default millipede)
+  --bench NAME            benchmark (default count)
+  --tag TEXT              caller label carried to the result
+  --hold-ms N             queue dwell before execution
+)");
+  for (const sim::Knob& knob : sim::knobs()) {
+    std::fputs(tools::knob_help_line(knob, /*list=*/false).c_str(), stdout);
+  }
 }
 
 /// Typed server errors exit 1 with the kind on stderr so scripts (and the
@@ -74,10 +72,9 @@ int report_error(const serve::Response& r) {
   return 1;
 }
 
-/// Parse one job's flags (a degenerate one-point grid plus job-only knobs).
+/// Parse one job's flags: the knob table's plus the job-only ones.
 serve::JobSpec parse_job(tools::ArgCursor& args, bool* stats_json) {
   serve::JobSpec spec;
-  sim::SuiteOptions& o = spec.job.options;
   spec.job.bench = "count";
   while (args.next()) {
     const std::string& arg = args.flag();
@@ -92,53 +89,33 @@ serve::JobSpec parse_job(tools::ArgCursor& args, bool* stats_json) {
       spec.job.bench = args.value();
     } else if (args.is("--tag")) {
       spec.job.tag = args.value();
-    } else if (args.is("--records")) {
-      o.records = tools::parse_u64(arg, args.value(), /*min=*/1);
-    } else if (args.is("--rows")) {
-      o.rows = tools::parse_u64(arg, args.value(), /*min=*/1);
-    } else if (args.is("--seed")) {
-      o.seed = tools::parse_u64(arg, args.value());
-    } else if (args.is("--cores")) {
-      o.cfg.core.cores = tools::parse_u32(arg, args.value(), /*min=*/1);
-      o.cfg.gpgpu.warp_width = o.cfg.core.cores;
-    } else if (args.is("--pf-entries")) {
-      o.cfg.millipede.pf_entries =
-          tools::parse_u32(arg, args.value(), /*min=*/1);
-    } else if (args.is("--bus-efficiency")) {
-      o.cfg.dram.bus_efficiency =
-          tools::parse_positive_double(arg, args.value());
-    } else if (args.is("--fault-rate")) {
-      o.cfg.dram.fault.bit_flip_rate = tools::parse_rate(arg, args.value());
-    } else if (args.is("--fault-seed")) {
-      o.cfg.dram.fault.seed = tools::parse_u64(arg, args.value());
-    } else if (args.is("--ecc")) {
-      o.cfg.dram.fault.ecc = true;
-    } else if (args.is("--record-barrier")) {
-      o.record_barrier = true;
-    } else if (args.is("--slab-layout")) {
-      o.cfg.slab_layout = true;
-    } else if (args.is("--watchdog-cycles")) {
-      o.cfg.watchdog.max_cycles = tools::parse_u64(arg, args.value());
-    } else if (args.is("--watchdog-stall")) {
-      o.cfg.watchdog.stall_cycles = tools::parse_u64(arg, args.value());
-    } else if (args.is("--watchdog-wall")) {
-      o.cfg.watchdog.wall_ms = tools::parse_u64(arg, args.value());
-    } else if (args.is("--trace")) {
-      o.trace.chrome_json = true;
-    } else if (args.is("--trace-dir")) {
-      o.trace.dir = args.value();
-    } else if (args.is("--trace-ring")) {
-      o.trace.ring_entries = tools::parse_u64(arg, args.value(), /*min=*/1);
-    } else if (args.is("--trace-interval")) {
-      o.trace.interval_cycles =
-          tools::parse_u64(arg, args.value(), /*min=*/1);
     } else if (args.is("--hold-ms")) {
       spec.hold_ms = tools::parse_u64(arg, args.value());
-    } else {
+    } else if (!tools::consume_knob(args, spec.job.options)) {
       std::exit(tools::unknown_flag(arg));
     }
   }
   return spec;
+}
+
+/// Print a result response as the local tools would: the CSV row under its
+/// header, or the one-run stats document. Exits 1 unless the run verified.
+int print_result(const serve::Response& r, u64 id, bool stats_json) {
+  const trace::JsonValue* state = r.doc.find("state");
+  if (state != nullptr && state->string == "cancelled") {
+    std::fprintf(stderr, "mlpclient: job %llu was cancelled\n",
+                 static_cast<unsigned long long>(id));
+    return 1;
+  }
+  const trace::JsonValue* run_ok = r.doc.find("run_ok");
+  if (stats_json) {
+    std::fputs(sim::stats_json_document({r.doc.str_at("stats")}).c_str(),
+               stdout);
+  } else {
+    std::fputs(sim::sweep_csv_header().c_str(), stdout);
+    std::fputs(r.doc.str_at("csv").c_str(), stdout);
+  }
+  return run_ok != nullptr && run_ok->boolean ? 0 : 1;
 }
 
 int print_response(const serve::Response& r, bool raw) {
@@ -232,68 +209,16 @@ int main(int argc, char** argv) {
   try {
     serve::Client client(client_options);
 
-    if (command == "run" || command == "sweep") {
-      // These own the remaining argv; parse before connecting so usage
-      // errors don't need a live daemon.
-      if (command == "run") {
-        serve::JobSpec spec = parse_job(args, &stats_json);
-        client.connect(socket_path);
-        const std::vector<serve::RemoteResult> results =
-            serve::run_matrix_remote(client, {spec.job});
-        const serve::RemoteResult& r = results.at(0);
-        if (!r.error.empty()) {
-          std::fprintf(stderr, "mlpclient: %s: %s\n", r.error.c_str(),
-                       r.message.c_str());
-          return 1;
-        }
-        if (stats_json) {
-          std::fputs(sim::stats_json_document({r.stats_run_json}).c_str(),
-                     stdout);
-        } else {
-          std::fputs(sim::sweep_csv_header().c_str(), stdout);
-          std::fputs(r.csv.c_str(), stdout);
-        }
-        return r.run_ok ? 0 : 1;
-      }
-      // sweep
-      tools::SweepGrid grid;
-      while (args.next()) {
-        if (args.is("--stats-json")) {
-          stats_json = true;
-        } else if (!grid.consume(args)) {
-          return tools::unknown_flag(args.flag());
-        }
-      }
-      const std::vector<sim::MatrixJob> matrix = grid.expand();
+    if (command == "run") {
+      // Parse before connecting so usage errors don't need a live daemon.
+      serve::JobSpec spec = parse_job(args, &stats_json);
       client.connect(socket_path);
-      std::fprintf(stderr, "mlpclient: %zu grid points via %s\n",
-                   matrix.size(), socket_path.c_str());
-      const std::vector<serve::RemoteResult> results =
-          serve::run_matrix_remote(client, matrix);
-      int exit_code = 0;
-      std::vector<std::string> stats_runs;
-      if (!stats_json) std::fputs(sim::sweep_csv_header().c_str(), stdout);
-      for (std::size_t i = 0; i < results.size(); ++i) {
-        const serve::RemoteResult& r = results[i];
-        if (!r.error.empty()) {
-          std::fprintf(stderr, "SUBMIT FAILED %s/%s: %s: %s\n",
-                       arch::arch_name(matrix[i].kind),
-                       matrix[i].bench.c_str(), r.error.c_str(),
-                       r.message.c_str());
-          exit_code = 1;
-          continue;
-        }
-        if (!r.run_ok) exit_code = 1;
-        if (stats_json) {
-          stats_runs.push_back(r.stats_run_json);
-        } else {
-          std::fputs(r.csv.c_str(), stdout);
-        }
-      }
-      if (stats_json) {
-        std::fputs(sim::stats_json_document(stats_runs).c_str(), stdout);
-      }
-      return exit_code;
+      const serve::Response submitted = client.submit(spec);
+      if (!submitted.ok) return report_error(submitted);
+      const u64 job_id = submitted.doc.u64_at("id");
+      const serve::Response r = client.result(job_id, /*wait=*/true);
+      if (!r.ok) return report_error(r);
+      return print_result(r, job_id, stats_json);
     }
 
     if (command == "submit") {
@@ -329,24 +254,7 @@ int main(int argc, char** argv) {
         return 2;
       }
       r = client.result(id, wait);
-      if (r.ok && !raw) {
-        const trace::JsonValue* state = r.doc.find("state");
-        if (state != nullptr && state->string == "cancelled") {
-          std::fprintf(stderr, "mlpclient: job %llu was cancelled\n",
-                       static_cast<unsigned long long>(id));
-          return 1;
-        }
-        const trace::JsonValue* run_ok = r.doc.find("run_ok");
-        if (stats_json) {
-          std::fputs(sim::stats_json_document({r.doc.str_at("stats")})
-                         .c_str(),
-                     stdout);
-        } else {
-          std::fputs(sim::sweep_csv_header().c_str(), stdout);
-          std::fputs(r.doc.str_at("csv").c_str(), stdout);
-        }
-        return run_ok != nullptr && run_ok->boolean ? 0 : 1;
-      }
+      if (r.ok && !raw) return print_result(r, id, stats_json);
       if (!r.ok && !raw) {
         return report_error(r);
       }

@@ -1,8 +1,8 @@
 // mlpsweep — config-grid sweep driver: expands the cross product of
-// {architectures} × {benchmarks} × {cores} × {pf-entries} ×
-// {bus-efficiencies} × {rows} × {fault-rates} into independent simulation
-// jobs and emits one CSV row per point in deterministic grid order. Two
-// execution paths with byte-identical output:
+// {architectures} × {benchmarks} × every sweep axis of the knob table
+// (sim/knobs.hpp) into independent simulation jobs and emits one CSV row
+// per point in deterministic grid order. Two execution paths with
+// byte-identical output:
 //
 //  * local (default): sim::run_matrix on an in-process thread pool, with a
 //    warm prepare cache deduplicating kernel assembly / record generation /
@@ -51,12 +51,6 @@ Execution:
                         divergent points restore from it. Output stays
                         byte-identical to an unforked sweep; savings are
                         reported on stderr
-  --no-fast-forward     tick every component at every clock edge instead of
-                        only those with work due (bit-identical output;
-                        equivalence checks)
-  --no-block-cache      execute every instruction with the reference
-                        interpreter instead of its per-opcode handler
-                        (bit-identical output; equivalence checks)
   --server ADDR[,...]   run the grid on mlpserved daemon(s) instead of
                         in-process (same output bytes, warm caches persist
                         across sweeps). ADDR is a Unix socket path or
@@ -95,7 +89,7 @@ keeps its row (config columns + error message, metrics empty) so the CSV
 stays rectangular, and makes the exit status 1; the remaining points still
 run, bit-identically for any --jobs.
 )",
-              tools::SweepGrid::help());
+              tools::SweepGrid::help().c_str());
 }
 
 /// The opt-in "fork" footer of the --stats-json document (mirrors the
@@ -142,6 +136,19 @@ void print_fleet_report(const serve::FleetHealth& fleet) {
   }
 }
 
+/// Print the sweep: the CSV header and `rows`, or the stats-JSON document
+/// of `rows` (run objects) with the optional footer member.
+void print_sweep(const std::vector<std::string>& rows, bool stats_json,
+                 const std::string& footer_key, const std::string& footer) {
+  if (stats_json) {
+    std::fputs(sim::stats_json_document(rows, footer_key, footer).c_str(),
+               stdout);
+    return;
+  }
+  std::fputs(sim::sweep_csv_header().c_str(), stdout);
+  for (const std::string& row : rows) std::fputs(row.c_str(), stdout);
+}
+
 int run_remote(const std::vector<std::string>& servers,
                const std::vector<sim::MatrixJob>& matrix, bool stats_json,
                const serve::ShardOptions& options, bool fleet_stats) {
@@ -150,8 +157,7 @@ int run_remote(const std::vector<std::string>& servers,
       serve::run_matrix_sharded(servers, matrix, options, &fleet);
 
   int exit_code = 0;
-  std::vector<std::string> stats_runs;
-  if (!stats_json) std::fputs(sim::sweep_csv_header().c_str(), stdout);
+  std::vector<std::string> rows;
   for (std::size_t i = 0; i < results.size(); ++i) {
     const serve::RemoteResult& r = results[i];
     if (!r.error.empty()) {
@@ -165,32 +171,19 @@ int run_remote(const std::vector<std::string>& servers,
       sim::MatrixResult failed;
       failed.job = matrix[i];
       failed.error = r.error + ": " + r.message;
-      if (stats_json) {
-        stats_runs.push_back(sim::stats_json_run(failed));
-      } else {
-        std::fputs(sim::sweep_csv_row(failed).c_str(), stdout);
-      }
+      rows.push_back(stats_json ? sim::stats_json_run(failed)
+                                : sim::sweep_csv_row(failed));
       continue;
     }
     // A point that FAILED ON THE SERVER still yields an ok result response;
     // its CSV row carries the error column, exactly like the local path.
     if (!r.run_ok) exit_code = 1;
-    if (stats_json) {
-      stats_runs.push_back(r.stats_run_json);
-    } else {
-      std::fputs(r.csv.c_str(), stdout);
-    }
+    rows.push_back(stats_json ? r.stats_run_json : r.csv);
   }
-  if (stats_json) {
-    // The fleet footer is OPT-IN: without --fleet-stats the document stays
-    // byte-identical to a local run's, failures or not.
-    const std::string doc =
-        fleet_stats
-            ? sim::stats_json_document(stats_runs, "fleet",
-                                       serve::fleet_health_json(fleet))
-            : sim::stats_json_document(stats_runs);
-    std::fputs(doc.c_str(), stdout);
-  }
+  // The fleet footer is OPT-IN: without --fleet-stats the document stays
+  // byte-identical to a local run's, failures or not.
+  print_sweep(rows, stats_json, fleet_stats ? "fleet" : "",
+              fleet_stats ? serve::fleet_health_json(fleet) : "");
   if (fleet.degraded() || fleet.chaos_injected != 0) print_fleet_report(fleet);
   return exit_code;
 }
@@ -202,8 +195,6 @@ int main(int argc, char** argv) {
   u32 jobs = 0;
   u64 fork_at = 0;
   bool stats_json = false;
-  bool fast_forward = true;
-  bool block_cache = true;
   bool fleet_stats = false;
   std::vector<std::string> servers;
   serve::ShardOptions shard_options;
@@ -233,10 +224,6 @@ int main(int argc, char** argv) {
       return 0;
     } else if (args.is("--stats-json")) {
       stats_json = true;
-    } else if (args.is("--no-fast-forward")) {
-      fast_forward = false;
-    } else if (args.is("--no-block-cache")) {
-      block_cache = false;
     } else if (args.is("--server")) {
       for (const std::string& addr :
            tools::split_list(args.flag(), args.value())) {
@@ -267,13 +254,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::vector<sim::MatrixJob> matrix = grid.expand();
-  if (!fast_forward) {
-    for (sim::MatrixJob& job : matrix) job.options.cfg.fast_forward = false;
-  }
-  if (!block_cache) {
-    for (sim::MatrixJob& job : matrix) job.options.cfg.block_cache = false;
-  }
+  const std::vector<sim::MatrixJob> matrix = grid.expand();
 
   if (!servers.empty()) {
     if (fork_at > 0) {
@@ -307,17 +288,13 @@ int main(int argc, char** argv) {
           : sim::run_matrix(matrix, jobs, &cache);
 
   int exit_code = 0;
-  if (!stats_json) std::fputs(sim::sweep_csv_header().c_str(), stdout);
+  std::vector<std::string> rows;
   for (const sim::MatrixResult& run : results) {
-    const sim::SuiteOptions& o = run.job.options;
     if (!run.ok()) {
-      std::fprintf(stderr, "RUN FAILED %s/%s cores=%u pf=%u bus=%.2f "
-                   "rows=%llu fault=%g: %s\n",
+      std::fprintf(stderr, "RUN FAILED %s/%s%s: %s\n",
                    arch::arch_name(run.job.kind), run.job.bench.c_str(),
-                   o.cfg.core.cores, o.cfg.millipede.pf_entries,
-                   o.cfg.dram.bus_efficiency,
-                   static_cast<unsigned long long>(o.rows),
-                   o.cfg.dram.fault.bit_flip_rate, run.error.c_str());
+                   tools::point_label(run.job.options).c_str(),
+                   run.error.c_str());
       if (!run.diagnostic.empty()) {
         std::fprintf(stderr, "%s", run.diagnostic.c_str());
       }
@@ -325,26 +302,15 @@ int main(int argc, char** argv) {
       // Fall through: a failed point still gets its CSV row (config columns
       // + error message) so the table stays rectangular and in grid order.
     }
-    if (!stats_json) std::fputs(sim::sweep_csv_row(run).c_str(), stdout);
+    rows.push_back(stats_json ? sim::stats_json_run(run)
+                              : sim::sweep_csv_row(run));
   }
-  if (stats_json) {
-    // The fork footer is OPT-IN, exactly like the remote path's fleet
-    // footer: without --fleet-stats the document stays byte-identical to a
-    // plain (unforked) sweep's.
-    if (fork_at > 0 && fleet_stats) {
-      std::vector<std::string> stats_runs;
-      stats_runs.reserve(results.size());
-      for (const sim::MatrixResult& run : results) {
-        stats_runs.push_back(sim::stats_json_run(run));
-      }
-      std::fputs(sim::stats_json_document(stats_runs, "fork",
-                                          fork_stats_json(fork_at, fork))
-                     .c_str(),
-                 stdout);
-    } else {
-      std::fputs(sim::stats_json(results).c_str(), stdout);
-    }
-  }
+  // The fork footer is OPT-IN, exactly like the remote path's fleet footer:
+  // without --fleet-stats the document stays byte-identical to a plain
+  // (unforked) sweep's.
+  const bool fork_footer = fork_at > 0 && fleet_stats;
+  print_sweep(rows, stats_json, fork_footer ? "fork" : "",
+              fork_footer ? fork_stats_json(fork_at, fork) : "");
   if (fork_at > 0) {
     std::fprintf(stderr,
                  "mlpsweep: fork-at %llu: %llu group(s), %llu point(s) "

@@ -1,20 +1,19 @@
 #pragma once
-// Shared configuration-grid definition for the sweep drivers (mlpsweep's
-// local path, its --server remote path, and `mlpclient sweep`). One struct
-// owns the axis lists, consumes the axis flags from an ArgCursor, and
-// expands the cross product in ONE fixed axis order
-// (arch → bench → cores → pf → bus → rows → fault → channels → ranks →
-// mapping → page-policy → refresh) so every driver emits rows in the same
-// deterministic grid order.
+// Knob flags and the configuration grid shared by the command-line tools.
+// Every knob flag comes from the knob table (sim/knobs.hpp): mlpsim and
+// mlpclient take one value per knob (consume_knob), and mlpsweep's
+// SweepGrid takes a comma-separated list for each sweep axis and one value
+// for every other knob. The grid expands its cross product in ONE fixed
+// axis order (arch, bench, then the table's axes in table order), so every
+// driver emits rows in the same deterministic grid order.
 
 #include <algorithm>
-#include <cstdio>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "argparse.hpp"
-#include "common/error.hpp"
-#include "mem/addrmap.hpp"
+#include "sim/knobs.hpp"
 #include "sim/runner.hpp"
 
 namespace mlp::tools {
@@ -46,256 +45,191 @@ inline std::vector<std::string> parse_benches(const std::string& flag,
   return benches;
 }
 
-/// Eager command-line validation of the DRAM spec strings: a typo exits 2
-/// at parse time instead of failing every grid point. Grammar only for the
-/// mapping — zero-width-field checks need the per-point channel/rank/bank
-/// geometry and stay per-point SimErrors.
-inline std::string parse_mapping_spec(const std::string& flag,
-                                      const std::string& text) {
-  try {
-    mem::AddressMap::check_grammar(text);
-  } catch (const SimError&) {
-    flag_error(flag, text, "a field list like row:rank:bank:channel:col");
-  }
-  return text;
+/// One value of a valued knob's flag. A bad value exits 2 at parse time,
+/// naming the flag, instead of failing every grid point. Spec strings get
+/// their grammar checked here; checks that need the point's geometry stay
+/// per-point SimErrors.
+inline sim::KnobValue parse_knob(const sim::Knob& knob, const std::string& flag,
+                                 const std::string& text) {
+  const std::optional<sim::KnobValue> value = sim::knob_parse(knob, text);
+  if (!value) flag_error(flag, text, sim::knob_expects(knob).c_str());
+  return *value;
 }
 
-inline std::string parse_page_policy_spec(const std::string& flag,
-                                          const std::string& text) {
-  try {
-    (void)parse_page_policy(text);
-  } catch (const SimError&) {
-    flag_error(flag, text, "open, closed, or open:idle=N:hits=M");
+/// The value the cursor's knob flag sets: a switch flips the knob's
+/// default, a valued knob parses its argument.
+inline sim::KnobValue knob_flag_value(ArgCursor& args, const sim::Knob& knob) {
+  if (sim::knob_is_switch(knob)) {
+    return !std::get<bool>(sim::knob_default(knob));
   }
-  return text;
+  const std::string flag = args.flag();
+  return parse_knob(knob, flag, args.value());
 }
 
-inline std::string parse_refresh_spec(const std::string& flag,
-                                      const std::string& text) {
-  try {
-    (void)parse_refresh(text);
-  } catch (const SimError&) {
-    flag_error(flag, text, "off, on, or on:trefi=N:trfc=N:postpone=K");
+/// Consume the cursor's flag into `options` when it names a knob; returns
+/// false (cursor untouched) when it does not.
+inline bool consume_knob(ArgCursor& args, sim::SuiteOptions& options) {
+  const sim::Knob* knob = sim::knob_for_flag(args.flag());
+  if (knob == nullptr) return false;
+  sim::knob_set(*knob, options, knob_flag_value(args, *knob));
+  return true;
+}
+
+/// The --help entry for a knob flag, wrapped to 79 columns; `list` shows
+/// an axis taking a list.
+inline std::string knob_help_line(const sim::Knob& knob, bool list) {
+  constexpr std::size_t kIndent = 26;
+  constexpr std::size_t kWidth = 79;
+  std::string out = std::string("  ") + knob.flag;
+  std::string text = knob.help;
+  if (!sim::knob_is_switch(knob)) {
+    out += ' ';
+    out += list ? "LIST" : knob.metavar;
+    text += " (default " + sim::knob_cell(knob, sim::knob_default(knob)) + ")";
   }
-  return text;
+  out.resize(std::max(out.size() + 2, kIndent), ' ');
+  std::size_t column = out.size();
+  for (std::size_t start = 0; start < text.size();) {
+    const std::size_t end = std::min(text.find(' ', start), text.size());
+    const std::size_t len = end - start;
+    if (column > kIndent && column + 1 + len > kWidth) {
+      out += '\n' + std::string(kIndent, ' ');
+      column = kIndent;
+    } else if (column > kIndent) {
+      out += ' ';
+      ++column;
+    }
+    out.append(text, start, len);
+    column += len;
+    start = end + 1;
+  }
+  return out + "\n";
+}
+
+/// The axis coordinates of a job, "name=value" each, for failure reports.
+inline std::string point_label(const sim::SuiteOptions& options) {
+  std::string label;
+  for (const sim::Knob& knob : sim::knobs()) {
+    if (!knob.axis()) continue;
+    label += ' ';
+    label += knob.name;
+    label += '=';
+    label += sim::knob_cell(knob, sim::knob_get(knob, options));
+  }
+  return label;
 }
 
 struct SweepGrid {
-  // Axes (each defaults to one paper-default point).
+  /// One sweep axis: a table knob and its points.
+  struct Axis {
+    const sim::Knob* knob;
+    std::vector<sim::KnobValue> points;
+  };
+
   std::vector<arch::ArchKind> archs = {arch::ArchKind::kMillipede};
   std::vector<std::string> benches = workloads::bmla_names();
-  std::vector<u32> cores = {32};
-  std::vector<u32> pf_entries = {16};
-  std::vector<double> bus_efficiencies = {0.30};
-  std::vector<u64> rows = {sim::kDefaultRows};
-  std::vector<double> fault_rates = {0.0};
-  std::vector<u32> channels = {1};
-  std::vector<u32> ranks = {1};
-  std::vector<std::string> mappings = {"row:bank:col"};
-  std::vector<std::string> page_policies = {"open"};
-  std::vector<std::string> refreshes = {"off"};
+  /// The table's axes in table order, each one default point until set.
+  std::vector<Axis> axes = default_axes();
+  /// Every other knob, applied to every point.
+  sim::SuiteOptions scalars;
 
-  // Scalars applied to every point.
-  u64 records = 0;
-  u64 seed = 1;
-  bool ecc = false;
-  u64 fault_seed = 1;
-  WatchdogConfig watchdog;
-  trace::TraceConfig trace_cfg;
+  static std::vector<Axis> default_axes() {
+    std::vector<Axis> out;
+    for (const sim::Knob& knob : sim::knobs()) {
+      if (knob.axis()) out.push_back({&knob, {sim::knob_default(knob)}});
+    }
+    return out;
+  }
 
-  /// Usage text for the flags consume() understands (grid axes + scalars).
-  static const char* help() {
-    return
+  /// Usage text for the flags consume() understands.
+  static std::string help() {
+    std::string out =
         "Grid axes (comma-separated lists; each defaults to one point):\n"
-        "  --arch LIST|all       architectures            (default millipede)\n"
-        "  --bench LIST|all      benchmarks               (default all)\n"
-        "  --cores LIST          corelets / lanes / cores (default 32)\n"
-        "  --pf-entries LIST     prefetch buffer entries  (default 16)\n"
-        "  --bus-efficiency LIST effective bus efficiency (default 0.30)\n"
-        "  --rows LIST           data volume in DRAM rows (default 192)\n"
-        "  --fault-rate LIST     DRAM bit-flip probability per transferred\n"
-        "                        bit (default 0 = off)\n"
-        "  --channels LIST       DRAM channels, pow2       (default 1)\n"
-        "  --ranks LIST          DRAM ranks per channel    (default 1)\n"
-        "  --mapping LIST        address interleave field order, msb first\n"
-        "                        (default row:bank:col; e.g.\n"
-        "                        row:rank:bank:channel:col)\n"
-        "  --page-policy LIST    open | closed | open:idle=N:hits=M\n"
-        "                        (cycles / column accesses; default open)\n"
-        "  --refresh LIST        off | on | on:trefi=N:trfc=N:postpone=K\n"
-        "                        (cycles / slots; default off)\n"
-        "\n"
-        "Point scalars:\n"
-        "  --records N           absolute record count (overrides --rows)\n"
-        "  --seed N              data generation seed     (default 1)\n"
-        "  --ecc                 SECDED(72,64) correction + retry on detect\n"
-        "  --fault-seed N        fault-injection seed     (default 1)\n"
-        "  --watchdog-cycles N / --watchdog-stall N\n"
-        "                        forward-progress watchdog limits (0 = off)\n"
-        "  --trace               per-point Chrome-trace JSON\n"
-        "  --trace-dir DIR       trace output directory   (default traces)\n"
-        "  --trace-ring N        bounded binary-ring capture (N events)\n"
-        "  --trace-interval N    interval-sampled counter timeline CSV\n";
+        "  --arch LIST|all         architectures (default millipede)\n"
+        "  --bench LIST|all        benchmarks (default all)\n";
+    for (const sim::Knob& knob : sim::knobs()) {
+      if (knob.axis()) out += knob_help_line(knob, /*list=*/true);
+    }
+    out += "\nPoint scalars:\n";
+    for (const sim::Knob& knob : sim::knobs()) {
+      if (!knob.axis()) out += knob_help_line(knob, /*list=*/false);
+    }
+    return out;
   }
 
   /// Try to consume the current ArgCursor flag as a grid/scalar flag;
   /// returns false (cursor untouched) when the flag is not one of ours.
   bool consume(ArgCursor& args) {
-    const std::string& arg = args.flag();
+    const std::string flag = args.flag();
     if (args.is("--arch")) {
-      archs = parse_archs(arg, args.value());
-    } else if (args.is("--bench")) {
-      benches = parse_benches(arg, args.value());
-    } else if (args.is("--cores")) {
-      cores.clear();
-      for (const std::string& item : split_list(arg, args.value())) {
-        cores.push_back(parse_u32(arg, item, /*min=*/1));
-      }
-    } else if (args.is("--pf-entries")) {
-      pf_entries.clear();
-      for (const std::string& item : split_list(arg, args.value())) {
-        pf_entries.push_back(parse_u32(arg, item, /*min=*/1));
-      }
-    } else if (args.is("--bus-efficiency")) {
-      bus_efficiencies.clear();
-      for (const std::string& item : split_list(arg, args.value())) {
-        bus_efficiencies.push_back(parse_positive_double(arg, item));
-      }
-    } else if (args.is("--rows")) {
-      rows.clear();
-      for (const std::string& item : split_list(arg, args.value())) {
-        rows.push_back(parse_u64(arg, item, /*min=*/1));
-      }
-    } else if (args.is("--fault-rate")) {
-      fault_rates.clear();
-      for (const std::string& item : split_list(arg, args.value())) {
-        fault_rates.push_back(parse_rate(arg, item));
-      }
-    } else if (args.is("--channels")) {
-      channels.clear();
-      for (const std::string& item : split_list(arg, args.value())) {
-        channels.push_back(parse_u32(arg, item, /*min=*/1));
-      }
-    } else if (args.is("--ranks")) {
-      ranks.clear();
-      for (const std::string& item : split_list(arg, args.value())) {
-        ranks.push_back(parse_u32(arg, item, /*min=*/1));
-      }
-    } else if (args.is("--mapping")) {
-      mappings.clear();
-      for (const std::string& item : split_list(arg, args.value())) {
-        mappings.push_back(parse_mapping_spec(arg, item));
-      }
-    } else if (args.is("--page-policy")) {
-      page_policies.clear();
-      for (const std::string& item : split_list(arg, args.value())) {
-        page_policies.push_back(parse_page_policy_spec(arg, item));
-      }
-    } else if (args.is("--refresh")) {
-      refreshes.clear();
-      for (const std::string& item : split_list(arg, args.value())) {
-        refreshes.push_back(parse_refresh_spec(arg, item));
-      }
-    } else if (args.is("--records")) {
-      records = parse_u64(arg, args.value(), /*min=*/1);
-    } else if (args.is("--seed")) {
-      seed = parse_u64(arg, args.value());
-    } else if (args.is("--ecc")) {
-      ecc = true;
-    } else if (args.is("--fault-seed")) {
-      fault_seed = parse_u64(arg, args.value());
-    } else if (args.is("--watchdog-cycles")) {
-      watchdog.max_cycles = parse_u64(arg, args.value());
-    } else if (args.is("--watchdog-stall")) {
-      watchdog.stall_cycles = parse_u64(arg, args.value());
-    } else if (args.is("--trace")) {
-      trace_cfg.chrome_json = true;
-    } else if (args.is("--trace-dir")) {
-      trace_cfg.dir = args.value();
-    } else if (args.is("--trace-ring")) {
-      trace_cfg.ring_entries = parse_u64(arg, args.value(), /*min=*/1);
-    } else if (args.is("--trace-interval")) {
-      trace_cfg.interval_cycles = parse_u64(arg, args.value(), /*min=*/1);
-    } else {
-      return false;
+      archs = parse_archs(flag, args.value());
+      return true;
     }
+    if (args.is("--bench")) {
+      benches = parse_benches(flag, args.value());
+      return true;
+    }
+    const sim::Knob* knob = sim::knob_for_flag(flag);
+    if (knob == nullptr) return false;
+    if (!knob->axis()) {
+      sim::knob_set(*knob, scalars, knob_flag_value(args, *knob));
+      return true;
+    }
+    std::vector<sim::KnobValue> points;
+    for (const std::string& item : split_list(flag, args.value())) {
+      points.push_back(parse_knob(*knob, flag, item));
+    }
+    std::find_if(axes.begin(), axes.end(), [&](const Axis& axis) {
+      return axis.knob == knob;
+    })->points = std::move(points);
     return true;
   }
 
-  /// Expand the cross product in the fixed axis order.
+  /// Expand the cross product in the fixed axis order, the last axis
+  /// fastest.
   std::vector<sim::MatrixJob> expand() const {
+    // Tracing needs a unique per-point file stem: encode the grid
+    // coordinates into the job tag. Axes marked tag_if_swept join it only
+    // when one of them is swept, keeping single-point trace names stable.
+    const bool traced = scalars.trace.enabled();
+    bool tag_swept = false;
+    for (const Axis& axis : axes) {
+      tag_swept |= axis.knob->tag_if_swept && axis.points.size() > 1;
+    }
     std::vector<sim::MatrixJob> matrix;
     for (const arch::ArchKind kind : archs) {
       for (const std::string& bench : benches) {
-        for (const u32 core_count : cores) {
-          for (const u32 entries : pf_entries) {
-            for (const double bus_eff : bus_efficiencies) {
-              for (const u64 row_count : rows) {
-                for (const double fault_rate : fault_rates) {
-                  for (const u32 channel_count : channels) {
-                  for (const u32 rank_count : ranks) {
-                  for (const std::string& mapping : mappings) {
-                  for (const std::string& page_policy : page_policies) {
-                  for (const std::string& refresh : refreshes) {
-                  sim::SuiteOptions options;
-                  options.records = records;
-                  options.rows = row_count;
-                  options.seed = seed;
-                  options.cfg.core.cores = core_count;
-                  options.cfg.gpgpu.warp_width = core_count;
-                  options.cfg.millipede.pf_entries = entries;
-                  options.cfg.dram.bus_efficiency = bus_eff;
-                  options.cfg.dram.fault.bit_flip_rate = fault_rate;
-                  options.cfg.dram.fault.ecc = ecc;
-                  options.cfg.dram.fault.seed = fault_seed;
-                  options.cfg.dram.channels = channel_count;
-                  options.cfg.dram.ranks = rank_count;
-                  options.cfg.dram.mapping = mapping;
-                  options.cfg.dram.page_policy = page_policy;
-                  options.cfg.dram.refresh = refresh;
-                  options.cfg.watchdog = watchdog;
-                  options.trace = trace_cfg;
-                  // Tracing needs a unique per-point file stem: encode the
-                  // grid coordinates into the job tag. The DRAM axes join
-                  // the stem only when swept (>1 point), keeping legacy
-                  // single-point trace names stable.
-                  std::string tag;
-                  if (trace_cfg.enabled()) {
-                    char buf[96];
-                    std::snprintf(buf, sizeof(buf),
-                                  "c%u-pf%u-bus%.3f-r%llu-f%g", core_count,
-                                  entries, bus_eff,
-                                  static_cast<unsigned long long>(row_count),
-                                  fault_rate);
-                    tag = buf;
-                    if (channels.size() > 1 || ranks.size() > 1 ||
-                        mappings.size() > 1 || page_policies.size() > 1 ||
-                        refreshes.size() > 1) {
-                      std::snprintf(buf, sizeof(buf), "-ch%u-rk%u-%s-%s-%s",
-                                    channel_count, rank_count, mapping.c_str(),
-                                    page_policy.c_str(), refresh.c_str());
-                      std::string dram_part = buf;
-                      // ':' and '=' are awkward in file stems.
-                      for (char& ch : dram_part) {
-                        if (ch == ':' || ch == '=') ch = '.';
-                      }
-                      tag += dram_part;
-                    }
-                  }
-                  matrix.push_back({kind, bench, options, tag});
-                  }
-                  }
-                  }
-                  }
-                  }
-                }
-              }
-            }
+        std::vector<std::size_t> at(axes.size(), 0);
+        do {
+          sim::SuiteOptions options = scalars;
+          std::string tag;
+          for (std::size_t a = 0; a < axes.size(); ++a) {
+            const sim::Knob& knob = *axes[a].knob;
+            const sim::KnobValue& value = axes[a].points[at[a]];
+            sim::knob_set(knob, options, value);
+            if (!traced || (knob.tag_if_swept && !tag_swept)) continue;
+            if (!tag.empty()) tag += '-';
+            tag += knob.tag;
+            tag += sim::knob_cell(knob, value);
           }
-        }
+          // ':' and '=' are awkward in file stems.
+          std::replace(tag.begin(), tag.end(), ':', '.');
+          std::replace(tag.begin(), tag.end(), '=', '.');
+          matrix.push_back({kind, bench, options, tag});
+        } while (advance(at));
       }
     }
     return matrix;
+  }
+
+ private:
+  /// Step the per-axis odometer; false once every point was visited.
+  bool advance(std::vector<std::size_t>& at) const {
+    for (std::size_t a = axes.size(); a-- > 0;) {
+      if (++at[a] < axes[a].points.size()) return true;
+      at[a] = 0;
+    }
+    return false;
   }
 };
 

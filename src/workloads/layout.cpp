@@ -1,5 +1,9 @@
 #include "workloads/layout.hpp"
 
+#include <string>
+
+#include "common/error.hpp"
+
 namespace mlp::workloads {
 namespace {
 
@@ -9,6 +13,12 @@ namespace {
 u32 contiguous_rows_per_group(u32 fields) {
   return fields <= 4 ? 1 : fields / 4;
 }
+
+u64 ceil_div(u64 a, u64 b) { return a / b + (a % b != 0 ? 1 : 0); }
+
+/// The machine addresses its input through 32-bit registers and CSRs
+/// (csr_nrecords() narrows), so a larger image is a config error.
+constexpr u64 kMaxImageBytes = u64{1} << 32;
 
 }  // namespace
 
@@ -21,7 +31,7 @@ InterleavedLayout::InterleavedLayout(u32 row_bytes, u32 fields,
       group_records_(row_bytes / 4),
       group_shift_(log2_exact(group_records_)),
       row_shift_(log2_exact(row_bytes)),
-      num_groups_((num_records + group_records_ - 1) / group_records_),
+      num_groups_(ceil_div(num_records, group_records_)),
       base_(base),
       mode_(mode) {
   MLP_CHECK(is_pow2(row_bytes_), "row size must be a power of two");
@@ -35,8 +45,13 @@ InterleavedLayout::InterleavedLayout(u32 row_bytes, u32 fields,
     rows_per_group_ = contiguous_rows_per_group(fields_);
     group_records_ = records_per_row_ * rows_per_group_;
     group_shift_ = log2_exact(group_records_);
-    num_groups_ = (num_records_ + group_records_ - 1) / group_records_;
+    num_groups_ = ceil_div(num_records_, group_records_);
   }
+  MLP_SIM_CHECK(num_groups_ <= kMaxImageBytes / (rows_per_group() * row_bytes_),
+                "config",
+                "an input of " + std::to_string(num_records_) +
+                    " records x " + std::to_string(fields_) +
+                    " words exceeds the 4 GiB the machine can address");
 }
 
 Addr InterleavedLayout::address(u32 field, u64 record) const {

@@ -195,5 +195,27 @@ TEST(FaultInjection, DrawsAreDeterministicPerSeed) {
             c.result.stats.at("dram.ecc_corrected"));
 }
 
+// --- Input size ---
+
+/// The machine's registers and CSRs are 32-bit, so an input it cannot
+/// address fails as a typed config error instead of wrapping a size.
+TEST(InputSize, OversizedRecordsAreATypedConfigError) {
+  SuiteOptions options;
+  options.records = u64{1} << 62;  // records x 4 bytes wraps to 0
+  const MatrixResult run =
+      run_job(job(arch::ArchKind::kMillipede, "count", options));
+  EXPECT_FALSE(run.ok());
+  EXPECT_EQ(run.error.rfind("config:", 0), 0u) << run.error;
+}
+
+TEST(InputSize, OversizedRowsAreATypedConfigError) {
+  SuiteOptions options;
+  options.rows = u64{1} << 55;  // groups x 512 records wraps to 0
+  const MatrixResult run =
+      run_job(job(arch::ArchKind::kMillipede, "count", options));
+  EXPECT_FALSE(run.ok());
+  EXPECT_EQ(run.error.rfind("config:", 0), 0u) << run.error;
+}
+
 }  // namespace
 }  // namespace mlp::sim

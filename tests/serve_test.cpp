@@ -130,6 +130,18 @@ TEST(JobJson, RoundTripsEveryField) {
   spec.job.options.cfg.watchdog.wall_ms = 90000;
   spec.job.options.trace.chrome_json = true;
   spec.job.options.trace.dir = "/tmp/traces";
+  spec.job.options.cfg.dram.channels = 2;
+  spec.job.options.cfg.dram.ranks = 4;
+  spec.job.options.cfg.dram.mapping = "row:rank:bank:channel:col";
+  spec.job.options.cfg.dram.page_policy = "open:idle=64:hits=4";
+  spec.job.options.cfg.dram.refresh = "on:trefi=1000:trfc=100";
+  spec.job.options.cfg.dram.fault.delay_rate = 0.125;
+  spec.job.options.cfg.dram.fault.drop_rate = 0.0625;
+  spec.job.options.cfg.watchdog.stall_cycles = 777;
+  spec.job.options.cfg.fast_forward = false;
+  spec.job.options.cfg.block_cache = false;
+  spec.job.options.trace.ring_entries = 512;
+  spec.job.options.trace.interval_cycles = 1000;
   spec.hold_ms = 250;
 
   const JobSpec back = job_from_json(trace::json_parse(job_json(spec)));
@@ -152,6 +164,18 @@ TEST(JobJson, RoundTripsEveryField) {
   EXPECT_EQ(back.job.options.cfg.watchdog.wall_ms, 90000u);
   EXPECT_TRUE(back.job.options.trace.chrome_json);
   EXPECT_EQ(back.job.options.trace.dir, "/tmp/traces");
+  EXPECT_EQ(back.job.options.cfg.dram.channels, 2u);
+  EXPECT_EQ(back.job.options.cfg.dram.ranks, 4u);
+  EXPECT_EQ(back.job.options.cfg.dram.mapping, "row:rank:bank:channel:col");
+  EXPECT_EQ(back.job.options.cfg.dram.page_policy, "open:idle=64:hits=4");
+  EXPECT_EQ(back.job.options.cfg.dram.refresh, "on:trefi=1000:trfc=100");
+  EXPECT_DOUBLE_EQ(back.job.options.cfg.dram.fault.delay_rate, 0.125);
+  EXPECT_DOUBLE_EQ(back.job.options.cfg.dram.fault.drop_rate, 0.0625);
+  EXPECT_EQ(back.job.options.cfg.watchdog.stall_cycles, 777u);
+  EXPECT_FALSE(back.job.options.cfg.fast_forward);
+  EXPECT_FALSE(back.job.options.cfg.block_cache);
+  EXPECT_EQ(back.job.options.trace.ring_entries, 512u);
+  EXPECT_EQ(back.job.options.trace.interval_cycles, 1000u);
   EXPECT_EQ(back.hold_ms, 250u);
 }
 
@@ -545,13 +569,11 @@ TEST(Service, SubmitAfterShutdownIsRefused) {
   EXPECT_EQ(refused.error, kErrShuttingDown);
 }
 
-TEST(Service, RunMatrixRemoteMatchesLocalBytes) {
+TEST(Service, OneNodeSweepMatchesLocalBytes) {
   LiveServer live(ServeConfig{"", "", /*threads=*/4, /*queue_limit=*/3});
-  Client client;
-  client.connect(live.path());
 
   // 4 architectures × 2 benchmarks through a 3-slot admission window: the
-  // sliding-window client must absorb queue-full backpressure and still
+  // sliding-window sweep must absorb queue-full backpressure and still
   // return every result in submission order.
   std::vector<sim::MatrixJob> jobs;
   for (const arch::ArchKind kind :
@@ -562,7 +584,8 @@ TEST(Service, RunMatrixRemoteMatchesLocalBytes) {
       jobs.push_back(small_job(bench, kind).job);
     }
   }
-  const std::vector<RemoteResult> remote = run_matrix_remote(client, jobs);
+  const std::vector<RemoteResult> remote =
+      run_matrix_sharded({live.path()}, jobs);
   const std::vector<sim::MatrixResult> local = sim::run_matrix(jobs, 2);
 
   ASSERT_EQ(remote.size(), local.size());
@@ -980,6 +1003,14 @@ TEST(Service, RestoreWithoutASnapshotIsTyped) {
   EXPECT_FALSE(
       client.restore(small_job("count", arch::ArchKind::kSsmc), 1).ok);
   EXPECT_FALSE(client.restore(small_job("sample"), 1).ok);
+  // Any timing knob is part of the key too: a blob captured under one
+  // config never finishes a run under another.
+  JobSpec slow_bus = small_job("count");
+  slow_bus.job.options.cfg.dram.bus_efficiency = 0.05;
+  EXPECT_EQ(client.restore(slow_bus, 1).error, kErrNoSuchSnapshot);
+  JobSpec refreshed = small_job("count");
+  refreshed.job.options.cfg.dram.refresh = "on";
+  EXPECT_EQ(client.restore(refreshed, 1).error, kErrNoSuchSnapshot);
   EXPECT_TRUE(client.restore(small_job("count"), 1).ok);
 }
 
@@ -1065,6 +1096,24 @@ TEST(Service, RecordBarrierOnTheSmIsATypedErrorAndServingGoesOn) {
   const Response done = client.result(after.doc.u64_at("id"), true);
   ASSERT_TRUE(done.ok) << done.message;
   EXPECT_TRUE(done.doc.find("run_ok")->boolean);
+}
+
+TEST(Service, OversizedInputIsAFailedResultAndServingGoesOn) {
+  // records x fields x 4 bytes wraps 64 bits: the job must fail as a
+  // typed config error in its result, not abort the daemon.
+  LiveServer live(ServeConfig{"", "", /*threads=*/1, /*queue_limit=*/4});
+  Client client;
+  client.connect(live.path());
+  const Response sub = client.roundtrip(
+      R"({"type":"submit","job":{"bench":"count",)"
+      R"("records":4611686018427387904}})");
+  ASSERT_TRUE(sub.ok) << sub.message;
+  const Response result = client.result(sub.doc.u64_at("id"), true);
+  ASSERT_TRUE(result.ok) << result.message;
+  EXPECT_FALSE(result.doc.find("run_ok")->boolean);
+  EXPECT_NE(result.doc.str_at("csv").find("config: "), std::string::npos)
+      << result.doc.str_at("csv");
+  EXPECT_TRUE(client.ping().ok);
 }
 
 TEST(Service, BoundedResultWaitHeartbeatsInsteadOfHanging) {

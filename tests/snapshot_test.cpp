@@ -358,19 +358,19 @@ TEST(SnapshotDram, ForkKeySplitsOnEveryDramAxis) {
                        ""};
   MatrixJob changed = base;
   changed.options.cfg.dram.channels = 2;
-  EXPECT_NE(fork_key(base), fork_key(changed));
+  EXPECT_FALSE(fork_compatible(base, changed));
   changed = base;
   changed.options.cfg.dram.ranks = 2;
-  EXPECT_NE(fork_key(base), fork_key(changed));
+  EXPECT_FALSE(fork_compatible(base, changed));
   changed = base;
   changed.options.cfg.dram.mapping = "row:rank:bank:channel:col";
-  EXPECT_NE(fork_key(base), fork_key(changed));
+  EXPECT_FALSE(fork_compatible(base, changed));
   changed = base;
   changed.options.cfg.dram.page_policy = "closed";
-  EXPECT_NE(fork_key(base), fork_key(changed));
+  EXPECT_FALSE(fork_compatible(base, changed));
   changed = base;
   changed.options.cfg.dram.refresh = "on";
-  EXPECT_NE(fork_key(base), fork_key(changed));
+  EXPECT_FALSE(fork_compatible(base, changed));
 }
 
 // --- Warm-snapshot forking (mlpsweep --fork-at) ---
@@ -383,20 +383,20 @@ TEST(Fork, KeyIgnoresFaultRatesButNotTheInjectorBit) {
   b.options.cfg.dram.fault.drop_rate = 0.01;
   // Rates alone don't split the group...
   a.options.cfg.dram.fault.bit_flip_rate = 1e-15;
-  EXPECT_EQ(fork_key(a), fork_key(b));
+  EXPECT_TRUE(fork_compatible(a, b));
   // ...but injector presence does (the snapshot records the draw cursor),
   a.options.cfg.dram.fault.bit_flip_rate = 0.0;
-  EXPECT_NE(fork_key(a), fork_key(b));
+  EXPECT_FALSE(fork_compatible(a, b));
   // ...and so does any other knob.
   a.options.cfg.dram.fault.bit_flip_rate = 1e-15;
   a.options.cfg.millipede.pf_entries = 8;
-  EXPECT_NE(fork_key(a), fork_key(b));
+  EXPECT_FALSE(fork_compatible(a, b));
   a = b;
   a.kind = arch::ArchKind::kSsmc;
-  EXPECT_NE(fork_key(a), fork_key(b));
+  EXPECT_FALSE(fork_compatible(a, b));
   a = b;
   a.options.seed = 2;
-  EXPECT_NE(fork_key(a), fork_key(b));
+  EXPECT_FALSE(fork_compatible(a, b));
 }
 
 TEST(Fork, ForkedFaultSweepIsByteIdenticalAndSavesWarmup) {

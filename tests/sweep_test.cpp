@@ -155,18 +155,31 @@ tools::SweepGrid consume_flags(std::vector<std::string> words) {
   return grid;
 }
 
+/// The points of the grid axis whose knob is named `name`.
+std::vector<sim::KnobValue> points(const tools::SweepGrid& grid,
+                                   const std::string& name) {
+  for (const tools::SweepGrid::Axis& axis : grid.axes) {
+    if (name == axis.knob->name) return axis.points;
+  }
+  ADD_FAILURE() << "no axis " << name;
+  return {};
+}
+
 TEST(SweepGrid, DramFlagsPopulateAxes) {
   const tools::SweepGrid grid = consume_flags(
       {"--channels", "1,2", "--ranks", "2", "--mapping",
        "row:bank:col,row:rank:bank:channel:col", "--page-policy",
        "open,closed,open:idle=64:hits=4", "--refresh", "off,on:trefi=1000:trfc=100"});
-  EXPECT_EQ(grid.channels, (std::vector<u32>{1, 2}));
-  EXPECT_EQ(grid.ranks, (std::vector<u32>{2}));
-  ASSERT_EQ(grid.mappings.size(), 2u);
-  EXPECT_EQ(grid.mappings[1], "row:rank:bank:channel:col");
-  EXPECT_EQ(grid.page_policies.size(), 3u);
-  ASSERT_EQ(grid.refreshes.size(), 2u);
-  EXPECT_EQ(grid.refreshes[1], "on:trefi=1000:trfc=100");
+  using Points = std::vector<sim::KnobValue>;
+  EXPECT_EQ(points(grid, "channels"), (Points{u64{1}, u64{2}}));
+  EXPECT_EQ(points(grid, "ranks"), (Points{u64{2}}));
+  ASSERT_EQ(points(grid, "mapping").size(), 2u);
+  EXPECT_EQ(points(grid, "mapping")[1],
+            sim::KnobValue{std::string("row:rank:bank:channel:col")});
+  EXPECT_EQ(points(grid, "page_policy").size(), 3u);
+  ASSERT_EQ(points(grid, "refresh").size(), 2u);
+  EXPECT_EQ(points(grid, "refresh")[1],
+            sim::KnobValue{std::string("on:trefi=1000:trfc=100")});
 }
 
 TEST(SweepGrid, DramAxesExpandInDocumentedOrder) {
