@@ -81,28 +81,8 @@ inline void add_suite(std::vector<sim::MatrixJob>* jobs,
   }
 }
 
-/// Run a job grid in parallel and group the results by tag. Any failure is
-/// fatal: reproduction binaries must never print unverified numbers.
-inline std::map<std::string, SuiteResults> run_grid(
-    const std::vector<sim::MatrixJob>& jobs, const HarnessOptions& harness) {
-  std::map<std::string, SuiteResults> grid;
-  bool failed = false;
-  for (sim::MatrixResult& r : sim::run_matrix(jobs, harness.jobs)) {
-    if (!r.ok()) {
-      std::fprintf(stderr, "RUN FAILED %s/%s: %s\n",
-                   arch::arch_name(r.job.kind), r.job.bench.c_str(),
-                   r.error.c_str());
-      failed = true;
-      continue;
-    }
-    grid[r.job.tag].emplace(r.job.bench, std::move(r.result));
-  }
-  if (failed) std::exit(1);
-  return grid;
-}
-
-/// Run a job list in parallel and return verified results in submission
-/// order (for binaries whose rows are not a tag × benchmark grid).
+/// Run a job list in parallel and return its results in submission order.
+/// Any failure is fatal: reproduction binaries never print unverified numbers.
 inline std::vector<RunResult> run_jobs(const std::vector<sim::MatrixJob>& jobs,
                                        const HarnessOptions& harness) {
   std::vector<RunResult> results;
@@ -120,6 +100,17 @@ inline std::vector<RunResult> run_jobs(const std::vector<sim::MatrixJob>& jobs,
   }
   if (failed) std::exit(1);
   return results;
+}
+
+/// Run a job grid in parallel and group the results by tag.
+inline std::map<std::string, SuiteResults> run_grid(
+    const std::vector<sim::MatrixJob>& jobs, const HarnessOptions& harness) {
+  std::vector<RunResult> results = run_jobs(jobs, harness);
+  std::map<std::string, SuiteResults> grid;
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    grid[jobs[i].tag].emplace(jobs[i].bench, std::move(results[i]));
+  }
+  return grid;
 }
 
 inline SuiteResults run_suite_map(ArchKind kind,

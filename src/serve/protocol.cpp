@@ -392,15 +392,15 @@ std::string status_response(const ServerStatus& status) {
   w.key("snapshots");
   w.begin_object();
   w.key("hits");
-  w.value(status.snapshot_hits);
+  w.value(status.snapshots.hits);
   w.key("misses");
-  w.value(status.snapshot_misses);
+  w.value(status.snapshots.misses);
   w.key("evictions");
-  w.value(status.snapshot_evictions);
+  w.value(status.snapshots.evictions);
   w.key("entries");
-  w.value(status.snapshot_entries);
+  w.value(status.snapshots.entries);
   w.key("blob_bytes");
-  w.value(status.snapshot_blob_bytes);
+  w.value(status.snapshots.blob_bytes);
   w.end_object();
   w.end_object();
   return w.take();

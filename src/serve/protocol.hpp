@@ -41,6 +41,7 @@
 #include <optional>
 #include <string>
 
+#include "sim/fork.hpp"
 #include "sim/prepare.hpp"
 #include "sim/runner.hpp"
 #include "trace/json.hpp"
@@ -157,11 +158,7 @@ struct ServerStatus {
   bool accepting = true;
   sim::PrepareCacheStats cache;
   /// Snapshot-blob cache counters (protocol v2 snapshot/restore verbs).
-  u64 snapshot_hits = 0;
-  u64 snapshot_misses = 0;
-  u64 snapshot_evictions = 0;
-  u64 snapshot_entries = 0;
-  u64 snapshot_blob_bytes = 0;
+  sim::SnapshotCacheStats snapshots;
 };
 
 std::string pong_response();

@@ -64,6 +64,13 @@ std::string snapshot_cache_key(const sim::MatrixJob& job, u64 cycle) {
          sim::knob_identity(job.options) + "|" + std::to_string(cycle);
 }
 
+/// Cap the job's wall-clock watchdog at the server's budget (0 = none): a
+/// client cannot opt out of the operator's hang backstop.
+void apply_job_budget(u64 budget_ms, sim::MatrixJob* job) {
+  u64& wall = job->options.cfg.watchdog.wall_ms;
+  if (budget_ms != 0 && (wall == 0 || wall > budget_ms)) wall = budget_ms;
+}
+
 }  // namespace
 
 Server::Server(const ServeConfig& cfg)
@@ -171,12 +178,7 @@ ServerStatus Server::status() const {
   out.queue_limit = cfg_.queue_limit;
   out.accepting = !stop_.load();
   out.cache = cache_.stats();
-  const sim::SnapshotCache::Stats snap = snapshots_.stats();
-  out.snapshot_hits = snap.hits;
-  out.snapshot_misses = snap.misses;
-  out.snapshot_evictions = snap.evictions;
-  out.snapshot_entries = snap.entries;
-  out.snapshot_blob_bytes = snap.blob_bytes;
+  out.snapshots = snapshots_.stats();
   std::lock_guard<std::mutex> lock(mutex_);
   out.threads = pool_ != nullptr ? pool_->size() : 0;
   for (const auto& [id, entry] : jobs_) {
@@ -376,6 +378,7 @@ std::string Server::handle_snapshot(const trace::JsonValue& doc) {
     return error_response(kErrShuttingDown, "server is draining");
   }
   const std::string key = snapshot_cache_key(spec.job, cycle);
+  apply_job_budget(cfg_.job_timeout_ms, &spec.job);
 
   // Synchronous on the connection thread: the run both produces its normal
   // result AND parks the quiesce-drained state in the snapshot cache.
@@ -410,6 +413,7 @@ std::string Server::handle_restore(const trace::JsonValue& doc) {
                    "no cached snapshot for \"" + key +
                        "\"; capture one with the snapshot verb first");
   }
+  apply_job_budget(cfg_.job_timeout_ms, &spec.job);
   sim::SnapshotPlan plan;
   plan.restore_from = &entry->blob;
   const sim::MatrixResult result =
@@ -440,12 +444,7 @@ void Server::execute(u64 id) {
     entry.state = JobState::kRunning;
     job = entry.spec.job;
   }
-  if (cfg_.job_timeout_ms != 0) {
-    // The server's wall-clock budget caps whatever the job asked for; a
-    // client cannot opt out of the operator's hang backstop.
-    u64& wall = job.options.cfg.watchdog.wall_ms;
-    if (wall == 0 || wall > cfg_.job_timeout_ms) wall = cfg_.job_timeout_ms;
-  }
+  apply_job_budget(cfg_.job_timeout_ms, &job);
 
   bool cache_hit = false;
   sim::MatrixResult result = sim::run_job(job, &cache_, &cache_hit);

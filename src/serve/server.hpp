@@ -48,7 +48,7 @@ struct ServeConfig {
   /// Snapshot-blob cache capacity (protocol v2 snapshot/restore verbs);
   /// LRU-evicted. Blobs can reach tens of MB for big images, so the bound
   /// is entries, with blob_bytes observable through status.
-  std::size_t snapshot_entries = sim::SnapshotCache::kDefaultEntries;
+  std::size_t snapshot_entries = 16;
   /// Wall-clock budget per job in ms (0 = unlimited). Caps every job's
   /// watchdog.wall_ms — the backstop for the hang class the cycle watchdog
   /// cannot see (a simulation making nominal forward progress forever). A

@@ -65,58 +65,51 @@ PreparedJobPtr prepare_job(const MatrixJob& job) {
       PreparedJob{std::move(workload), std::move(input)});
 }
 
-PrepareCache::PrepareCache(std::size_t max_entries)
-    : max_entries_(std::max<std::size_t>(1, max_entries)) {}
+PrepareCache::PrepareCache(std::size_t max_entries) : lru_(max_entries) {}
 
 PreparedJobPtr PrepareCache::get(const MatrixJob& job, bool* hit) {
   const std::string key = prepare_key(job);
+  std::promise<PreparedJobPtr> prepared;
+  std::shared_future<PreparedJobPtr> in_flight;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = index_.find(key);
-    if (it != index_.end()) {
-      lru_.splice(lru_.begin(), lru_, it->second);  // refresh recency
-      ++stats_.hits;
+    const auto it = preparing_.find(key);
+    if (it != preparing_.end()) {
+      in_flight = it->second;
+    } else if (PreparedJobPtr value = lru_.get(key)) {
       if (hit != nullptr) *hit = true;
-      return it->second->value;
+      return value;
+    } else {
+      preparing_.emplace(key, prepared.get_future().share());
     }
   }
-  // Prepare outside the lock: assembly + generation + reference are the
-  // expensive part, and a concurrent miss on another key must not serialize
-  // behind it. Two concurrent misses on the SAME key both prepare; the
-  // results are identical, the first insert wins.
-  PreparedJobPtr value = prepare_job(job);
-  std::lock_guard<std::mutex> lock(mutex_);
-  ++stats_.misses;
-  if (hit != nullptr) *hit = false;
-  const auto it = index_.find(key);
-  if (it != index_.end()) return it->second->value;  // lost the race
-  lru_.push_front(Entry{key, value});
-  index_[key] = lru_.begin();
-  stats_.image_bytes += value->input.image.size();
-  while (lru_.size() > max_entries_) {
-    const Entry& victim = lru_.back();
-    stats_.image_bytes -= victim.value->input.image.size();
-    index_.erase(victim.key);
-    lru_.pop_back();
-    ++stats_.evictions;
+  if (in_flight.valid()) {
+    // Another get is preparing this key: wait for it (its SimError rethrows
+    // here), then look again, which counts the hit.
+    in_flight.get();
+    return get(job, hit);
   }
-  stats_.entries = lru_.size();
+  // Prepare outside the lock: assembly + generation + reference are the
+  // expensive part, and a miss on another key must not serialize behind it.
+  PreparedJobPtr value;
+  try {
+    value = prepare_job(job);
+  } catch (...) {
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      preparing_.erase(key);
+    }
+    prepared.set_exception(std::current_exception());
+    throw;
+  }
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    lru_.put(key, value);
+    preparing_.erase(key);
+  }
+  prepared.set_value(value);
+  if (hit != nullptr) *hit = false;
   return value;
-}
-
-PrepareCacheStats PrepareCache::stats() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  PrepareCacheStats out = stats_;
-  out.entries = lru_.size();
-  return out;
-}
-
-void PrepareCache::clear() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  lru_.clear();
-  index_.clear();
-  stats_.entries = 0;
-  stats_.image_bytes = 0;
 }
 
 }  // namespace mlp::sim

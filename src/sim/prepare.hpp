@@ -13,12 +13,13 @@
 // their captured state.
 
 #include <cstddef>
-#include <list>
+#include <future>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <unordered_map>
 
+#include "sim/lru.hpp"
 #include "sim/runner.hpp"
 
 namespace mlp::sim {
@@ -28,6 +29,8 @@ namespace mlp::sim {
 struct PreparedJob {
   workloads::Workload workload;  ///< assembled program + generators + schema
   arch::PreparedInput input;     ///< layout + pristine image + golden ref
+
+  u64 bytes() const { return input.image.size(); }
 };
 
 using PreparedJobPtr = std::shared_ptr<const PreparedJob>;
@@ -62,10 +65,11 @@ struct PrepareCacheStats {
   u64 image_bytes = 0;  ///< total pristine-image bytes held
 };
 
-/// Thread-safe LRU-bounded memoization of prepare_job. Concurrent misses on
-/// the same key may both prepare (the results are identical by construction;
-/// the first insert wins and the loser's copy is dropped) — simple, and
-/// correct because preparation is deterministic.
+/// Thread-safe LRU-bounded memoization of prepare_job. A miss prepares
+/// outside the lock, once per key: a concurrent get of the same key waits
+/// for that preparation and counts as a hit, and a failed preparation
+/// rethrows its SimError to every waiter and caches nothing. Misses on
+/// different keys prepare concurrently.
 class PrepareCache {
  public:
   explicit PrepareCache(std::size_t max_entries = kDefaultEntries);
@@ -74,22 +78,16 @@ class PrepareCache {
   /// already warm — the mlpserved per-job cache-hit flag.
   PreparedJobPtr get(const MatrixJob& job, bool* hit = nullptr);
 
-  PrepareCacheStats stats() const;
-  void clear();
+  PrepareCacheStats stats() const { return lru_.stats(); }
 
   static constexpr std::size_t kDefaultEntries = 64;
 
  private:
-  struct Entry {
-    std::string key;
-    PreparedJobPtr value;
-  };
-
-  mutable std::mutex mutex_;
-  std::size_t max_entries_;
-  std::list<Entry> lru_;  ///< front = most recently used
-  std::unordered_map<std::string, std::list<Entry>::iterator> index_;
-  PrepareCacheStats stats_;
+  LruCache<PreparedJob, PrepareCacheStats, &PrepareCacheStats::image_bytes>
+      lru_;
+  std::mutex mutex_;  ///< guards preparing_; taken before lru_'s own lock
+  std::unordered_map<std::string, std::shared_future<PreparedJobPtr>>
+      preparing_;
 };
 
 }  // namespace mlp::sim

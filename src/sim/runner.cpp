@@ -8,11 +8,14 @@
 #include <filesystem>
 #include <fstream>
 #include <future>
+#include <numeric>
 #include <optional>
 
 #include "common/error.hpp"
+#include "sim/fork.hpp"
 #include "sim/pool.hpp"
 #include "sim/prepare.hpp"
+#include "sim/snapshot.hpp"
 
 namespace mlp::sim {
 
@@ -136,25 +139,82 @@ MatrixResult run_job(const MatrixJob& job, PrepareCache* cache,
 }
 
 std::vector<MatrixResult> run_matrix(const std::vector<MatrixJob>& jobs,
-                                     u32 threads, PrepareCache* cache) {
-  std::vector<MatrixResult> results(jobs.size());
-  if (threads == 0) threads = ThreadPool::default_threads();
-  threads = static_cast<u32>(std::min<std::size_t>(
-      threads, std::max<std::size_t>(1, jobs.size())));
-  if (threads <= 1) {
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-      results[i] = run_job(jobs[i], cache);
+                                     u32 threads, PrepareCache* cache,
+                                     u64 fork_at, ForkStats* fork_stats) {
+  const std::size_t n = jobs.size();
+  std::vector<MatrixResult> results(n);
+  // Each job's plan: none, capture as the leader of a fork group, or restore
+  // from its leader. The first pass runs solo jobs and leaders, the second
+  // the members, once their leader's blob exists. Unforked, every plan is
+  // none and the second pass is empty.
+  std::vector<std::size_t> leader(n);
+  std::iota(leader.begin(), leader.end(), std::size_t{0});
+  if (fork_at > 0) leader = fork_leaders(jobs);
+  std::vector<SnapshotPlan> plans(n);
+  std::vector<std::size_t> passes[2];
+  for (std::size_t i = 0; i < n; ++i) {
+    passes[leader[i] == i ? 0 : 1].push_back(i);
+    if (leader[i] != i) {
+      plans[leader[i]].capture = true;
+      plans[leader[i]].checkpoint_at = fork_at;
     }
-    return results;
   }
-  ThreadPool pool(threads);
-  std::vector<std::future<void>> pending;
-  pending.reserve(jobs.size());
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    pending.push_back(pool.submit(
-        [&jobs, &results, cache, i] { results[i] = run_job(jobs[i], cache); }));
+
+  // char, not bool: members set their own slots from concurrent threads.
+  std::vector<char> restored(n, 0);
+  const auto run_point = [&](std::size_t i) {
+    const std::size_t l = leader[i];
+    if (l == i) {
+      SnapshotPlan* capture = plans[i].capture ? &plans[i] : nullptr;
+      results[i] = run_job(jobs[i], cache, nullptr, capture);
+      return;
+    }
+    const SnapshotPlan& warm = plans[l];
+    if (results[l].ok() && warm.captured_ok &&
+        fork_safe(jobs[l], jobs[i],
+                  snapshot_meta(warm.captured).fault_sequence)) {
+      SnapshotPlan restore;
+      restore.restore_from = &warm.captured;
+      results[i] = run_job(jobs[i], cache, nullptr, &restore);
+      // A restore failure is defensive-only: rerun in full so the results
+      // stay byte-identical to an unforked matrix.
+      restored[i] = results[i].ok();
+    }
+    if (!restored[i]) results[i] = run_job(jobs[i], cache);
+  };
+
+  if (threads == 0) threads = ThreadPool::default_threads();
+  threads = static_cast<u32>(
+      std::min<std::size_t>(threads, std::max<std::size_t>(1, n)));
+  std::optional<ThreadPool> pool;
+  if (threads > 1) pool.emplace(threads);
+  for (const std::vector<std::size_t>& pass : passes) {
+    if (!pool) {
+      for (const std::size_t i : pass) run_point(i);
+      continue;
+    }
+    std::vector<std::future<void>> pending;
+    pending.reserve(pass.size());
+    for (const std::size_t i : pass) {
+      pending.push_back(pool->submit([&run_point, i] { run_point(i); }));
+    }
+    for (std::future<void>& f : pending) f.get();
   }
-  for (std::future<void>& f : pending) f.get();
+
+  if (fork_stats != nullptr) {
+    ForkStats stats;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (leader[i] == i) {
+        if (plans[i].captured_ok) ++stats.groups;
+      } else if (restored[i]) {
+        ++stats.forked_points;
+        stats.warmup_cycles_saved += plans[leader[i]].captured_cycle;
+      } else {
+        ++stats.unsafe_points;
+      }
+    }
+    *fork_stats = stats;
+  }
   return results;
 }
 
@@ -167,28 +227,6 @@ arch::RunResult run_verified(arch::ArchKind kind, const std::string& bench,
     std::abort();
   }
   return std::move(r.result);
-}
-
-std::vector<arch::RunResult> run_suite(arch::ArchKind kind,
-                                       const SuiteOptions& options,
-                                       u32 threads) {
-  std::vector<MatrixJob> jobs;
-  for (const std::string& bench : workloads::bmla_names()) {
-    jobs.push_back({kind, bench, options, /*tag=*/""});
-  }
-  PrepareCache cache;  // suite-local: repeated benches share preparation
-  std::vector<arch::RunResult> results;
-  results.reserve(jobs.size());
-  for (MatrixResult& r : run_matrix(jobs, threads, &cache)) {
-    if (!r.ok()) {
-      std::fprintf(stderr, "RUN FAILED %s/%s: %s\n",
-                   arch::arch_name(r.job.kind), r.job.bench.c_str(),
-                   r.error.c_str());
-      std::abort();
-    }
-    results.push_back(std::move(r.result));
-  }
-  return results;
 }
 
 double geomean(const std::vector<double>& values) {

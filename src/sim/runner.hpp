@@ -89,24 +89,28 @@ MatrixResult run_job(const MatrixJob& job, PrepareCache* cache = nullptr,
                      bool* cache_hit = nullptr,
                      SnapshotPlan* snapshot = nullptr);
 
+struct ForkStats;  // sim/fork.hpp — what warm-snapshot forking saved
+
 /// Execute `jobs` on a pool of `threads` workers (0 = one per hardware
 /// thread) and return results in submission order. Jobs share no mutable
 /// state (the prepare cache hands out immutable artifacts), so any thread
 /// count yields identical results; `threads` only changes wall-clock time.
+///
+/// A nonzero `fork_at` forks warm snapshots (sim/fork.hpp): the leader of
+/// each multi-point fork group captures at the first quiescent cycle >=
+/// fork_at, and its members restore from that blob once it exists, or run
+/// in full when the restore would not be provably identical. Results stay
+/// byte-identical to an unforked run; `fork_stats` (optional) reports what
+/// forking saved.
 std::vector<MatrixResult> run_matrix(const std::vector<MatrixJob>& jobs,
                                      u32 threads = 0,
-                                     PrepareCache* cache = nullptr);
+                                     PrepareCache* cache = nullptr,
+                                     u64 fork_at = 0,
+                                     ForkStats* fork_stats = nullptr);
 
 /// Run one (architecture, benchmark) pair and abort if verification fails.
 arch::RunResult run_verified(arch::ArchKind kind, const std::string& bench,
                              const SuiteOptions& options);
-
-/// Run all eight BMLAs on one architecture, `threads` at a time (0 = one
-/// per hardware thread); aborts if any run fails verification. A suite-local
-/// prepare cache deduplicates preparation across the grid.
-std::vector<arch::RunResult> run_suite(arch::ArchKind kind,
-                                       const SuiteOptions& options,
-                                       u32 threads = 0);
 
 /// Geometric mean (the paper's summary statistic for Figs. 3/4).
 double geomean(const std::vector<double>& values);

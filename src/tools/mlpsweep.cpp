@@ -283,9 +283,7 @@ int main(int argc, char** argv) {
   sim::PrepareCache cache;
   sim::ForkStats fork;
   const std::vector<sim::MatrixResult> results =
-      fork_at > 0
-          ? sim::run_matrix_forked(matrix, fork_at, jobs, &cache, &fork)
-          : sim::run_matrix(matrix, jobs, &cache);
+      sim::run_matrix(matrix, jobs, &cache, fork_at, &fork);
 
   int exit_code = 0;
   std::vector<std::string> rows;

@@ -6,8 +6,8 @@
 // Design constraints, in order:
 //  1. OFF MEANS FREE. Components hold a `TraceSession*` that is nullptr in
 //     normal runs; every emit site is guarded by that pointer test, so the
-//     disabled-path cost is one predictable branch (measured ≤1% on
-//     bench/micro_simulator).
+//     disabled-path cost is one predictable branch (measured ≤1% with a
+//     component micro-benchmark when tracing landed).
 //  2. Deterministic. Events are timestamped in simulated picoseconds and
 //     contain no host state, so per-job trace files are bit-identical for
 //     any `run_matrix` thread count.

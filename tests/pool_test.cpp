@@ -6,8 +6,10 @@
 
 #include <atomic>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
+#include "common/error.hpp"
 #include "sim/pool.hpp"
 #include "sim/prepare.hpp"
 #include "sim/report.hpp"
@@ -215,9 +217,9 @@ TEST(Prepare, CacheCountsHitsMissesAndEvicts) {
 }
 
 // Eviction accounting under contention: many threads walking more keys than
-// the cache holds, so insertions, evictions, and lost same-key races (both
-// threads prepare, the first insert wins, the loser's copy is dropped) all
-// overlap. Whatever interleaving happens, the counters must stay consistent
+// the cache holds, so insertions, evictions, and same-key misses (one
+// prepares, the others wait for it) all overlap. Whatever interleaving
+// happens, the counters must stay consistent
 // — in particular image_bytes, which is adjusted on BOTH the insert and the
 // evict side of the same critical section.
 TEST(Prepare, ConcurrentEvictionKeepsAccountingConsistent) {
@@ -277,6 +279,57 @@ TEST(Prepare, ConcurrentEvictionKeepsAccountingConsistent) {
   EXPECT_EQ(stats.image_bytes, kCapacity * image_size);
 }
 
+TEST(Prepare, ConcurrentMissesPrepareOnce) {
+  constexpr int kThreads = 8;
+  // Every thread passes a start barrier, then asks for one cold key.
+  const auto race = [](const MatrixJob& job, PrepareCache* cache) {
+    std::atomic<int> waiting{kThreads};
+    std::vector<PreparedJobPtr> got(kThreads);
+    std::atomic<int> errors{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        waiting.fetch_sub(1);
+        while (waiting.load() > 0) std::this_thread::yield();
+        try {
+          got[t] = cache->get(job);
+        } catch (const SimError& e) {
+          EXPECT_EQ(std::string(e.kind()), "config") << e.what();
+          errors.fetch_add(1);
+        }
+      });
+    }
+    for (std::thread& t : threads) t.join();
+    return std::make_pair(got, errors.load());
+  };
+
+  SuiteOptions options;
+  options.rows = 96;
+  const MatrixJob job{arch::ArchKind::kMillipede, "gda", options, ""};
+  PrepareCache cache;
+  const auto [got, errors] = race(job, &cache);
+  EXPECT_EQ(errors, 0);
+  for (const PreparedJobPtr& p : got) EXPECT_EQ(p, got.front());
+  ASSERT_NE(got.front(), nullptr);
+  PrepareCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.hits, static_cast<u64>(kThreads - 1));
+  EXPECT_EQ(stats.entries, 1u);
+
+  // A preparation that fails reaches every caller as its SimError and
+  // leaves nothing cached.
+  SuiteOptions oversized;
+  oversized.records = u64{1} << 62;  // records x 4 bytes wraps to 0
+  const MatrixJob bad{arch::ArchKind::kMillipede, "count", oversized, ""};
+  PrepareCache failing;
+  EXPECT_EQ(race(bad, &failing).second, kThreads);
+  stats = failing.stats();
+  EXPECT_EQ(stats.entries, 0u);
+  EXPECT_EQ(stats.image_bytes, 0u);
+  EXPECT_EQ(stats.hits, 0u);
+  EXPECT_THROW(failing.get(bad), SimError);
+}
+
 TEST(Prepare, CachedRunsAreBitIdenticalToUncached) {
   SuiteOptions options;
   options.records = 1024;
@@ -329,28 +382,12 @@ TEST(Matrix, SharedCacheKeepsThreadCountDeterminism) {
     EXPECT_EQ(stats_json_run(bare[i]), stats_json_run(serial[i]));
     EXPECT_EQ(stats_json_run(bare[i]), stats_json_run(parallel[i]));
   }
-  // Serially, the 4-arch × 2-bench matrix prepares each bench exactly once.
-  const PrepareCacheStats stats = serial_cache.stats();
-  EXPECT_EQ(stats.misses, 2u);
-  EXPECT_EQ(stats.hits, 6u);
-  // Concurrent same-key misses may both prepare (first insert wins), so the
-  // parallel run only guarantees every lookup was answered.
-  const PrepareCacheStats pstats = parallel_cache.stats();
-  EXPECT_EQ(pstats.hits + pstats.misses, 8u);
-  EXPECT_GE(pstats.misses, 2u);
-}
-
-TEST(Matrix, RunSuiteMatchesPerJobRuns) {
-  SuiteOptions options;
-  options.records = 1024;
-  const std::vector<arch::RunResult> suite =
-      run_suite(arch::ArchKind::kMillipede, options, 4);
-  ASSERT_EQ(suite.size(), workloads::bmla_names().size());
-  for (std::size_t i = 0; i < suite.size(); ++i) {
-    EXPECT_EQ(suite[i].workload, workloads::bmla_names()[i]);
-    const arch::RunResult single = run_verified(
-        arch::ArchKind::kMillipede, workloads::bmla_names()[i], options);
-    EXPECT_EQ(suite[i].runtime_ps, single.runtime_ps);
+  // Either way the 4-arch × 2-bench matrix prepares each bench exactly once:
+  // concurrent misses on one key wait for one preparation.
+  for (const PrepareCache* cache : {&serial_cache, &parallel_cache}) {
+    const PrepareCacheStats stats = cache->stats();
+    EXPECT_EQ(stats.misses, 2u);
+    EXPECT_EQ(stats.hits, 6u);
   }
 }
 

@@ -1149,9 +1149,10 @@ TEST(Service, BoundedResultWaitHeartbeatsInsteadOfHanging) {
 }
 
 TEST(Service, JobTimeoutCapsWallClockAndTypesTheError) {
-  // --job-timeout-ms clamps EVERY job's wall-clock watchdog server-side: a
-  // runaway point dies with the typed job-timeout error in its result row
-  // instead of pinning a worker forever. The client cannot opt out.
+  // --job-timeout-ms clamps EVERY job's wall-clock watchdog server-side,
+  // snapshot verbs included: a runaway point dies with the typed job-timeout
+  // error in its result row instead of pinning a thread forever. The client
+  // cannot opt out.
   ServeConfig cfg{"", "", /*threads=*/1, /*queue_limit=*/4};
   cfg.job_timeout_ms = 1;
   LiveServer live(cfg);
@@ -1169,6 +1170,12 @@ TEST(Service, JobTimeoutCapsWallClockAndTypesTheError) {
   EXPECT_NE(result.doc.str_at("csv").find("job-timeout"), std::string::npos);
   EXPECT_NE(result.doc.str_at("csv").find("wall-clock budget"),
             std::string::npos);
+
+  // The snapshot verb runs on the connection thread, under the same cap.
+  const Response snap = client.snapshot(runaway, /*cycle=*/1);
+  ASSERT_TRUE(snap.ok) << snap.message;
+  EXPECT_FALSE(snap.doc.find("run_ok")->boolean);
+  EXPECT_NE(snap.doc.str_at("csv").find("job-timeout"), std::string::npos);
 }
 
 }  // namespace

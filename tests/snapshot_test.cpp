@@ -7,12 +7,15 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
 #include <sstream>
 #include <vector>
 
 #include "common/error.hpp"
 #include "sim/fork.hpp"
 #include "sim/prepare.hpp"
+#include "sim/report.hpp"
 #include "sim/runner.hpp"
 #include "sim/snapshot.hpp"
 
@@ -419,8 +422,7 @@ TEST(Fork, ForkedFaultSweepIsByteIdenticalAndSavesWarmup) {
   const std::vector<MatrixResult> plain = run_matrix(jobs, 2, &plain_cache);
   ForkStats stats;
   const std::vector<MatrixResult> forked =
-      run_matrix_forked(jobs, /*fork_at=*/200, /*threads=*/2, &fork_cache,
-                        &stats);
+      run_matrix(jobs, /*threads=*/2, &fork_cache, /*fork_at=*/200, &stats);
 
   ASSERT_EQ(plain.size(), forked.size());
   for (std::size_t i = 0; i < plain.size(); ++i) {
@@ -445,9 +447,9 @@ TEST(Fork, SerialAndParallelForkedRunsMatch) {
     jobs.push_back(job);
   }
   const std::vector<MatrixResult> serial =
-      run_matrix_forked(jobs, 100, /*threads=*/1);
+      run_matrix(jobs, /*threads=*/1, nullptr, /*fork_at=*/100);
   const std::vector<MatrixResult> parallel =
-      run_matrix_forked(jobs, 100, /*threads=*/4);
+      run_matrix(jobs, /*threads=*/4, nullptr, /*fork_at=*/100);
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
     ASSERT_TRUE(serial[i].ok()) << serial[i].error;
@@ -455,6 +457,83 @@ TEST(Fork, SerialAndParallelForkedRunsMatch) {
     expect_identical(serial[i].result, parallel[i].result,
                      "point " + std::to_string(i));
   }
+}
+
+TEST(Fork, MixedGridMatchesThePlainRunPointForPoint) {
+  namespace fs = std::filesystem;
+  const fs::path trace_dir = fs::path(::testing::TempDir()) / "mlp_fork_mixed";
+  std::vector<MatrixJob> jobs;
+  // A forkable fault-rate group: its leader captures, two members restore.
+  for (const double rate : {1e-15, 2e-15, 3e-15}) {
+    MatrixJob job{arch::ArchKind::kMillipede, "nbayes", small_options(), ""};
+    job.options.cfg.dram.fault.bit_flip_rate = rate;
+    jobs.push_back(job);
+  }
+  // A traced copy of a member runs solo, so its trace keeps the warmup.
+  MatrixJob traced = jobs[1];
+  traced.options.trace.chrome_json = true;
+  traced.options.trace.interval_cycles = 500;
+  traced.options.trace.dir = trace_dir.string();
+  jobs.push_back(traced);
+  // An unknown benchmark has no prepare key and fails as it would unforked.
+  jobs.push_back({arch::ArchKind::kMillipede, "nosuch", small_options(), ""});
+  // A group whose leader captures, then trips its cycle ceiling: the members
+  // rerun in full and trip it the same way.
+  for (const double rate : {1e-15, 2e-15, 3e-15}) {
+    MatrixJob job{arch::ArchKind::kGpgpu, "variance", small_options(), ""};
+    job.options.cfg.dram.fault.bit_flip_rate = rate;
+    job.options.cfg.watchdog.max_cycles = 3000;
+    jobs.push_back(job);
+  }
+
+  struct Point {
+    std::string stats_json;
+    std::string error;
+    std::vector<std::string> trace_files;
+    std::vector<std::string> trace_bytes;
+  };
+  const auto run = [&](u64 fork_at, ForkStats* stats) {
+    fs::remove_all(trace_dir);
+    PrepareCache cache;
+    std::vector<Point> points;
+    for (const MatrixResult& r : run_matrix(jobs, 3, &cache, fork_at, stats)) {
+      Point p{stats_json_run(r), r.error, r.trace_files, {}};
+      for (const std::string& path : r.trace_files) {
+        std::ifstream file(path, std::ios::binary);
+        std::ostringstream bytes;
+        bytes << file.rdbuf();
+        p.trace_bytes.push_back(bytes.str());
+      }
+      points.push_back(std::move(p));
+    }
+    return points;
+  };
+  const std::vector<Point> plain = run(0, nullptr);
+  ForkStats stats;
+  const std::vector<Point> forked = run(200, &stats);
+  fs::remove_all(trace_dir);
+
+  ASSERT_EQ(plain.size(), jobs.size());
+  ASSERT_EQ(forked.size(), jobs.size());
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    EXPECT_EQ(plain[i].stats_json, forked[i].stats_json) << "point " << i;
+    EXPECT_EQ(plain[i].error, forked[i].error) << "point " << i;
+    EXPECT_EQ(plain[i].trace_files, forked[i].trace_files) << "point " << i;
+    EXPECT_EQ(plain[i].trace_bytes, forked[i].trace_bytes) << "point " << i;
+  }
+  for (std::size_t i = 0; i < 4; ++i) EXPECT_EQ(plain[i].error, "");
+  EXPECT_EQ(plain[3].trace_files.size(), 2u);
+  EXPECT_EQ(plain[4].error, "unknown benchmark: nosuch");
+  for (std::size_t i = 5; i < 8; ++i) {
+    EXPECT_NE(plain[i].error.find("cycle ceiling"), std::string::npos)
+        << plain[i].error;
+  }
+  // Both leaders captured; the nbayes members restored, and the members of
+  // the failed leader ran in full.
+  EXPECT_EQ(stats.groups, 2u);
+  EXPECT_EQ(stats.forked_points, 2u);
+  EXPECT_EQ(stats.unsafe_points, 2u);
+  EXPECT_GE(stats.warmup_cycles_saved, 2 * 200u);
 }
 
 // --- Snapshot cache (mlpserved snapshot/restore verbs) ---
