@@ -1,6 +1,8 @@
 #include "arch/machine.hpp"
 
 #include <cstdio>
+#include <memory>
+#include <utility>
 
 namespace mlp::arch {
 namespace {
@@ -58,6 +60,56 @@ std::string verify_run(const MachineConfig& cfg,
   return workloads::compare_results(reference, measured, workload.tolerance);
 }
 
+/// The DRAM image serialized as a delta against the run's prepared image
+/// (functional stores and no-ECC fault flips are sparse, so warm snapshots
+/// stay small): the image size, then maximal runs of differing bytes as
+/// (u64 offset, u64 length, bytes).
+class ImageDelta : public sim::Snapshottable {
+ public:
+  ImageDelta(mem::DramImage* live, const mem::DramImage* pristine)
+      : live_(live), pristine_(pristine) {}
+
+  void checkpoint(sim::StateIO& io) override {
+    const u64 n = live_->size();
+    io.expect(n, "image size");
+    // Capture lists the runs of bytes that differ from the pristine image;
+    // restore starts from the pristine image and patches each run in.
+    std::vector<std::pair<u64, u64>> runs;  // offset, length
+    if (io.loading()) {
+      *live_ = *pristine_;
+    } else {
+      const u8* a = std::as_const(*live_).raw().data();
+      const u8* b = pristine_->raw().data();
+      for (u64 i = 0; i < n;) {
+        if (a[i] == b[i]) {
+          ++i;
+          continue;
+        }
+        u64 j = i;
+        while (j < n && a[j] != b[j]) ++j;
+        runs.emplace_back(i, j - i);
+        i = j;
+      }
+    }
+    u64 count = runs.size();
+    io.field(count);
+    for (u64 k = 0; k < count; ++k) {
+      auto [offset, length] = io.loading() ? std::pair<u64, u64>{} : runs[k];
+      io.field(offset);
+      io.field(length);
+      io.require(length > 0 && offset <= n && n - offset >= length,
+                 "image delta run");
+      // A run exists only once the live image holds bytes of its own, so on
+      // capture this copy-on-write access copies nothing.
+      io.bytes(live_->raw().data() + offset, length);
+    }
+  }
+
+ private:
+  mem::DramImage* live_;
+  const mem::DramImage* pristine_;
+};
+
 }  // namespace
 
 Machine::Machine(const RunSpec& spec, const char* family, bool offchip_dram)
@@ -107,8 +159,9 @@ void Machine::add_corelets(core::GlobalPort* port, u32 issue_width) {
 }
 
 void Machine::register_states() {
-  image_delta_.emplace(&input.image, &spec_.prepared.image);
-  kernel.add_state(sim::kSecDramDelta, &*image_delta_);
+  image_delta_ =
+      std::make_unique<ImageDelta>(&input.image, &spec_.prepared.image);
+  kernel.add_state(sim::kSecDramDelta, image_delta_.get());
   kernel.add_state(sim::kSecController, &dram);
   for (const auto& [section, state] : states_) kernel.add_state(section, state);
   kernel.add_state(sim::kSecDecodeCache, &dcache);

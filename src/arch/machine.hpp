@@ -20,7 +20,7 @@
 // holds pointers into it, so it stays where it was built.
 
 #include <functional>
-#include <optional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -140,7 +140,7 @@ class Machine {
   bool offchip_dram_;
   std::vector<std::pair<u32, sim::Snapshottable*>> states_;
   std::vector<CoreState> core_states_;
-  std::optional<sim::DramImageDelta> image_delta_;
+  std::unique_ptr<sim::Snapshottable> image_delta_;  ///< kSecDramDelta
 };
 
 /// Input loads and live-state accesses through a per-core L1: the SSMC's

@@ -7,6 +7,7 @@
 
 #include "common/types.hpp"
 #include "common/units.hpp"
+#include "sim/snapshot.hpp"
 
 namespace mlp {
 
@@ -51,13 +52,12 @@ class ClockDomain {
     ticks_ = 0;
   }
 
-  /// Snapshot restore (sim/snapshot.hpp): reinstate the exact mid-run edge
-  /// grid — period (DFS may have retuned it), pending edge, and tick count.
-  void restore(Picos period_ps, Picos next_edge_ps, u64 ticks) {
-    MLP_CHECK(period_ps > 0, "clock period must be positive");
-    period_ps_ = period_ps;
-    next_edge_ps_ = next_edge_ps;
-    ticks_ = ticks;
+  /// Checkpoint state: the exact mid-run edge grid — period (DFS may have
+  /// retuned it), pending edge, and tick count.
+  void checkpoint(sim::StateIO& io) {
+    io.positive(period_ps_, "clock period");
+    io.field(next_edge_ps_);
+    io.field(ticks_);
   }
 
  private:

@@ -28,6 +28,7 @@
 
 #include "common/error.hpp"
 #include "common/types.hpp"
+#include "sim/snapshot.hpp"
 #include "trace/trace.hpp"
 
 namespace mlp {
@@ -134,18 +135,16 @@ class Watchdog {
   }
 
   u64 iterations() const { return iterations_; }
-  u64 stalled() const { return stalled_; }
-  u64 last_progress() const { return last_progress_; }
 
-  /// Snapshot restore (sim/snapshot.hpp): reinstate the deterministic trip
-  /// state so cycle-ceiling and livelock trips fire at the exact iteration
-  /// they would have in the uninterrupted run. The wall-clock budget
-  /// deliberately restarts fresh — it measures THIS process's real time.
-  void restore(u64 iterations, u64 stalled, u64 last_progress) {
-    iterations_ = iterations;
-    stalled_ = stalled;
-    last_progress_ = last_progress;
-    next_wall_check_ = iterations_ + kWallCheckStride;
+  /// Checkpoint state: the deterministic trip state, so cycle-ceiling and
+  /// livelock trips fire at the exact iteration they would have in the
+  /// uninterrupted run. The wall-clock budget deliberately restarts fresh —
+  /// it measures THIS process's real time.
+  void checkpoint(sim::StateIO& io) {
+    io.field(iterations_);
+    io.field(stalled_);
+    io.field(last_progress_);
+    if (io.loading()) next_wall_check_ = iterations_ + kWallCheckStride;
   }
 
  private:

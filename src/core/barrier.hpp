@@ -43,21 +43,13 @@ class Barrier {
   u32 waiting() const { return static_cast<u32>(waiters_.size()); }
   u64 episodes() const { return episodes_; }
 
-  /// Snapshot support (sim/snapshot.hpp): a barrier-blocked thread is a
-  /// live wake, so capture requires no waiters — then arrived_ is
-  /// guaranteed 0 and only the halt-decayed expectation and the episode
-  /// count carry state.
+  /// Checkpoint state: a barrier-blocked thread is a live wake, so capture
+  /// requires no waiters — then arrived_ is guaranteed 0 and only the
+  /// halt-decayed expectation and the episode count carry state.
   bool quiescent() const { return waiters_.empty(); }
-  void save(sim::SnapshotWriter& w) const {
-    MLP_SIM_CHECK(waiters_.empty() && arrived_ == 0, "snapshot",
-                  "barrier captured with waiting threads");
-    w.put_u32(expected_);
-    w.put_u64(episodes_);
-  }
-  void restore(sim::SnapshotCursor& r) {
-    expected_ = r.get_u32();
-    episodes_ = r.get_u64();
-    arrived_ = 0;
+  void checkpoint(sim::StateIO& io) {
+    io.positive(expected_, "barrier expectation");
+    io.field(episodes_);
   }
 
  private:
@@ -112,8 +104,7 @@ class BarrierPort : public GlobalPort, public sim::Snapshottable {
   const Barrier& state() const { return barrier_; }
 
   // sim::Snapshottable: delegates to the wrapped Barrier.
-  void save_state(sim::SnapshotWriter& w) const override { barrier_.save(w); }
-  void restore_state(sim::SnapshotCursor& r) override { barrier_.restore(r); }
+  void checkpoint(sim::StateIO& io) override { barrier_.checkpoint(io); }
   bool quiescent() const override { return barrier_.quiescent(); }
 
  private:

@@ -58,46 +58,28 @@ void Corelet::recount_live() {
   }
 }
 
-void Corelet::save_state(sim::SnapshotWriter& w) const {
-  MLP_SIM_CHECK(quiescent(), "snapshot",
-                "corelet captured with a context blocked on memory");
-  w.put_u32(static_cast<u32>(contexts_.size()));
-  for (const Context& ctx : contexts_) {
-    for (const u32 reg : ctx.regs) w.put_u32(reg);
-    w.put_u32(ctx.pc);
-    w.put_u8(static_cast<u8>(ctx.state));
-    w.put_u64(ctx.ready_at);
-    for (const u32 value : ctx.csr.values) w.put_u32(value);
-    w.put_u64(ctx.instret);
-  }
-  w.put_u32(rr_next_);
-  const std::vector<u32>& words = local_->words();
-  w.put_u64(words.size());
-  for (const u32 word : words) w.put_u32(word);
-}
-
-void Corelet::restore_state(sim::SnapshotCursor& r) {
-  const u32 contexts = r.get_u32();
-  MLP_SIM_CHECK(contexts == contexts_.size(), "snapshot",
-                "snapshot context count does not match this corelet");
+void Corelet::checkpoint(sim::StateIO& io) {
+  io.expect(static_cast<u32>(contexts_.size()), "corelet context count");
+  const u32 program = dcache_->program().size();
   for (Context& ctx : contexts_) {
-    for (u32& reg : ctx.regs) reg = r.get_u32();
-    ctx.pc = r.get_u32();
-    const u8 state = r.get_u8();
-    MLP_SIM_CHECK(state <= static_cast<u8>(Context::State::kHalted),
-                  "snapshot", "invalid context state in snapshot");
+    for (u32& reg : ctx.regs) io.field(reg);
+    io.index(ctx.pc, program, "corelet pc");
+    u8 state = static_cast<u8>(ctx.state);
+    io.field(state);
     ctx.state = static_cast<Context::State>(state);
-    ctx.ready_at = r.get_u64();
-    for (u32& value : ctx.csr.values) value = r.get_u32();
-    ctx.instret = r.get_u64();
+    // Quiescence: no context is blocked on memory at a capture.
+    io.require(ctx.state == Context::State::kReady ||
+                   ctx.state == Context::State::kHalted,
+               "corelet context state");
+    io.field(ctx.ready_at);
+    for (u32& value : ctx.csr.values) io.field(value);
+    io.field(ctx.instret);
   }
-  rr_next_ = r.get_u32();
+  io.index(rr_next_, contexts_.size(), "corelet round-robin cursor");
   std::vector<u32>& words = local_->words();
-  const u64 size = r.get_u64();
-  MLP_SIM_CHECK(size == words.size(), "snapshot",
-                "snapshot local-store size does not match this corelet");
-  for (u32& word : words) word = r.get_u32();
-  recount_live();
+  io.expect(words.size(), "corelet local-store size");
+  for (u32& word : words) io.field(word);
+  if (io.loading()) recount_live();
 }
 
 Picos Corelet::next_event(Picos now) const {

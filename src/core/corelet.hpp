@@ -85,8 +85,7 @@ class alignas(64) Corelet : public sim::Tickable,
   // cursor and this corelet's local-store words. A context blocked on a
   // global load is a live wake in some port's waiter list, so capture waits
   // until no context is in kWaitMem (barrier waiters are kWaitMem too).
-  void save_state(sim::SnapshotWriter& w) const override;
-  void restore_state(sim::SnapshotCursor& r) override;
+  void checkpoint(sim::StateIO& io) override;
   bool quiescent() const override {
     for (const Context& ctx : contexts_) {
       if (ctx.state == Context::State::kWaitMem) return false;

@@ -24,26 +24,19 @@ void DecodedBlockCache::decode_block(u32 block) {
   block_misses_.inc();
 }
 
-void DecodedBlockCache::save_state(sim::SnapshotWriter& w) const {
+void DecodedBlockCache::checkpoint(sim::StateIO& io) {
+  // Capture lists the decoded blocks by id; restore decodes each of them.
   const auto& blocks = cfg_.blocks();
-  u32 decoded = 0;
-  for (u32 b = 0; b < blocks.size(); ++b) {
-    if (entries_[blocks[b].first].fn != nullptr) ++decoded;
+  std::vector<u32> decoded;
+  for (u32 b = 0; !io.loading() && b < blocks.size(); ++b) {
+    if (entries_[blocks[b].first].fn != nullptr) decoded.push_back(b);
   }
-  w.put_u32(decoded);
-  for (u32 b = 0; b < blocks.size(); ++b) {
-    if (entries_[blocks[b].first].fn != nullptr) w.put_u32(b);
-  }
-}
-
-void DecodedBlockCache::restore_state(sim::SnapshotCursor& r) {
-  const u32 decoded = r.get_u32();
-  const u32 blocks = static_cast<u32>(cfg_.blocks().size());
-  for (u32 i = 0; i < decoded; ++i) {
-    const u32 block = r.get_u32();
-    MLP_SIM_CHECK(block < blocks, "snapshot",
-                  "snapshot decoded-block id outside this program");
-    decode_block(block);
+  u32 count = static_cast<u32>(decoded.size());
+  io.field(count);
+  for (u32 i = 0; i < count; ++i) {
+    u32 block = io.loading() ? 0 : decoded[i];
+    io.index(block, blocks.size(), "decoded-block id");
+    if (io.loading()) decode_block(block);
   }
 }
 

@@ -65,8 +65,7 @@ class DecodedBlockCache : public sim::Snapshottable {
   // incurs are overwritten by the snapshot's counter section, applied last).
   // The convergence memo needs no saving: the kernel's compute-edge hook
   // resets it before any post-restore issue.
-  void save_state(sim::SnapshotWriter& w) const override;
-  void restore_state(sim::SnapshotCursor& r) override;
+  void checkpoint(sim::StateIO& io) override;
 
  private:
   static constexpr u32 kNoBlock = 0xffffffffu;

@@ -1,12 +1,17 @@
 #include "gpgpu/simt_stack.hpp"
 
 namespace mlp::gpgpu {
+namespace {
+
+LaneMask all_lanes(u32 width) {
+  return width == 64 ? ~LaneMask{0} : ((LaneMask{1} << width) - 1);
+}
+
+}  // namespace
 
 SimtStack::SimtStack(u32 width) {
   MLP_CHECK(width >= 1 && width <= 64, "warp width out of range");
-  const LaneMask all =
-      width == 64 ? ~LaneMask{0} : ((LaneMask{1} << width) - 1);
-  stack_.push_back({0, kNoReconv, all});
+  stack_.push_back({0, kNoReconv, all_lanes(width)});
 }
 
 void SimtStack::pop_converged() {
@@ -77,6 +82,24 @@ bool SimtStack::branch(LaneMask taken, u32 target, u32 fallthrough,
 void SimtStack::halt_lanes(LaneMask lanes) {
   for (Entry& entry : stack_) entry.mask &= ~lanes;
   pop_converged();
+}
+
+void SimtStack::checkpoint(sim::StateIO& io, u32 program_size, u32 width) {
+  u32 depth = static_cast<u32>(stack_.size());
+  io.field(depth);
+  // Restore grows the stack entry by entry: a forged depth runs out of
+  // section before it can run out of memory.
+  if (io.loading()) stack_.clear();
+  for (u32 i = 0; i < depth; ++i) {
+    Entry entry = io.loading() ? Entry{} : stack_[i];
+    io.index(entry.pc, program_size, "SIMT pc");
+    io.field(entry.rpc);
+    io.field(entry.mask);
+    io.require(entry.rpc == kNoReconv || entry.rpc < program_size,
+               "SIMT reconvergence pc");
+    io.require((entry.mask & ~all_lanes(width)) == 0, "SIMT mask");
+    if (io.loading()) stack_.push_back(entry);
+  }
 }
 
 }  // namespace mlp::gpgpu

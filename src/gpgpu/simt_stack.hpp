@@ -8,6 +8,7 @@
 
 #include "common/types.hpp"
 #include "isa/cfg.hpp"
+#include "sim/snapshot.hpp"
 
 namespace mlp::gpgpu {
 
@@ -47,11 +48,10 @@ class SimtStack {
     LaneMask mask;
   };
 
-  /// Raw stack view for snapshot capture/restore (sim/snapshot.hpp).
-  const std::vector<Entry>& entries() const { return stack_; }
-  void restore_entries(std::vector<Entry> entries) {
-    stack_ = std::move(entries);
-  }
+  /// Checkpoint state: every entry, each pc inside a program of
+  /// `program_size` instructions (an rpc may also be kNoReconv) and each
+  /// mask inside a warp `width` lanes wide.
+  void checkpoint(sim::StateIO& io, u32 program_size, u32 width);
 
  private:
   void pop_converged();

@@ -61,73 +61,28 @@ bool StreamingMultiprocessor::halted() const {
   return true;
 }
 
-void StreamingMultiprocessor::save_state(sim::SnapshotWriter& w) const {
-  MLP_SIM_CHECK(quiescent(), "snapshot",
-                "SM captured with outstanding global fills");
-  w.put_u32(static_cast<u32>(warps_.size()));
-  w.put_u32(warp_width_);
-  for (const Warp& warp : warps_) {
-    const auto& stack = warp.stack.entries();
-    w.put_u32(static_cast<u32>(stack.size()));
-    for (const SimtStack::Entry& entry : stack) {
-      w.put_u32(entry.pc);
-      w.put_u32(entry.rpc);
-      w.put_u64(entry.mask);
-    }
-    for (const core::Context& ctx : warp.lanes) {
-      for (const u32 reg : ctx.regs) w.put_u32(reg);
-      w.put_u32(ctx.pc);
-      for (const u32 value : ctx.csr.values) w.put_u32(value);
-      w.put_u64(ctx.instret);
-    }
-    w.put_u64(warp.ready_at);
-    w.put_u64(warp.latest_fill);
-  }
-  for (const u32 cursor : rr_) w.put_u32(cursor);
-  w.put_u64(deps_.lane_state->size());
-  for (const mem::LocalStore& state : *deps_.lane_state) {
-    const std::vector<u32>& words = state.words();
-    w.put_u64(words.size());
-    for (const u32 word : words) w.put_u32(word);
-  }
-}
-
-void StreamingMultiprocessor::restore_state(sim::SnapshotCursor& r) {
-  const u32 warps = r.get_u32();
-  const u32 width = r.get_u32();
-  MLP_SIM_CHECK(warps == warps_.size() && width == warp_width_, "snapshot",
-                "snapshot warp geometry does not match this SM");
+void StreamingMultiprocessor::checkpoint(sim::StateIO& io) {
+  io.expect(static_cast<u32>(warps_.size()), "SM warp count");
+  io.expect(warp_width_, "SM warp width");
+  const u32 program = deps_.dcache->program().size();
   for (Warp& warp : warps_) {
-    const u32 depth = r.get_u32();
-    std::vector<SimtStack::Entry> stack(depth);
-    for (SimtStack::Entry& entry : stack) {
-      entry.pc = r.get_u32();
-      entry.rpc = r.get_u32();
-      entry.mask = r.get_u64();
-    }
-    warp.stack.restore_entries(std::move(stack));
+    warp.stack.checkpoint(io, program, warp_width_);
+    // Lane pcs are scratch: every issue sets them from the stack's pc.
     for (core::Context& ctx : warp.lanes) {
-      for (u32& reg : ctx.regs) reg = r.get_u32();
-      ctx.pc = r.get_u32();
-      for (u32& value : ctx.csr.values) value = r.get_u32();
-      ctx.instret = r.get_u64();
+      for (u32& reg : ctx.regs) io.field(reg);
+      io.field(ctx.pc);
+      for (u32& value : ctx.csr.values) io.field(value);
+      io.field(ctx.instret);
     }
-    warp.ready_at = r.get_u64();
-    warp.latest_fill = r.get_u64();
-    warp.waiting = false;
-    warp.outstanding = 0;
-    warp.retry_lines.clear();
+    io.field(warp.ready_at);
+    io.field(warp.latest_fill);
   }
-  for (u32& cursor : rr_) cursor = r.get_u32();
-  const u64 lanes = r.get_u64();
-  MLP_SIM_CHECK(lanes == deps_.lane_state->size(), "snapshot",
-                "snapshot lane count does not match this SM");
+  for (u32& cursor : rr_) io.index(cursor, cfg_.core.contexts, "SM cursor");
+  io.expect(deps_.lane_state->size(), "SM lane count");
   for (mem::LocalStore& state : *deps_.lane_state) {
     std::vector<u32>& words = state.words();
-    const u64 size = r.get_u64();
-    MLP_SIM_CHECK(size == words.size(), "snapshot",
-                  "snapshot lane-state size does not match this SM");
-    for (u32& word : words) word = r.get_u32();
+    io.expect(words.size(), "SM lane-state size");
+    for (u32& word : words) io.field(word);
   }
 }
 

@@ -113,8 +113,7 @@ class StreamingMultiprocessor : public sim::Tickable,
   // fields, the per-group schedulers and the per-lane local state. A warp
   // with outstanding fills or bounced lines is a live wake or replay state,
   // so capture waits for all of those to drain.
-  void save_state(sim::SnapshotWriter& w) const override;
-  void restore_state(sim::SnapshotCursor& r) override;
+  void checkpoint(sim::StateIO& io) override;
   bool quiescent() const override {
     for (const Warp& warp : warps_) {
       if (warp.waiting || warp.outstanding != 0 || !warp.retry_lines.empty()) {

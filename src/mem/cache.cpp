@@ -145,47 +145,26 @@ void Cache::install(Addr line, bool dirty, bool prefetched, Picos now) {
   victim->lru = ++lru_clock_;
 }
 
-void Cache::save_state(sim::SnapshotWriter& w) const {
-  MLP_SIM_CHECK(quiescent(), "snapshot",
-                "cache captured with outstanding fills");
-  w.put_u32(sets_);
-  w.put_u32(assoc_);
-  for (const auto& set : lines_) {
-    for (u32 way = 0; way < assoc_; ++way) {
-      const bool valid = way < set.size();
-      const Line line = valid ? set[way] : Line{};
-      w.put_bool(valid);
-      w.put_bool(line.dirty);
-      w.put_bool(line.prefetched);
-      w.put_u64(line.tag);
-      w.put_u64(line.lru);
-    }
-  }
-  w.put_u64(lru_clock_);
-}
-
-void Cache::restore_state(sim::SnapshotCursor& r) {
-  const u32 sets = r.get_u32();
-  const u32 assoc = r.get_u32();
-  MLP_SIM_CHECK(sets == sets_ && assoc == assoc_, "snapshot",
-                "snapshot cache geometry does not match " + name_);
+void Cache::checkpoint(sim::StateIO& io) {
+  io.expect(sets_, "cache set count");
+  io.expect(assoc_, "cache way count");
   for (auto& set : lines_) {
-    set.clear();
+    // Restore rebuilds each set's valid prefix from the per-way flags.
+    if (io.loading()) set.clear();
     for (u32 way = 0; way < assoc_; ++way) {
-      const bool valid = r.get_bool();
-      Line line;
-      line.dirty = r.get_bool();
-      line.prefetched = r.get_bool();
-      line.tag = r.get_u64();
-      line.lru = r.get_u64();
-      if (!valid) continue;
-      MLP_SIM_CHECK(set.size() == way, "snapshot",
-                    "snapshot cache " + name_ +
-                        " has a valid way after an invalid one");
+      bool valid = way < set.size();
+      Line line = valid ? set[way] : Line{};
+      io.field(valid);
+      io.field(line.dirty);
+      io.field(line.prefetched);
+      io.field(line.tag);
+      io.field(line.lru);
+      if (!io.loading() || !valid) continue;
+      io.require(set.size() == way, "cache valid way after an invalid one");
       set.push_back(line);
     }
   }
-  lru_clock_ = r.get_u64();
+  io.field(lru_clock_);
 }
 
 bool Cache::request(MemRequest request, Picos now) {

@@ -55,8 +55,7 @@ class Cache : public MemBackend, public Requester,
   // sim::Snapshottable: the full tag/LRU/dirty array plus the LRU clock;
   // MSHRs hold waiters and the issue queue callbacks, so capture requires
   // quiesce.
-  void save_state(sim::SnapshotWriter& w) const override;
-  void restore_state(sim::SnapshotCursor& r) override;
+  void checkpoint(sim::StateIO& io) override;
 
   Picos hit_latency_ps() const { return hit_latency_ps_; }
   u32 line_bytes() const { return line_bytes_; }

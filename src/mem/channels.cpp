@@ -119,16 +119,9 @@ void ChannelDemux::tick(Picos now) {
   if (freed) wake_parked(&parked_, now);
 }
 
-void ChannelDemux::save_state(sim::SnapshotWriter& w) const {
-  w.put_u32(static_cast<u32>(channels_.size()));
-  for (const auto& channel : channels_) channel->save_state(w);
-}
-
-void ChannelDemux::restore_state(sim::SnapshotCursor& r) {
-  const u32 channels = r.get_u32();
-  MLP_SIM_CHECK(channels == channels_.size(), "snapshot",
-                "snapshot channel count does not match this machine");
-  for (const auto& channel : channels_) channel->restore_state(r);
+void ChannelDemux::checkpoint(sim::StateIO& io) {
+  io.expect(static_cast<u32>(channels_.size()), "channel count");
+  for (const auto& channel : channels_) channel->checkpoint(io);
 }
 
 std::string ChannelDemux::debug_dump() const {

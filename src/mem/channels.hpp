@@ -147,8 +147,7 @@ class ChannelDemux : public sim::Tickable, public sim::Snapshottable,
   // sim::Snapshottable: the channel count frames each controller's bank
   // timing, page-policy and refresh-debt state. Captured only at quiesce
   // (every channel's queue and in-flight transfers empty).
-  void save_state(sim::SnapshotWriter& w) const override;
-  void restore_state(sim::SnapshotCursor& r) override;
+  void checkpoint(sim::StateIO& io) override;
   bool quiescent() const override { return idle(); }
 
   /// One-line-per-item state snapshot for watchdog diagnostics.

@@ -381,53 +381,28 @@ Picos MemoryController::next_event(Picos now) const {
   return at;
 }
 
-void MemoryController::save_state(sim::SnapshotWriter& w) const {
-  MLP_SIM_CHECK(idle(), "snapshot",
-                "memory controller captured with outstanding transfers");
-  w.put_u32(static_cast<u32>(banks_.size()));
-  for (const Bank& bank : banks_) {
-    w.put_bool(bank.has_open_row);
-    w.put_u64(bank.open_row);
-    w.put_u64(bank.ready_at);
-    w.put_u64(bank.activated_at);
-    w.put_u32(bank.accesses);
-  }
-  w.put_u32(static_cast<u32>(ranks_.size()));
-  for (const RankState& rank : ranks_) {
-    w.put_u64(rank.next_due);
-    w.put_u32(rank.debt);
-  }
-  w.put_u64(next_order_);
-  w.put_u64(bus_free_at_);
-  w.put_u64(busy_ps_);
-  w.put_u64(injector_ != nullptr ? injector_->transfers_drawn() : ~u64{0});
-}
-
-void MemoryController::restore_state(sim::SnapshotCursor& r) {
-  const u32 banks = r.get_u32();
-  MLP_SIM_CHECK(banks == banks_.size(), "snapshot",
-                "snapshot bank count does not match this controller");
+void MemoryController::checkpoint(sim::StateIO& io) {
+  io.expect(static_cast<u32>(banks_.size()), "bank count");
   for (Bank& bank : banks_) {
-    bank.has_open_row = r.get_bool();
-    bank.open_row = r.get_u64();
-    bank.ready_at = r.get_u64();
-    bank.activated_at = r.get_u64();
-    bank.accesses = r.get_u32();
+    io.field(bank.has_open_row);
+    io.field(bank.open_row);
+    io.field(bank.ready_at);
+    io.field(bank.activated_at);
+    io.field(bank.accesses);
   }
-  const u32 ranks = r.get_u32();
-  MLP_SIM_CHECK(ranks == ranks_.size(), "snapshot",
-                "snapshot rank count does not match this controller");
+  io.expect(static_cast<u32>(ranks_.size()), "rank count");
   for (RankState& rank : ranks_) {
-    rank.next_due = r.get_u64();
-    rank.debt = r.get_u32();
+    io.field(rank.next_due);
+    io.field(rank.debt);
   }
-  next_order_ = r.get_u64();
-  bus_free_at_ = r.get_u64();
-  busy_ps_ = r.get_u64();
-  const u64 sequence = r.get_u64();
-  MLP_SIM_CHECK((sequence == ~u64{0}) == (injector_ == nullptr), "snapshot",
-                "snapshot fault-injection mode does not match this machine");
-  if (injector_ != nullptr) injector_->set_sequence(sequence);
+  io.field(next_order_);
+  io.field(bus_free_at_);
+  io.field(busy_ps_);
+  u64 sequence = injector_ != nullptr ? injector_->transfers_drawn() : ~u64{0};
+  io.field(sequence);
+  io.require((sequence == ~u64{0}) == (injector_ == nullptr),
+             "fault-injection mode");
+  if (io.loading() && injector_ != nullptr) injector_->set_sequence(sequence);
 }
 
 std::string MemoryController::debug_dump() const {

@@ -136,8 +136,7 @@ class MemoryController {
   // occupancy and the fault injector's sequence number. Captured only at
   // quiesce (queue and in-flight transfers empty), so requests never
   // serialize.
-  void save_state(sim::SnapshotWriter& w) const;
-  void restore_state(sim::SnapshotCursor& r);
+  void checkpoint(sim::StateIO& io);
 
   /// One-line-per-item state snapshot (queue, in-flight transfers, banks)
   /// for watchdog diagnostics.

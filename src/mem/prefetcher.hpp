@@ -23,19 +23,14 @@ class StreamPrefetcher : public sim::Snapshottable {
   void reset();
 
   // sim::Snapshottable: the stride-detection state (pure data).
-  void save_state(sim::SnapshotWriter& w) const override {
-    w.put_bool(has_last_);
-    w.put_u64(last_line_);
-    w.put_u64(static_cast<u64>(stride_));
-    w.put_u32(confidence_);
-    w.put_u64(issued_up_to_);
-  }
-  void restore_state(sim::SnapshotCursor& r) override {
-    has_last_ = r.get_bool();
-    last_line_ = r.get_u64();
-    stride_ = static_cast<i64>(r.get_u64());
-    confidence_ = r.get_u32();
-    issued_up_to_ = r.get_u64();
+  void checkpoint(sim::StateIO& io) override {
+    io.field(has_last_);
+    io.field(last_line_);
+    u64 stride = static_cast<u64>(stride_);
+    io.field(stride);
+    stride_ = static_cast<i64>(stride);
+    io.field(confidence_);
+    io.field(issued_up_to_);
   }
 
  private:
@@ -65,13 +60,9 @@ class SequentialPrefetcher : public sim::Snapshottable {
   void observe(Addr addr, std::vector<Addr>* lines);
 
   // sim::Snapshottable: the high-water-mark window cursor.
-  void save_state(sim::SnapshotWriter& w) const override {
-    w.put_bool(started_);
-    w.put_u64(next_line_);
-  }
-  void restore_state(sim::SnapshotCursor& r) override {
-    started_ = r.get_bool();
-    next_line_ = r.get_u64();
+  void checkpoint(sim::StateIO& io) override {
+    io.field(started_);
+    io.field(next_line_);
   }
 
  private:
@@ -97,27 +88,15 @@ class StreamTable : public sim::Snapshottable {
 
   // sim::Snapshottable: every stream slot (including its nested stride
   // prefetcher) plus the LRU clock.
-  void save_state(sim::SnapshotWriter& w) const override {
-    w.put_u32(static_cast<u32>(entries_.size()));
-    for (const Entry& entry : entries_) {
-      entry.prefetcher.save_state(w);
-      w.put_u64(entry.last_line);
-      w.put_bool(entry.valid);
-      w.put_u64(entry.lru);
-    }
-    w.put_u64(clock_);
-  }
-  void restore_state(sim::SnapshotCursor& r) override {
-    const u32 streams = r.get_u32();
-    MLP_SIM_CHECK(streams == entries_.size(), "snapshot",
-                  "snapshot stream count does not match this prefetcher");
+  void checkpoint(sim::StateIO& io) override {
+    io.expect(static_cast<u32>(entries_.size()), "prefetcher stream count");
     for (Entry& entry : entries_) {
-      entry.prefetcher.restore_state(r);
-      entry.last_line = r.get_u64();
-      entry.valid = r.get_bool();
-      entry.lru = r.get_u64();
+      entry.prefetcher.checkpoint(io);
+      io.field(entry.last_line);
+      io.field(entry.valid);
+      io.field(entry.lru);
     }
-    clock_ = r.get_u64();
+    io.field(clock_);
   }
 
  private:

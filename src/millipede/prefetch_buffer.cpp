@@ -212,66 +212,48 @@ void PrefetchBuffer::trigger(Picos now, bool force_evict) {
   }
 }
 
-void PrefetchBuffer::save_state(sim::SnapshotWriter& w) const {
-  MLP_SIM_CHECK(quiescent(), "snapshot",
-                "prefetch buffer captured with outstanding waiters");
-  w.put_u32(num_entries_);
-  w.put_u32(head_);
-  w.put_u32(count_);
-  w.put_u64(next_row_);
-  w.put_u32(pending_triggers_);
-  w.put_u64(retired_rows_);
-  for (const Entry& entry : entries_) {
-    w.put_u64(entry.row);
-    w.put_bool(entry.valid);
-    w.put_bool(entry.filled);
-    w.put_bool(entry.pft);
-    w.put_bool(entry.demanded_before_fill);
-    w.put_u32(entry.df);
-    w.put_u64(entry.consumed.size());
-    for (const u64 mask : entry.consumed) w.put_u64(mask);
-    for (const u64 mask : entry.expected) w.put_u64(mask);
-  }
-  w.put_u64(victim_slabs_.size());
-  for (const auto& [key, slab] : victim_slabs_) {
-    w.put_u64(key.first);
-    w.put_u32(key.second);
-  }
-}
-
-void PrefetchBuffer::restore_state(sim::SnapshotCursor& r) {
-  const u32 num_entries = r.get_u32();
-  MLP_SIM_CHECK(num_entries == num_entries_, "snapshot",
-                "snapshot prefetch-buffer depth does not match this machine");
-  head_ = r.get_u32();
-  count_ = r.get_u32();
-  next_row_ = r.get_u64();
-  pending_triggers_ = r.get_u32();
-  retired_rows_ = r.get_u64();
+void PrefetchBuffer::checkpoint(sim::StateIO& io) {
+  const u32 cores = cfg_.core.cores;
+  io.expect(num_entries_, "prefetch-buffer depth");
+  io.index(head_, num_entries_, "prefetch-buffer head");
+  io.field(count_);
+  io.require(count_ <= num_entries_, "prefetch-buffer occupancy");
+  io.field(next_row_);
+  io.field(pending_triggers_);
+  io.field(retired_rows_);
   for (Entry& entry : entries_) {
-    entry.row = r.get_u64();
-    entry.valid = r.get_bool();
-    entry.filled = r.get_bool();
-    entry.pft = r.get_bool();
-    entry.demanded_before_fill = r.get_bool();
-    entry.df = r.get_u32();
+    io.field(entry.row);
+    io.field(entry.valid);
+    io.field(entry.filled);
+    io.field(entry.pft);
+    io.field(entry.demanded_before_fill);
+    io.field(entry.df);
     // Never-allocated slots carry empty masks; allocated ones one per core.
-    const u64 cores = r.get_u64();
-    MLP_SIM_CHECK(cores == 0 || cores == cfg_.core.cores, "snapshot",
-                  "snapshot slab-mask width does not match this machine");
-    entry.consumed.assign(cores, 0);
-    for (u64& mask : entry.consumed) mask = r.get_u64();
-    entry.expected.assign(cores, 0);
-    for (u64& mask : entry.expected) mask = r.get_u64();
-    entry.waiters.clear();
+    u64 masks = entry.consumed.size();
+    io.field(masks);
+    io.require(masks == 0 || masks == cores, "prefetch-buffer mask width");
+    entry.consumed.resize(masks);
+    entry.expected.resize(masks);
+    for (u64& mask : entry.consumed) io.field(mask);
+    for (u64& mask : entry.expected) io.field(mask);
   }
-  future_waiters_.clear();
-  victim_slabs_.clear();
-  const u64 slabs = r.get_u64();
-  for (u64 i = 0; i < slabs; ++i) {
-    const u64 row = r.get_u64();
-    const u32 core = r.get_u32();
-    victim_slabs_[{row, core}].filled = true;
+  // The window holds rows next_row_ - count_ .. next_row_ - 1 in ring order.
+  for (u32 i = 0; i < count_; ++i) {
+    const Entry& entry = entries_[(head_ + i) % num_entries_];
+    io.require(entry.valid && entry.consumed.size() == cores &&
+                   entry.row == next_row_ - count_ + i,
+               "prefetch-buffer window");
+  }
+  // Quiescent victim slabs are all filled, so only their keys are kept.
+  std::vector<std::pair<u64, u32>> slabs;
+  for (const auto& [key, slab] : victim_slabs_) slabs.push_back(key);
+  u64 count = slabs.size();
+  io.field(count);
+  for (u64 i = 0; i < count; ++i) {
+    std::pair<u64, u32> key = io.loading() ? std::pair<u64, u32>{} : slabs[i];
+    io.field(key.first);
+    io.index(key.second, cores, "victim-slab corelet");
+    if (io.loading()) victim_slabs_[key].filled = true;
   }
 }
 

@@ -83,8 +83,7 @@ class PrefetchBuffer : public core::GlobalPort, public mem::Requester,
 
   // sim::Snapshottable: ring state, per-entry PFT/DF/consumption masks,
   // trigger backlog, rate-match warmup cursor and the victim-slab keys.
-  void save_state(sim::SnapshotWriter& w) const override;
-  void restore_state(sim::SnapshotCursor& r) override;
+  void checkpoint(sim::StateIO& io) override;
 
   // Observability for tests and the rate matcher.
   u32 occupancy() const { return count_; }

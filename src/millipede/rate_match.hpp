@@ -35,13 +35,9 @@ class RateMatcher : public sim::Snapshottable {
 
   // sim::Snapshottable: the in-window vote tallies (the clock period itself
   // is restored with the compute ClockDomain by the kernel section).
-  void save_state(sim::SnapshotWriter& w) const override {
-    w.put_u32(memory_votes_);
-    w.put_u32(compute_votes_);
-  }
-  void restore_state(sim::SnapshotCursor& r) override {
-    memory_votes_ = r.get_u32();
-    compute_votes_ = r.get_u32();
+  void checkpoint(sim::StateIO& io) override {
+    io.field(memory_votes_);
+    io.field(compute_votes_);
   }
 
  private:

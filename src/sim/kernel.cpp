@@ -77,13 +77,22 @@ SimulationKernel::SimulationKernel(const MachineConfig& cfg,
                                    trace::TraceSession* trace)
     : compute_(cfg.core.period_ps()),
       channel_(cfg.dram.period_ps()),
-      watchdog_cfg_(cfg.watchdog),
-      watchdog_arch_(std::move(watchdog_arch)),
       channels_(cfg.dram.channels),
       ranks_(cfg.dram.ranks),
       banks_(cfg.dram.banks),
       fast_forward_(cfg.fast_forward),
-      trace_(trace) {}
+      trace_(trace),
+      watchdog_(cfg.watchdog, std::move(watchdog_arch),
+                [this] { return dump_ ? dump_() : std::string(); }, trace) {
+  sections_.push_back({kSecMeta, [this](StateIO& io) { checkpoint_meta(io); }});
+  sections_.push_back(
+      {kSecKernel, [this](StateIO& io) { checkpoint_clocks(io); }});
+  if (trace_ != nullptr) {
+    sections_.push_back({kSecTraceSampler, [this](StateIO& io) {
+                           trace_->checkpoint_sampler(io);
+                         }});
+  }
+}
 
 void SimulationKernel::wire_trace(
     const std::string& process_name, const StatSet* stats,
@@ -118,180 +127,98 @@ void SimulationKernel::wire_trace(
                     [this] { return compute_.period_ps(); });
 }
 
+void SimulationKernel::add_state(u32 section_id, Snapshottable* state) {
+  MLP_CHECK(stats_ == nullptr, "the counter section must come last");
+  sections_.push_back(
+      {section_id, [state](StateIO& io) { state->checkpoint(io); }});
+  states_.push_back(state);
+}
+
+void SimulationKernel::set_stats(StatSet* stats) {
+  stats_ = stats;
+  sections_.push_back(
+      {kSecStats, [this](StateIO& io) { checkpoint_counters(io); }});
+}
+
 bool SimulationKernel::all_quiescent() const {
-  for (const auto& [id, state] : states_) {
+  for (const Snapshottable* state : states_) {
     if (!state->quiescent()) return false;
   }
   return true;
 }
 
-void SimulationKernel::capture(const Watchdog& watchdog) {
-  if (fast_forward_) settle_all();  // the counters section must be current
-  SnapshotWriter w;
-
+void SimulationKernel::checkpoint_meta(StateIO& io) {
   SnapshotMeta meta;
   if (meta_fn_) meta_fn_(meta);
+  const SnapshotMeta machine = meta;
   meta.cycle = compute_.ticks();
   meta.now_ps = now_;
-  w.begin_section(kSecMeta);
-  meta.save(w);
-  w.end_section();
+  meta.checkpoint(io);
+  if (!io.loading() || !meta_fn_) return;
+  MLP_SIM_CHECK(meta.arch_label == machine.arch_label, "snapshot",
+                "snapshot architecture '" + meta.arch_label +
+                    "' does not match this machine '" + machine.arch_label +
+                    "'");
+  io.require(meta.version == machine.version, "meta version");
+  io.require(meta.warp_width == machine.warp_width, "warp width");
+  io.require(meta.image_bytes == machine.image_bytes, "image size");
+}
 
-  w.begin_section(kSecKernel);
-  w.put_u64(compute_.period_ps());
-  w.put_u64(compute_.next_edge_ps());
-  w.put_u64(compute_.ticks());
-  w.put_u64(channel_.period_ps());
-  w.put_u64(channel_.next_edge_ps());
-  w.put_u64(channel_.ticks());
-  w.put_u64(now_);
-  w.put_u64(watchdog.iterations());
-  w.put_u64(watchdog.stalled());
-  w.put_u64(watchdog.last_progress());
-  w.end_section();
+void SimulationKernel::checkpoint_clocks(StateIO& io) {
+  compute_.checkpoint(io);
+  channel_.checkpoint(io);
+  io.field(now_);
+  watchdog_.checkpoint(io);
+}
 
-  if (trace_ != nullptr) {
-    const trace::TraceSession::SamplerState sampler = trace_->sampler_state();
-    w.begin_section(kSecTraceSampler);
-    w.put_u64(sampler.next_sample_cycle);
-    w.put_u64(sampler.last_cycle);
-    w.put_u64(sampler.last_counters.size());
-    for (const u64 value : sampler.last_counters) w.put_u64(value);
+void SimulationKernel::checkpoint_counters(StateIO& io) {
+  auto counters = stats_->snapshot();
+  io.expect(counters.size(), "counter count");
+  for (auto& [name, value] : counters) {
+    io.field(name);
+    io.field(value);
+    if (io.loading()) stats_->set(name, value);
+  }
+}
+
+void SimulationKernel::capture() {
+  if (fast_forward_) settle_all();  // the counters section must be current
+  SnapshotWriter w;
+  StateIO io(w);
+  for (const Section& section : sections_) {
+    w.begin_section(section.id);
+    section.checkpoint(io);
     w.end_section();
   }
-
-  for (const auto& [id, state] : states_) {
-    w.begin_section(id);
-    state->save_state(w);
-    w.end_section();
-  }
-
-  // Counters LAST: restore then overwrites any restore-time side effects.
-  if (stats_snapshot_ != nullptr) {
-    w.begin_section(kSecStats);
-    const auto snap = stats_snapshot_->snapshot();
-    w.put_u64(snap.size());
-    for (const auto& [name, value] : snap) {
-      w.put_string(name);
-      w.put_u64(value);
-    }
-    w.end_section();
-  }
-
   plan_->captured = w.blob();
-  plan_->captured_cycle = meta.cycle;
+  plan_->captured_cycle = compute_.ticks();
   plan_->captured_ok = true;
 }
 
 void SimulationKernel::restore(const std::string& blob) {
   SnapshotReader reader(blob);
-  bool saw_meta = false;
-  bool saw_kernel = false;
-  bool saw_sampler = false;
-  bool saw_stats = false;
   SnapshotSection section;
-  while (reader.next(&section)) {
-    SnapshotCursor& r = section.cursor;
-    switch (section.id) {
-      case kSecMeta: {
-        MLP_SIM_CHECK(!saw_meta, "snapshot", "duplicate meta section");
-        SnapshotMeta meta;
-        meta.restore(r);
-        if (meta_fn_) {
-          SnapshotMeta expected;
-          meta_fn_(expected);
-          MLP_SIM_CHECK(meta.arch_label == expected.arch_label, "snapshot",
-                        "snapshot architecture '" + meta.arch_label +
-                            "' does not match this machine '" +
-                            expected.arch_label + "'");
-          MLP_SIM_CHECK(meta.warp_width == expected.warp_width, "snapshot",
-                        "snapshot warp width does not match this machine");
-          MLP_SIM_CHECK(meta.image_bytes == expected.image_bytes, "snapshot",
-                        "snapshot image size does not match this machine");
-        }
-        saw_meta = true;
-        break;
-      }
-      case kSecKernel: {
-        MLP_SIM_CHECK(saw_meta, "snapshot", "kernel section before meta");
-        // Named locals: argument evaluation order is unspecified.
-        const Picos c_period = r.get_u64();
-        const Picos c_edge = r.get_u64();
-        const u64 c_ticks = r.get_u64();
-        compute_.restore(c_period, c_edge, c_ticks);
-        const Picos ch_period = r.get_u64();
-        const Picos ch_edge = r.get_u64();
-        const u64 ch_ticks = r.get_u64();
-        channel_.restore(ch_period, ch_edge, ch_ticks);
-        now_ = r.get_u64();
-        pending_wd_iterations_ = r.get_u64();
-        pending_wd_stalled_ = r.get_u64();
-        pending_wd_last_progress_ = r.get_u64();
-        saw_kernel = true;
-        break;
-      }
-      case kSecTraceSampler: {
-        MLP_SIM_CHECK(trace_ != nullptr, "snapshot",
-                      "snapshot was traced but this run has no trace session");
-        trace::TraceSession::SamplerState sampler;
-        sampler.next_sample_cycle = r.get_u64();
-        sampler.last_cycle = r.get_u64();
-        const u64 columns = r.get_u64();
-        sampler.last_counters.reserve(columns);
-        for (u64 i = 0; i < columns; ++i) {
-          sampler.last_counters.push_back(r.get_u64());
-        }
-        trace_->restore_sampler(sampler);
-        saw_sampler = true;
-        break;
-      }
-      case kSecStats: {
-        MLP_SIM_CHECK(stats_snapshot_ != nullptr, "snapshot",
-                      "snapshot has counters but no StatSet is attached");
-        const u64 count = r.get_u64();
-        for (u64 i = 0; i < count; ++i) {
-          const std::string name = r.get_string();
-          const u64 value = r.get_u64();
-          stats_snapshot_->set(name, value);
-        }
-        saw_stats = true;
-        break;
-      }
-      default: {
-        Snapshottable* target = nullptr;
-        for (const auto& [id, state] : states_) {
-          if (id == section.id) {
-            target = state;
-            break;
-          }
-        }
-        MLP_SIM_CHECK(target != nullptr, "snapshot",
-                      "unknown snapshot section id " +
-                          std::to_string(section.id));
-        target->restore_state(r);
-        break;
-      }
-    }
-    MLP_SIM_CHECK(r.done(), "snapshot",
+  for (const Section& expected : sections_) {
+    MLP_SIM_CHECK(reader.next(&section), "snapshot",
+                  "snapshot ends before section " +
+                      std::to_string(expected.id));
+    MLP_SIM_CHECK(section.id == expected.id, "snapshot",
+                  "snapshot section " + std::to_string(section.id) +
+                      " where this machine expects section " +
+                      std::to_string(expected.id));
+    StateIO io(section.cursor);
+    expected.checkpoint(io);
+    MLP_SIM_CHECK(section.cursor.done(), "snapshot",
                   "trailing bytes in snapshot section " +
                       std::to_string(section.id));
   }
-  MLP_SIM_CHECK(saw_meta && saw_kernel, "snapshot",
-                "snapshot is missing its meta/kernel sections");
-  MLP_SIM_CHECK((trace_ != nullptr) == saw_sampler, "snapshot",
-                "trace attachment does not match the snapshot");
-  MLP_SIM_CHECK((stats_snapshot_ != nullptr) == saw_stats, "snapshot",
-                "counter section presence does not match the snapshot");
-  restored_ = true;
+  MLP_SIM_CHECK(!reader.next(&section), "snapshot",
+                "snapshot section " + std::to_string(section.id) +
+                    " is not part of this machine");
 }
 
 Picos SimulationKernel::run(const std::function<bool()>& done) {
   MLP_CHECK(progress_ != nullptr, "kernel needs a progress signature");
-  Watchdog watchdog(watchdog_cfg_, watchdog_arch_, dump_, trace_);
-  if (restored_) {
-    watchdog.restore(pending_wd_iterations_, pending_wd_stalled_,
-                     pending_wd_last_progress_);
-  }
   if (fast_forward_) {
     compute_units_.attach();
     channel_units_.attach();
@@ -301,12 +228,12 @@ Picos SimulationKernel::run(const std::function<bool()>& done) {
   // read after an edge serves the next edge's watchdog step and jump.
   u64 signature = progress_();
   while (!done()) {
-    if (fast_forward_) jump(&watchdog, signature);
+    if (fast_forward_) jump(signature);
     if (want_capture && !plan_->captured_ok &&
         compute_.ticks() >= plan_->checkpoint_at && all_quiescent()) {
-      capture(watchdog);
+      capture();
     }
-    watchdog.step(signature, now_);
+    watchdog_.step(signature, now_);
     if (compute_.next_edge_ps() <= channel_.next_edge_ps()) {
       now_ = compute_.next_edge_ps();
       const Picos period = compute_.period_ps();
@@ -341,7 +268,7 @@ Picos SimulationKernel::run(const std::function<bool()>& done) {
   return now_;
 }
 
-void SimulationKernel::jump(Watchdog* watchdog, u64 signature) {
+void SimulationKernel::jump(u64 signature) {
   const Picos compute_edge = compute_.next_edge_ps();
   const Picos channel_edge = channel_.next_edge_ps();
   // Earliest time any compute unit could act...
@@ -387,7 +314,7 @@ void SimulationKernel::jump(Watchdog* watchdog, u64 signature) {
   if (total == 0) return;
   // Never skip across a watchdog limit: the trip must fire from a real
   // step() at its exact iteration count (and trace timestamp).
-  if (total >= watchdog->steps_until_trip(signature)) return;
+  if (total >= watchdog_.steps_until_trip(signature)) return;
 
   // `now` at the resumed edge's step() is the last skipped edge's time,
   // exactly as if it had been polled.
@@ -403,7 +330,7 @@ void SimulationKernel::jump(Watchdog* watchdog, u64 signature) {
   now_ = last;
   compute_.advance_by(skip_compute);
   channel_.advance_by(skip_channel);
-  watchdog->skip(total, signature);
+  watchdog_.skip(total, signature);
 }
 
 }  // namespace mlp::sim

@@ -92,18 +92,18 @@ class SimulationKernel {
 
   // ---- mid-run checkpoints (sim/snapshot.hpp) ----
 
-  /// Register a stateful component's snapshot section. Registration order is
-  /// capture order; `section_id` must be unique within one machine and
-  /// stable across processes (it is the restore dispatch key).
-  void add_state(u32 section_id, Snapshottable* state) {
-    states_.emplace_back(section_id, state);
-  }
+  /// Register a stateful component's snapshot section. The kernel's own
+  /// sections come first (meta, clocks and watchdog, the interval sampler
+  /// when traced); then registration order is capture order, and restore
+  /// requires exactly these sections in exactly this order. `section_id`
+  /// must be unique within one machine and stable across processes.
+  void add_state(u32 section_id, Snapshottable* state);
 
-  /// The machine's StatSet; the kernel writes every counter by name as the
-  /// blob's LAST section, so restore applies counters after every
-  /// component's restore_state (whose incidental side effects — e.g. the
-  /// decode cache re-decoding its block set — are then overwritten).
-  void set_stats(StatSet* stats) { stats_snapshot_ = stats; }
+  /// The machine's StatSet, registered as the LAST section (after it, no
+  /// add_state): restore applies counters after every component's
+  /// checkpoint, whose incidental side effects — e.g. the decode cache
+  /// re-decoding its block set — they then overwrite.
+  void set_stats(StatSet* stats);
 
   /// Fills the identity/geometry half of SnapshotMeta (arch label, warp
   /// width, image size, fault sequence); the kernel owns cycle and time.
@@ -141,7 +141,7 @@ class SimulationKernel {
   /// Does nothing in a deadlock (no posted wake at all) or when the skip
   /// would cross the watchdog's trip point: edges are then processed one by
   /// one so the trip fires from a real step() at its exact iteration.
-  void jump(Watchdog* watchdog, u64 signature);
+  void jump(u64 signature);
 
   /// Charges owed by both domains, before counters are read.
   void settle_all() {
@@ -150,12 +150,21 @@ class SimulationKernel {
   }
 
   bool all_quiescent() const;
-  void capture(const Watchdog& watchdog);
+  void capture();
+  /// The kernel's own sections: identity, clocks + `now` + watchdog, and
+  /// every counter by name.
+  void checkpoint_meta(StateIO& io);
+  void checkpoint_clocks(StateIO& io);
+  void checkpoint_counters(StateIO& io);
+
+  /// One checkpoint section: its id and the function naming its fields.
+  struct Section {
+    u32 id;
+    std::function<void(StateIO&)> checkpoint;
+  };
 
   ClockDomain compute_;
   ClockDomain channel_;
-  WatchdogConfig watchdog_cfg_;
-  std::string watchdog_arch_;
   u32 channels_, ranks_, banks_;
   bool fast_forward_;
   trace::TraceSession* trace_;
@@ -165,17 +174,15 @@ class SimulationKernel {
   std::function<std::string()> dump_;
   std::function<u64()> progress_;
   std::function<void()> compute_edge_hook_;
+  /// A member so restore can write its trip state in place; its wall-clock
+  /// budget (a deployment setting, off by default) runs from construction.
+  Watchdog watchdog_;
 
-  std::vector<std::pair<u32, Snapshottable*>> states_;
-  StatSet* stats_snapshot_ = nullptr;
+  std::vector<Section> sections_;
+  std::vector<const Snapshottable*> states_;  ///< asked for quiescence
+  StatSet* stats_ = nullptr;
   std::function<void(SnapshotMeta&)> meta_fn_;
   SnapshotPlan* plan_ = nullptr;
-  /// Watchdog state from restore(), applied when run() constructs its
-  /// Watchdog (the watchdog is loop-local, not a kernel member).
-  bool restored_ = false;
-  u64 pending_wd_iterations_ = 0;
-  u64 pending_wd_stalled_ = 0;
-  u64 pending_wd_last_progress_ = 0;
 
   Picos now_ = 0;
 };

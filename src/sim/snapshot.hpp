@@ -1,34 +1,38 @@
 #pragma once
-// Mid-run checkpoint format and component contract (ROADMAP item 5). A
-// snapshot is a versioned binary blob — "MLPSNAP" header, then per-component
-// sections of (u32 id, u64 length, payload) — capturing the complete
-// architectural and micro-architectural state of a simulation at a QUIESCENT
-// compute-clock edge, so a fresh process can reconstruct the machine and
-// finish the run with every counter, trace event and result byte identical
-// to the uninterrupted run.
+// Mid-run checkpoint format and component contract. A snapshot is a
+// versioned binary blob — "MLPSNAP" header, then per-component sections of
+// (u32 id, u64 length, payload) — capturing the complete architectural and
+// micro-architectural state of a simulation at a QUIESCENT compute-clock
+// edge, so a fresh process can reconstruct the machine and finish the run
+// with every counter, trace event and result byte identical to the
+// uninterrupted run.
 //
-// Quiescence is the load-bearing invariant: component wake-ups are arbitrary
-// std::function closures and cannot be serialized, so the kernel only
-// captures at a step-loop top where no callback is outstanding anywhere —
-// every context runnable or halted (none kWaitMem), no warp waiting on a
-// fill, MSHRs and issue queues empty, the memory controller idle. Each
-// Snapshottable reports its own quiescence; the kernel scans from the
-// requested cycle to the first edge where all agree (sim/kernel.hpp).
+// Quiescence is the load-bearing invariant: waiter lists (sim::Wake handles
+// into live components) and MemRequest::on_complete closures cannot be
+// serialized, so the kernel only captures at a step-loop top where none is
+// outstanding anywhere — every context runnable or halted (none kWaitMem),
+// no warp waiting on a fill, MSHRs and issue queues empty, the memory
+// controller idle. Each Snapshottable reports its own quiescence; the kernel
+// scans from the requested cycle to the first edge where all agree
+// (sim/kernel.hpp).
 //
-// Unknown or malformed sections are a typed SimError("snapshot"), never a
-// crash: snapshots cross protocol boundaries (mlpserved snapshot/restore
-// verbs) and version skew must fail cleanly.
+// Each component names its checkpoint fields once, in checkpoint(StateIO&):
+// capture writes them, restore reads them back in place and checks the
+// bound declared with each (a count, an index, a nonzero period) as it
+// reads it. Unknown, missing, reordered or malformed sections and
+// out-of-range fields are a typed SimError("snapshot"), never a crash:
+// snapshots cross protocol boundaries (mlpserved snapshot/restore verbs)
+// and version skew must fail cleanly.
 //
-// Everything here is header-only so the component libraries (mem, core,
-// millipede, gpgpu) can implement the contract without linking mlp_sim.
+// Everything here is header-only and needs only common/, so the component
+// libraries (common, trace, mem, core, millipede, gpgpu) can implement the
+// contract without linking mlp_sim.
 
 #include <cstring>
 #include <string>
-#include <vector>
 
 #include "common/error.hpp"
 #include "common/types.hpp"
-#include "mem/dram_image.hpp"
 
 namespace mlp::sim {
 
@@ -219,15 +223,108 @@ class SnapshotReader {
   u64 pos_ = 0;
 };
 
-/// Contract implemented by every stateful component. save_state is only
-/// invoked when quiescent() is true for EVERY registered component, so
-/// implementations may assume (and should MLP_CHECK) that no wake-up
-/// closures are outstanding.
+/// One section's fields, named once for both directions. On capture each
+/// call appends its field to the section; on restore it reads the field
+/// back in place and checks the bound declared with it, so an out-of-range
+/// value is SimError("snapshot") before any component can index with it.
+/// State that is more than a field list (a set rebuilt from keys, a
+/// structure grown entry by entry) does its restore-only work behind
+/// loading().
+class StateIO {
+ public:
+  explicit StateIO(SnapshotWriter& w) : w_(&w) {}
+  explicit StateIO(SnapshotCursor& r) : r_(&r) {}
+
+  bool loading() const { return r_ != nullptr; }
+
+  void field(bool& v) {
+    if (loading()) {
+      v = r_->get_bool();
+    } else {
+      w_->put_bool(v);
+    }
+  }
+  void field(u8& v) {
+    if (loading()) {
+      v = r_->get_u8();
+    } else {
+      w_->put_u8(v);
+    }
+  }
+  void field(u32& v) {
+    if (loading()) {
+      v = r_->get_u32();
+    } else {
+      w_->put_u32(v);
+    }
+  }
+  void field(u64& v) {
+    if (loading()) {
+      v = r_->get_u64();
+    } else {
+      w_->put_u64(v);
+    }
+  }
+  void field(std::string& s) {
+    if (loading()) {
+      s = r_->get_string();
+    } else {
+      w_->put_string(s);
+    }
+  }
+  void bytes(u8* data, u64 size) {
+    if (loading()) {
+      r_->get_bytes(data, size);
+    } else {
+      w_->put_bytes(data, size);
+    }
+  }
+
+  /// A count or geometry this machine already fixes: written on capture,
+  /// compared on restore.
+  void expect(u32 n, const char* what) {
+    u32 v = n;
+    field(v);
+    require(v == n, what);
+  }
+  void expect(u64 n, const char* what) {
+    u64 v = n;
+    field(v);
+    require(v == n, what);
+  }
+  /// An index or cursor into something `bound` long.
+  void index(u32& v, u64 bound, const char* what) {
+    field(v);
+    require(v < bound, what);
+  }
+  /// A period or participant count: zero would divide by or wait on nothing.
+  void positive(u32& v, const char* what) {
+    field(v);
+    require(v > 0, what);
+  }
+  void positive(u64& v, const char* what) {
+    field(v);
+    require(v > 0, what);
+  }
+  /// A relation among fields already read (or a quiescence invariant).
+  void require(bool ok, const char* what) {
+    MLP_SIM_CHECK(ok, "snapshot",
+                  std::string("snapshot ") + what +
+                      " does not fit this machine");
+  }
+
+ private:
+  SnapshotWriter* w_ = nullptr;
+  SnapshotCursor* r_ = nullptr;
+};
+
+/// Contract implemented by every stateful component. checkpoint() captures
+/// only when quiescent() is true for EVERY registered component, so it may
+/// assume that no waiter or request callback is outstanding.
 class Snapshottable {
  public:
   virtual ~Snapshottable() = default;
-  virtual void save_state(SnapshotWriter& w) const = 0;
-  virtual void restore_state(SnapshotCursor& r) = 0;
+  virtual void checkpoint(StateIO& io) = 0;
   /// True when this component holds no unserializable in-flight state
   /// (outstanding callbacks, queued requests). Stateless-between-edges
   /// components keep the default.
@@ -245,23 +342,14 @@ struct SnapshotMeta {
   u64 image_bytes = 0;     ///< DRAM image size the delta applies to
   u64 fault_sequence = 0;  ///< fault-injector transfers drawn (fork safety)
 
-  void save(SnapshotWriter& w) const {
-    w.put_u32(version);
-    w.put_u64(cycle);
-    w.put_u64(now_ps);
-    w.put_string(arch_label);
-    w.put_u32(warp_width);
-    w.put_u64(image_bytes);
-    w.put_u64(fault_sequence);
-  }
-  void restore(SnapshotCursor& r) {
-    version = r.get_u32();
-    cycle = r.get_u64();
-    now_ps = r.get_u64();
-    arch_label = r.get_string();
-    warp_width = r.get_u32();
-    image_bytes = r.get_u64();
-    fault_sequence = r.get_u64();
+  void checkpoint(StateIO& io) {
+    io.field(version);
+    io.field(cycle);
+    io.field(now_ps);
+    io.field(arch_label);
+    io.field(warp_width);
+    io.field(image_bytes);
+    io.field(fault_sequence);
   }
 };
 
@@ -274,13 +362,15 @@ inline SnapshotMeta snapshot_meta(const std::string& blob) {
   MLP_SIM_CHECK(reader.next(&section) && section.id == kSecMeta, "snapshot",
                 "snapshot does not start with a meta section");
   SnapshotMeta meta;
-  meta.restore(section.cursor);
+  StateIO io(section.cursor);
+  meta.checkpoint(io);
   return meta;
 }
 
-/// Checkpoint intent threaded through run_arch into the kernel. Exactly one
-/// of capture/restore may be set per run; capture is non-invasive (the run
-/// continues and finishes identically).
+/// Checkpoint intent threaded through run_arch into the kernel. A run may
+/// restore, capture, or both (a restored run captures again at its first
+/// quiescent edge at or after checkpoint_at); capture is non-invasive (the
+/// run continues and finishes identically).
 struct SnapshotPlan {
   /// Capture at the first quiescent step-loop top at or >= checkpoint_at
   /// compute cycles. If the run finishes first, no snapshot is taken
@@ -295,72 +385,6 @@ struct SnapshotPlan {
   bool captured_ok = false;
   u64 captured_cycle = 0;
   std::string captured;
-};
-
-/// The DRAM image serialized as a delta against the PreparedJob's pristine
-/// image (functional stores and no-ECC fault flips are sparse, so warm
-/// snapshots stay small). Registered with the kernel as section kSecDramDelta
-/// and captured AT quiesce time like any other component.
-class DramImageDelta : public Snapshottable {
- public:
-  DramImageDelta(mem::DramImage* live, const mem::DramImage* pristine)
-      : live_(live), pristine_(pristine) {
-    MLP_CHECK(live_->size() == pristine_->size(),
-              "delta images must have one size");
-  }
-
-  void save_state(SnapshotWriter& w) const override {
-    const u8* a = live_->raw().data();
-    const u8* b = pristine_->raw().data();
-    const u64 n = live_->size();
-    w.put_u64(n);
-    u64 runs = 0;
-    // Two passes keep the writer simple (no nested patching): count, emit.
-    for (u64 i = 0; i < n;) {
-      if (a[i] == b[i]) {
-        ++i;
-        continue;
-      }
-      u64 j = i;
-      while (j < n && a[j] != b[j]) ++j;
-      ++runs;
-      i = j;
-    }
-    w.put_u64(runs);
-    for (u64 i = 0; i < n;) {
-      if (a[i] == b[i]) {
-        ++i;
-        continue;
-      }
-      u64 j = i;
-      while (j < n && a[j] != b[j]) ++j;
-      w.put_u64(i);
-      w.put_u64(j - i);
-      w.put_bytes(a + i, j - i);
-      i = j;
-    }
-  }
-
-  void restore_state(SnapshotCursor& r) override {
-    const u64 n = r.get_u64();
-    MLP_SIM_CHECK(n == live_->size(), "snapshot",
-                  "snapshot image size does not match the prepared image");
-    // The live image starts pristine (freshly copied from the PreparedJob);
-    // re-copy defensively so restore is idempotent, then patch the runs.
-    live_->raw() = pristine_->raw();
-    const u64 runs = r.get_u64();
-    for (u64 k = 0; k < runs; ++k) {
-      const u64 offset = r.get_u64();
-      const u64 length = r.get_u64();
-      MLP_SIM_CHECK(length > 0 && offset <= n && n - offset >= length,
-                    "snapshot", "snapshot image delta run out of bounds");
-      r.get_bytes(live_->raw().data() + offset, length);
-    }
-  }
-
- private:
-  mem::DramImage* live_;
-  const mem::DramImage* pristine_;
 };
 
 }  // namespace mlp::sim

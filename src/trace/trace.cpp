@@ -5,6 +5,7 @@
 #include <cstring>
 
 #include "common/error.hpp"
+#include "sim/snapshot.hpp"
 #include "trace/json.hpp"
 
 namespace mlp::trace {
@@ -110,20 +111,15 @@ void TraceSession::sample(u64 cycle, Picos now) {
   next_sample_cycle_ = cycle + cfg_.interval_cycles;
 }
 
-void TraceSession::restore_sampler(const SamplerState& state) {
-  if (cfg_.interval_cycles == 0) return;
-  MLP_SIM_CHECK(rows_.empty(), "snapshot",
-                "sampler restore after sampling began");
-  MLP_SIM_CHECK(state.last_counters.size() == last_counters_.size(),
-                "snapshot",
-                "snapshot sampler column count does not match this machine");
-  next_sample_cycle_ = state.next_sample_cycle;
-  last_cycle_ = state.last_cycle;
-  last_counters_ = state.last_counters;
+void TraceSession::checkpoint_sampler(sim::StateIO& io) {
+  io.field(next_sample_cycle_);
+  io.field(last_cycle_);
+  io.expect(last_counters_.size(), "sampler column count");
+  for (u64& value : last_counters_) io.field(value);
   // The first restored row's per-interval rates (ipc) divide by the cycles
   // since the last PRE-capture sample, exactly as the uninterrupted export
   // does for that row.
-  base_cycle_ = state.last_cycle;
+  if (io.loading()) base_cycle_ = last_cycle_;
 }
 
 void TraceSession::finish_run(u64 cycle, Picos now) {

@@ -38,6 +38,10 @@
 #include "common/stats.hpp"
 #include "common/types.hpp"
 
+namespace mlp::sim {
+class StateIO;
+}
+
 namespace mlp::trace {
 
 enum class EventKind : u8 {
@@ -142,21 +146,13 @@ class TraceSession {
   /// whether or not the run completed.
   void finish_run(u64 cycle, Picos now);
 
-  /// Interval-sampler cursor for mid-run snapshots (sim/snapshot.hpp). A
-  /// restored session emits exactly the timeline rows the uninterrupted run
-  /// emits past the restore point: same sample cycles, same counter deltas
-  /// (last_counters holds the values already accounted to earlier rows).
-  struct SamplerState {
-    u64 next_sample_cycle = 0;
-    u64 last_cycle = 0;
-    std::vector<u64> last_counters;
-  };
-  SamplerState sampler_state() const {
-    return {next_sample_cycle_, last_cycle_, last_counters_};
-  }
-  /// Apply a captured cursor; must follow begin_run (the counter column set
-  /// is rebuilt there and the sizes must agree, else SimError("snapshot")).
-  void restore_sampler(const SamplerState& state);
+  /// Interval-sampler cursor for mid-run snapshots. A restored session
+  /// emits exactly the timeline rows the uninterrupted run emits past the
+  /// restore point: same sample cycles, same counter deltas (the last
+  /// counters hold the values already accounted to earlier rows). Restore
+  /// comes between begin_run, which sets the counter columns the blob must
+  /// match, and the first sample.
+  void checkpoint_sampler(sim::StateIO& io);
 
   // ---- export ----
 

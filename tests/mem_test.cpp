@@ -775,16 +775,19 @@ TEST_F(CacheFixture, SnapshotKeepsInvalidWaysAfterTheValidOnes) {
   cache.access(0x100, /*is_write=*/true, now, sink);
   backend.complete_all(10);  // one dirty line, in way 0 of its set
   sim::SnapshotWriter w;
-  cache.save_state(w);
+  sim::StateIO capture(w);
+  cache.checkpoint(capture);
   const std::string blob = w.blob();
   constexpr u64 kHeader = 12;  // magic + version
   auto restore = [&](const std::string& bytes) {
     Cache copy("l1", 5 * 1024, 128, 5, 8, 2858, &backend, nullptr);
     sim::SnapshotCursor r(reinterpret_cast<const u8*>(bytes.data()) + kHeader,
                           bytes.size() - kHeader);
-    copy.restore_state(r);
+    sim::StateIO load(r);
+    copy.checkpoint(load);
     sim::SnapshotWriter again;
-    copy.save_state(again);
+    sim::StateIO recapture(again);
+    copy.checkpoint(recapture);
     return again.blob();
   };
   EXPECT_EQ(restore(blob), blob);

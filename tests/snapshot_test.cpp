@@ -7,12 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <vector>
 
 #include "common/error.hpp"
+#include "isa/isa.hpp"
 #include "sim/fork.hpp"
 #include "sim/prepare.hpp"
 #include "sim/report.hpp"
@@ -118,7 +120,8 @@ TEST(SnapshotFormat, MetaPeekReadsIdentity) {
   meta.image_bytes = 4096;
   meta.fault_sequence = 17;
   w.begin_section(kSecMeta);
-  meta.save(w);
+  StateIO io(w);
+  meta.checkpoint(io);
   w.end_section();
   const SnapshotMeta back = snapshot_meta(w.blob());
   EXPECT_EQ(back.cycle, 1234u);
@@ -202,12 +205,19 @@ TEST_P(SnapshotEquivalence, CheckpointRestoreMatchesUninterrupted) {
   EXPECT_FALSE(capture.captured.empty());
   expect_identical(baseline.result, captured.result, "capture run");
 
-  // Restore into a fresh machine and finish: counter-identical.
+  // Restore into a fresh machine and finish: counter-identical. The
+  // restored run captures again where it starts, and gets the same bytes.
   SnapshotPlan restore;
   restore.restore_from = &capture.captured;
+  restore.capture = true;
+  restore.checkpoint_at = capture.captured_cycle;
   const MatrixResult restored = run(&restore);
   ASSERT_TRUE(restored.ok()) << restored.error;
   expect_identical(baseline.result, restored.result, "restored run");
+  ASSERT_TRUE(restore.captured_ok);
+  EXPECT_EQ(restore.captured_cycle, capture.captured_cycle);
+  EXPECT_TRUE(restore.captured == capture.captured)
+      << "the restored run re-captured different bytes";
 }
 
 std::vector<EquivCase> all_cases() {
@@ -297,25 +307,164 @@ TEST(SnapshotTrace, RestoredTimelineIsExactSuffix) {
 
 // --- Cross-machine rejection ---
 
-TEST(SnapshotRestore, RejectsWrongArchitecture) {
-  const MatrixJob job{arch::ArchKind::kMillipede, "count", small_options(),
-                      ""};
-  PrepareCache cache;
+/// A capture at the first quiescent edge at or past `checkpoint_at`.
+std::string capture_blob(const MatrixJob& job, PrepareCache* cache,
+                         u64 checkpoint_at) {
   SnapshotPlan capture;
   capture.capture = true;
-  capture.checkpoint_at = 1;
-  const MatrixResult captured = run_job(job, &cache, nullptr, &capture);
-  ASSERT_TRUE(captured.ok()) << captured.error;
-  ASSERT_TRUE(capture.captured_ok);
+  capture.checkpoint_at = checkpoint_at;
+  const MatrixResult captured = run_job(job, cache, nullptr, &capture);
+  EXPECT_TRUE(captured.ok()) << captured.error;
+  EXPECT_TRUE(capture.captured_ok);
+  return capture.captured;
+}
 
-  MatrixJob other = job;
-  other.kind = arch::ArchKind::kSsmc;
+/// Restores `blob` into `job`'s machine; the run must fail with a typed
+/// snapshot error.
+void expect_snapshot_error(const MatrixJob& job, PrepareCache* cache,
+                           const std::string& blob, const std::string& label) {
   SnapshotPlan restore;
-  restore.restore_from = &capture.captured;
-  const MatrixResult rejected = run_job(other, &cache, nullptr, &restore);
-  EXPECT_FALSE(rejected.ok());
+  restore.restore_from = &blob;
+  const MatrixResult rejected = run_job(job, cache, nullptr, &restore);
+  EXPECT_FALSE(rejected.ok()) << label;
   EXPECT_NE(rejected.error.find("snapshot"), std::string::npos)
-      << rejected.error;
+      << label << ": " << rejected.error;
+}
+
+TEST(SnapshotRestore, RejectsWrongArchitecture) {
+  SuiteOptions barrier = small_options();
+  barrier.record_barrier = true;
+  struct Pair {
+    MatrixJob captured, restoring;
+  };
+  const Pair pairs[] = {
+      // Another architecture: the meta section names the captured one.
+      {{arch::ArchKind::kMillipede, "count", small_options(), ""},
+       {arch::ArchKind::kSsmc, "count", small_options(), ""}},
+      // The same machine with a barrier: the blob lacks its section.
+      {{arch::ArchKind::kMillipede, "nbayes", small_options(), ""},
+       {arch::ArchKind::kMillipede, "nbayes", barrier, ""}},
+  };
+  for (const Pair& pair : pairs) {
+    PrepareCache cache;
+    const std::string blob = capture_blob(pair.captured, &cache, 1);
+    expect_snapshot_error(pair.restoring, &cache, blob,
+                          std::string(arch::arch_name(pair.restoring.kind)) +
+                              "/" + pair.restoring.bench);
+  }
+}
+
+TEST(SnapshotRestore, SectionsComeOnceInRegistrationOrder) {
+  const MatrixJob job{arch::ArchKind::kMillipede, "nbayes", small_options(),
+                      ""};
+  PrepareCache cache;
+  const std::string blob = capture_blob(job, &cache, 200);
+  // The blob as its header and whole sections (id, length, payload).
+  const std::size_t header = sizeof(kSnapshotMagic) + 4;
+  std::vector<std::string> sections;
+  for (std::size_t pos = header; pos < blob.size();) {
+    u64 length = 0;
+    std::memcpy(&length, blob.data() + pos + 4, 8);
+    sections.push_back(blob.substr(pos, 12 + length));
+    pos += 12 + length;
+  }
+  ASSERT_GT(sections.size(), 5u);
+  const auto join = [&](const std::vector<std::string>& parts) {
+    std::string out = blob.substr(0, header);
+    for (const std::string& part : parts) out += part;
+    return out;
+  };
+  // Sections 3 and 4 are the controller and the prefetch buffer.
+  std::vector<std::string> swapped = sections;
+  std::swap(swapped[3], swapped[4]);
+  std::vector<std::string> repeated = sections;
+  repeated.insert(repeated.begin() + 4, sections[3]);
+  std::vector<std::string> extra = sections;
+  extra.push_back(sections[3]);
+  std::vector<std::string> missing = sections;
+  missing.erase(missing.begin() + 3);
+  expect_snapshot_error(job, &cache, join(swapped), "swapped");
+  expect_snapshot_error(job, &cache, join(repeated), "repeated");
+  expect_snapshot_error(job, &cache, join(extra), "extra");
+  expect_snapshot_error(job, &cache, join(missing), "missing");
+}
+
+/// Overwrites `bytes` little-endian bytes of `value` at `offset` into the
+/// payload of section `id`; a negative offset counts from the payload's end.
+std::string patch_field(std::string blob, u32 id, i64 offset, u64 value,
+                        u32 bytes) {
+  for (std::size_t pos = sizeof(kSnapshotMagic) + 4; pos + 12 <= blob.size();) {
+    u32 section = 0;
+    u64 length = 0;
+    std::memcpy(&section, blob.data() + pos, 4);
+    std::memcpy(&length, blob.data() + pos + 4, 8);
+    pos += 12;
+    if (section == id) {
+      const u64 at = offset < 0 ? length - static_cast<u64>(-offset)
+                                : static_cast<u64>(offset);
+      std::memcpy(blob.data() + pos + at, &value, bytes);
+      return blob;
+    }
+    pos += length;
+  }
+  ADD_FAILURE() << "no snapshot section " << id;
+  return blob;
+}
+
+TEST(SnapshotRestore, OutOfRangeFieldsAreTypedErrors) {
+  // Each case corrupts one field of a real blob. Before restore checked
+  // its fields, every case but the reconvergence pc crashed or aborted the
+  // restoring process.
+  const SuiteOptions o = small_options();
+  SuiteOptions barrier = o;
+  barrier.record_barrier = true;
+  // Payload layouts: a corelet section is a u32 context count, the
+  // contexts (32 registers, pc, u8 state, ready_at, CSRs, instret), then
+  // the round-robin cursor. An SM section ends in one u32 cursor per lane
+  // group, then a u64 lane count and each lane's u64 size and words; its
+  // first warp's SIMT stack follows the u32 warp count, width and depth.
+  const u64 context_bytes = 32 * 4 + 4 + 1 + 8 + 4 * isa::kNumCsrs + 8;
+  const i64 sm_cursors = -static_cast<i64>(
+      4 * (o.cfg.core.cores / o.cfg.gpgpu.warp_width) + 8 +
+      o.cfg.core.cores * (8 + u64{o.cfg.core.local_mem_bytes}));
+  struct Case {
+    const char* field;
+    arch::ArchKind kind;
+    const SuiteOptions* options;
+    u32 section;
+    i64 offset;
+    u64 value;
+    u32 bytes;
+  };
+  const Case cases[] = {
+      {"corelet round-robin cursor", arch::ArchKind::kMillipede, &o,
+       kSecCoreletBase,
+       static_cast<i64>(4 + o.cfg.core.contexts * context_bytes), 1'000'000,
+       4},
+      {"corelet pc", arch::ArchKind::kMillipede, &o, kSecCoreletBase,
+       4 + 32 * 4, 0x7fffffff, 4},
+      {"prefetch-buffer head", arch::ArchKind::kMillipede, &o,
+       kSecPrefetchBuffer, 4, 1'000'000, 4},
+      {"compute period", arch::ArchKind::kMillipede, &o, kSecKernel, 0, 0, 8},
+      {"barrier expectation", arch::ArchKind::kMillipede, &barrier,
+       kSecBarrier, 0, 0, 4},
+      {"SM group-0 cursor", arch::ArchKind::kGpgpu, &o, kSecSm, sm_cursors,
+       1'000'000, 4},
+      {"SIMT pc", arch::ArchKind::kGpgpu, &o, kSecSm, 12, 0x7fffffff, 4},
+      {"SIMT reconvergence pc", arch::ArchKind::kGpgpu, &o, kSecSm, 16,
+       0x7ffffff0, 4},
+      {"SIMT mask", arch::ArchKind::kGpgpu, &o, kSecSm, 20, 0xffffffffffffull,
+       8},
+  };
+  PrepareCache cache;
+  for (const Case& c : cases) {
+    const MatrixJob job{c.kind, "nbayes", *c.options, ""};
+    const std::string blob = capture_blob(job, &cache, 200);
+    const std::string bad =
+        patch_field(blob, c.section, c.offset, c.value, c.bytes);
+    ASSERT_NE(bad, blob) << c.field;
+    expect_snapshot_error(job, &cache, bad, c.field);
+  }
 }
 
 // --- DRAM hierarchy + refresh state across checkpoint/restore ---
