@@ -113,15 +113,6 @@ inline std::map<std::string, SuiteResults> run_grid(
   return grid;
 }
 
-inline SuiteResults run_suite_map(ArchKind kind,
-                                  const sim::SuiteOptions& options,
-                                  const HarnessOptions& harness) {
-  std::vector<sim::MatrixJob> jobs;
-  add_suite(&jobs, "suite", kind, options);
-  std::map<std::string, SuiteResults> grid = run_grid(jobs, harness);
-  return std::move(grid["suite"]);
-}
-
 /// Benchmark names sorted by measured instructions per input word (the
 /// paper's Fig. 3/4 x-axis ordering, Table IV top-to-bottom).
 inline std::vector<std::string> sorted_benches(const SuiteResults& any) {

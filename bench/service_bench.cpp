@@ -29,7 +29,6 @@
 #include <vector>
 
 #include "serve/client.hpp"
-#include "serve/health.hpp"
 #include "serve/server.hpp"
 #include "trace/json.hpp"
 
@@ -260,22 +259,6 @@ void print_json(const Options& opt, const Tallies& t, double wall_ms,
   w.value(p99);
   w.key("queue_full_retries");
   w.value(g_queue_full_retries.load());
-  // Fleet-resilience tallies (serve/health.hpp): zero on a healthy bench,
-  // nonzero under chaos/failover experiments. Info-class — observations of
-  // the run's environment, never gated.
-  const serve::HealthCounters& h = serve::health_counters();
-  w.key("request_timeouts");
-  w.value(h.request_timeouts.load());
-  w.key("chaos_injected");
-  w.value(h.chaos_injected.load());
-  w.key("node_deaths");
-  w.value(h.node_deaths.load());
-  w.key("reconnects");
-  w.value(h.reconnects.load());
-  w.key("failovers");
-  w.value(h.failovers.load());
-  w.key("retries");
-  w.value(h.retries.load());
   w.end_object();
   w.end_object();
   std::printf("%s\n", w.str().c_str());

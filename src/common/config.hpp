@@ -266,9 +266,10 @@ struct MachineConfig {
   /// `--no-fast-forward` on the tools clears it for A/B runs.
   bool fast_forward = true;
 
-  /// Dispatch the interpreter over the decoded-basic-block cache
-  /// (core/decode_cache.hpp) instead of re-decoding every issued
-  /// instruction. Purely a simulator-speed knob like fast_forward: decode
+  /// Run each decoded instruction (core/decode_cache.hpp) on its
+  /// per-opcode handler. Cleared, every instruction runs on the reference
+  /// core::step handler instead — the differential oracle for the
+  /// handlers. Purely a simulator-speed knob like fast_forward: decode
   /// accounting runs either way, so every counter, trace event and timeline
   /// is bit-identical (enforced by differential_test, the golden matrix and
   /// the CI equivalence step) and the flag stays out of the stats-JSON

@@ -3,22 +3,13 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <atomic>
 #include <chrono>
 #include <thread>
 
 #include "common/error.hpp"
-#include "serve/health.hpp"
 #include "serve/transport.hpp"
 
 namespace mlp::serve {
-
-namespace {
-
-/// Connection ordinal feeding each connection's decorrelated chaos stream.
-std::atomic<u64> g_connection_serial{0};
-
-}  // namespace
 
 Client::~Client() { close(); }
 
@@ -26,10 +17,9 @@ void Client::connect(const std::string& address) {
   close();
   fd_ = connect_endpoint(parse_endpoint(address), options_.connect_timeout_ms);
   if (options_.chaos.enabled()) {
-    chaos_.emplace(options_.chaos,
-                   g_connection_serial.fetch_add(1,
-                                                 std::memory_order_relaxed));
+    chaos_.emplace(options_.chaos, counts_.connections);
   }
+  ++counts_.connections;
 }
 
 void Client::close() {
@@ -45,19 +35,17 @@ Response Client::roundtrip(const std::string& request) {
   const i64 timeout = options_.request_timeout_ms;
   bool skip_write = false;
   if (chaos_) {
-    switch (chaos_->next()) {
+    const ChaosInjector::Action action = chaos_->next();
+    if (action != ChaosInjector::Action::kNone) ++counts_.chaos_injected;
+    switch (action) {
       case ChaosInjector::Action::kNone:
         break;
       case ChaosInjector::Action::kDelay:
         // Injected latency only; the frame still goes out.
-        health_counters().chaos_injected.fetch_add(1,
-                                                   std::memory_order_relaxed);
         std::this_thread::sleep_for(
             std::chrono::milliseconds(chaos_->delay_ms()));
         break;
       case ChaosInjector::Action::kDrop:
-        health_counters().chaos_injected.fetch_add(1,
-                                                   std::memory_order_relaxed);
         if (timeout > 0) {
           // Swallow the request and let the response read run into the
           // deadline — the exact signature of a hung peer.
@@ -70,8 +58,6 @@ Response Client::roundtrip(const std::string& request) {
         throw SimError("serve", "chaos: request frame dropped "
                                 "(no request deadline; closed)");
       case ChaosInjector::Action::kTruncate: {
-        health_counters().chaos_injected.fetch_add(1,
-                                                   std::memory_order_relaxed);
         // Half a frame on the wire: header promising the full payload,
         // then silence — the peer sees a mid-frame close and drops us.
         const u32 len = static_cast<u32>(request.size());
@@ -82,8 +68,6 @@ Response Client::roundtrip(const std::string& request) {
         throw SimError("serve", "chaos: request frame truncated");
       }
       case ChaosInjector::Action::kClose:
-        health_counters().chaos_injected.fetch_add(1,
-                                                   std::memory_order_relaxed);
         close();
         throw SimError("serve", "chaos: connection closed before request");
     }
@@ -101,8 +85,7 @@ Response Client::roundtrip(const std::string& request) {
     if (e.kind() == kErrTimeout) {
       // The half-finished exchange poisons the byte stream; drop it so the
       // next request cannot desync against a late response.
-      health_counters().request_timeouts.fetch_add(
-          1, std::memory_order_relaxed);
+      ++counts_.request_timeouts;
       close();
     }
     throw;
@@ -116,9 +99,6 @@ Response Client::submit(const JobSpec& spec) {
 Response Client::server_status() { return roundtrip(status_request()); }
 Response Client::job_status(u64 id) {
   return roundtrip(job_status_request(id));
-}
-Response Client::result(u64 id, bool wait) {
-  return roundtrip(result_request(id, wait));
 }
 Response Client::result(u64 id, bool wait, u64 wait_ms) {
   return roundtrip(result_request(id, wait, wait_ms));

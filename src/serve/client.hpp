@@ -1,7 +1,9 @@
 #pragma once
 // Client side of the mlpserved protocol: a blocking connection wrapper plus
-// typed helpers for each request. Grids run through serve/shard.hpp's
-// run_matrix_sharded, on one address or several.
+// typed helpers for each request. A Client's policy comes only from its
+// ClientOptions, and it keeps its own counts (connections, request
+// timeouts, chaos actions); clients share no state. Grids run through
+// serve/shard.hpp's run_matrix_sharded, on one address or several.
 
 #include <optional>
 #include <string>
@@ -24,9 +26,15 @@ struct ClientOptions {
   /// connection (the half-exchange on the wire is undecodable), so the
   /// client closes it — callers treat this exactly like a dead peer.
   i64 request_timeout_ms = 0;
-  /// Outgoing-frame chaos; defaults to the MLP_CHAOS environment variable
-  /// so any tool can be chaos-tested without new plumbing.
-  ChaosConfig chaos = chaos_from_env();
+  /// Outgoing-frame chaos; off unless the caller sets it.
+  ChaosConfig chaos;
+};
+
+/// What one Client did over its lifetime (across reconnects).
+struct ClientCounts {
+  u64 connections = 0;       ///< connects that succeeded
+  u64 request_timeouts = 0;  ///< deadlines tripped mid-exchange
+  u64 chaos_injected = 0;    ///< chaos actions fired (any kind)
 };
 
 /// One connection to a daemon. Requests are strictly sequential
@@ -48,8 +56,8 @@ class Client {
   bool connected() const { return fd_ >= 0; }
   void close();
 
-  const ClientOptions& options() const { return options_; }
   void set_options(const ClientOptions& options) { options_ = options; }
+  const ClientCounts& counts() const { return counts_; }
 
   /// One request/response round trip; throws SimError("serve", ...) if the
   /// connection drops mid-exchange, SimError("timeout", ...) if the
@@ -61,10 +69,9 @@ class Client {
   Response submit(const JobSpec& spec);
   Response server_status();
   Response job_status(u64 id);
-  Response result(u64 id, bool wait);
-  /// Bounded result wait: the server answers within ~wait_ms with either
-  /// the result or a typed job-running/job-pending heartbeat.
-  Response result(u64 id, bool wait, u64 wait_ms);
+  /// wait_ms > 0 bounds the wait: the server answers within ~wait_ms with
+  /// either the result or a typed job-running/job-pending heartbeat.
+  Response result(u64 id, bool wait, u64 wait_ms = 0);
   Response cancel(u64 id);
   Response shutdown();
   /// Protocol v2: capture the job's quiesce-drained state at the first
@@ -76,8 +83,9 @@ class Client {
  private:
   int fd_ = -1;
   ClientOptions options_;
+  ClientCounts counts_;
   /// Armed at connect when options_.chaos is enabled; one decision stream
-  /// per connection, decorrelated by a global connection ordinal.
+  /// per connection, decorrelated by this client's connection ordinal.
   std::optional<ChaosInjector> chaos_;
 };
 

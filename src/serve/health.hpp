@@ -1,18 +1,11 @@
 #pragma once
-// Fleet-health accounting for the self-healing sweep client. Two layers:
-//
-//  * process-global counters (health_counters()) — lock-free tallies bumped
-//    by the client/shard machinery wherever a resilience path fires
-//    (request timeout, chaos injection, node death, failover re-dispatch,
-//    reconnect). service_bench folds them into the bench-trajectory JSON as
-//    info-class fields; they are observations, never gated.
-//  * per-sweep FleetHealth — the structured report run_matrix_sharded fills
-//    for ONE sweep: how degraded the run was (retries, failovers, lost
-//    points) and each node's share of the work. mlpsweep prints it on
-//    stderr and, behind --fleet-stats, appends it to the stats-JSON
-//    document footer.
+// Fleet-health accounting for the self-healing sweep client: the report
+// run_matrix_sharded fills for ONE sweep — how degraded the run was
+// (retries, failovers, lost points, plus the request timeouts and chaos
+// actions its node and probe clients counted) and each node's share of the
+// work. mlpsweep prints it on stderr and, behind --fleet-stats, appends it
+// to the stats-JSON document footer.
 
-#include <atomic>
 #include <string>
 #include <vector>
 
@@ -20,22 +13,6 @@
 #include "trace/json.hpp"
 
 namespace mlp::serve {
-
-/// Process-global resilience tallies (monotonic, relaxed ordering — they
-/// are reporting counters, not synchronization).
-struct HealthCounters {
-  std::atomic<u64> request_timeouts{0};  ///< deadlines tripped mid-exchange
-  std::atomic<u64> chaos_injected{0};    ///< chaos actions fired (any kind)
-  std::atomic<u64> node_deaths{0};       ///< nodes declared dead
-  std::atomic<u64> reconnects{0};        ///< dead nodes re-admitted
-  std::atomic<u64> failovers{0};         ///< points placed off their home node
-  std::atomic<u64> retries{0};           ///< points re-dispatched after a loss
-};
-
-inline HealthCounters& health_counters() {
-  static HealthCounters counters;
-  return counters;
-}
 
 /// One node's share of a sharded sweep.
 struct NodeHealth {

@@ -279,10 +279,6 @@ std::string status_request() { return R"({"type":"status"})"; }
 
 std::string job_status_request(u64 id) { return id_request("status", id); }
 
-std::string result_request(u64 id, bool wait) {
-  return result_request(id, wait, 0);
-}
-
 std::string result_request(u64 id, bool wait, u64 wait_ms) {
   trace::JsonWriter w;
   w.begin_object();

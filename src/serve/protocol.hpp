@@ -129,13 +129,12 @@ std::string ping_request();
 std::string submit_request(const JobSpec& spec);
 std::string status_request();
 std::string job_status_request(u64 id);
-std::string result_request(u64 id, bool wait);
 /// Bounded wait: "wait_ms" asks the server to park at most that long and
 /// answer with a typed job-running/job-pending HEARTBEAT if the job is
 /// still in flight — the client's liveness probe for long jobs (a silent
 /// node within the request deadline = dead; a heartbeat = alive, keep
 /// waiting). wait_ms 0 emits the classic unbounded-wait request.
-std::string result_request(u64 id, bool wait, u64 wait_ms);
+std::string result_request(u64 id, bool wait, u64 wait_ms = 0);
 std::string cancel_request(u64 id);
 std::string shutdown_request();
 /// Snapshot verbs (protocol version 2): capture the job's state at the

@@ -181,22 +181,10 @@ ServerStatus Server::status() const {
   out.snapshots = snapshots_.stats();
   std::lock_guard<std::mutex> lock(mutex_);
   out.threads = pool_ != nullptr ? pool_->size() : 0;
-  for (const auto& [id, entry] : jobs_) {
-    switch (entry.state) {
-      case JobState::kQueued:
-        ++out.queued;
-        break;
-      case JobState::kRunning:
-        ++out.running;
-        break;
-      case JobState::kDone:
-        ++out.done;
-        break;
-      case JobState::kCancelled:
-        ++out.cancelled;
-        break;
-    }
-  }
+  out.queued = queued_;
+  out.running = running_;
+  out.done = done_;
+  out.cancelled = cancelled_;
   return out;
 }
 
@@ -269,7 +257,7 @@ std::string Server::handle_submit(const trace::JsonValue& doc) {
     if (stop_.load() || pool_ == nullptr) {
       return error_response(kErrShuttingDown, "server is draining");
     }
-    if (active_ >= cfg_.queue_limit) {
+    if (queued_ + running_ >= cfg_.queue_limit) {
       return error_response(
           kErrQueueFull, "admission queue full (" +
                              std::to_string(cfg_.queue_limit) +
@@ -278,7 +266,7 @@ std::string Server::handle_submit(const trace::JsonValue& doc) {
     id = next_id_++;
     JobEntry& entry = jobs_[id];
     entry.spec = std::move(spec);
-    ++active_;
+    ++queued_;
     // Submit under the lock: drain swaps pool_ out under the same lock, so
     // an admitted job can never race the pool teardown.
     pool_->submit([this, id] { execute(id); });
@@ -362,7 +350,8 @@ std::string Server::handle_cancel(const trace::JsonValue& doc) {
       case JobState::kQueued:
         entry.state = JobState::kCancelled;
         entry.wake = true;
-        --active_;
+        --queued_;
+        ++cancelled_;
         break;
     }
     entry.cv.notify_all();
@@ -442,6 +431,8 @@ void Server::execute(u64 id) {
     }
     if (entry.state != JobState::kQueued) return;  // cancelled while held
     entry.state = JobState::kRunning;
+    --queued_;
+    ++running_;
     job = entry.spec.job;
   }
   apply_job_budget(cfg_.job_timeout_ms, &job);
@@ -457,7 +448,8 @@ void Server::execute(u64 id) {
       entry.result = std::move(result);
       entry.cache_hit = cache_hit;
       entry.state = JobState::kDone;
-      --active_;
+      --running_;
+      ++done_;
       entry.cv.notify_all();
     }
   }

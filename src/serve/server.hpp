@@ -135,7 +135,13 @@ class Server {
   mutable std::mutex mutex_;
   std::map<u64, JobEntry> jobs_;
   u64 next_id_ = 1;
-  u64 active_ = 0;  ///< queued + running (the admission-bounded population)
+  /// jobs_ per state, moved at each transition (submit, start, finish,
+  /// cancel) so status() never walks jobs_; queued + running is the
+  /// admission-bounded population.
+  u64 queued_ = 0;
+  u64 running_ = 0;
+  u64 done_ = 0;
+  u64 cancelled_ = 0;
 
   std::mutex threads_mutex_;
   std::vector<std::thread> connection_threads_;

@@ -118,41 +118,25 @@ std::vector<RemoteResult> run_matrix_sharded(
   std::vector<RemoteResult> results(jobs.size());
   std::vector<u32> attempts(jobs.size(), 0);
   FleetHealth fleet;
-  const u64 timeouts_before = health_counters().request_timeouts.load();
-  const u64 chaos_before = health_counters().chaos_injected.load();
+  auto tally = [&fleet](const Client& client) {
+    fleet.request_timeouts += client.counts().request_timeouts;
+    fleet.chaos_injected += client.counts().chaos_injected;
+  };
 
-  ClientOptions copts;
-  copts.connect_timeout_ms = options.connect_timeout_ms;
-  copts.request_timeout_ms = options.request_timeout_ms;
-  copts.chaos = options.chaos;
   // Probes heal the fleet; they get a tight deadline of their own (a
   // SIGSTOPped daemon still accepts into its listen backlog, so the ping —
   // not the connect — is what detects the hang) and no chaos.
   ClientOptions probe_opts;
   probe_opts.connect_timeout_ms = static_cast<i64>(options.probe_max_ms);
   probe_opts.request_timeout_ms = static_cast<i64>(options.probe_max_ms);
-  probe_opts.chaos = ChaosConfig{};
 
   const std::size_t count = addresses.size();
   std::vector<Node> nodes(count);
-
-  auto kill_node = [&](Node* node, const std::string& reason) {
-    node->alive = false;
-    node->reason = reason;
-    node->client.close();
-    ++node->health.deaths;
-    ++fleet.node_deaths;
-    health_counters().node_deaths.fetch_add(1, std::memory_order_relaxed);
-    node->backoff_ms = std::max<u64>(options.probe_min_ms, 1);
-    node->next_probe_ms = steady_now_ms() + node->backoff_ms;
-    return;
-  };
 
   std::deque<std::size_t> pending;
   auto requeue = [&](std::size_t index, const std::string& why) {
     ++attempts[index];
     ++fleet.retries;
-    health_counters().retries.fetch_add(1, std::memory_order_relaxed);
     if (attempts[index] > options.retry_budget) {
       results[index].error = kErrNodeLost;
       results[index].message = "retry budget (" +
@@ -166,7 +150,13 @@ std::vector<RemoteResult> run_matrix_sharded(
 
   /// Declare a node dead and put its in-flight points back on the queue.
   auto lose_node = [&](Node* node, const std::string& reason) {
-    kill_node(node, reason);
+    node->alive = false;
+    node->reason = reason;
+    node->client.close();
+    ++node->health.deaths;
+    ++fleet.node_deaths;
+    node->backoff_ms = std::max<u64>(options.probe_min_ms, 1);
+    node->next_probe_ms = steady_now_ms() + node->backoff_ms;
     std::deque<std::pair<std::size_t, u64>> orphaned;
     orphaned.swap(node->inflight);
     for (const auto& [index, id] : orphaned) {
@@ -224,14 +214,14 @@ std::vector<RemoteResult> run_matrix_sharded(
           probe.connect(node.address);
           daemon_up = probe.ping().ok;
         } catch (const SimError&) {
-          daemon_up = false;
+          // Refused, reset or timed out: the node stays down.
         }
+        tally(probe);
       }
       if (daemon_up &&
           connect_node(&node, static_cast<i64>(options.probe_max_ms))) {
         ++node.health.reconnects;
         ++fleet.reconnects;
-        health_counters().reconnects.fetch_add(1, std::memory_order_relaxed);
         continue;
       }
       // Still down: back off exponentially with ±50% jitter so a fleet of
@@ -246,8 +236,11 @@ std::vector<RemoteResult> run_matrix_sharded(
     }
   };
 
-  /// Place one point on `node`: make a window slot, submit with queue-full
-  /// retry, and convert any transport loss into a re-dispatch.
+  /// Place one point on `node`: make a window slot, submit, and convert any
+  /// transport loss into a re-dispatch. queue-full is the node's
+  /// backpressure, never an error row: free one of this sweep's slots there
+  /// or, holding none (other clients fill the node), back off in place and
+  /// resubmit.
   auto place_point = [&](Node* node, std::size_t index) {
     while (node->alive && node->inflight.size() >= node->window) {
       drain_one(node);
@@ -256,6 +249,7 @@ std::vector<RemoteResult> run_matrix_sharded(
       requeue(index, node->address + ": " + node->reason);
       return;
     }
+    u64 backoff_ms = options.probe_min_ms;
     try {
       for (;;) {
         const Response r = node->client.submit(JobSpec{jobs[index], 0});
@@ -263,9 +257,14 @@ std::vector<RemoteResult> run_matrix_sharded(
           node->inflight.emplace_back(index, r.doc.u64_at("id"));
           return;
         }
-        if (r.error == kErrQueueFull && !node->inflight.empty()) {
-          // This node's backpressure: free one of ITS slots and retry.
-          drain_one(node);
+        if (r.error == kErrQueueFull) {
+          if (node->inflight.empty()) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(backoff_ms));
+            backoff_ms = std::min(options.probe_max_ms,
+                                  std::max<u64>(1, backoff_ms) * 2);
+          } else {
+            drain_one(node);
+          }
           if (!node->alive) {
             requeue(index, node->address + ": " + node->reason);
             return;
@@ -298,9 +297,17 @@ std::vector<RemoteResult> run_matrix_sharded(
     node.health.address = addresses[n];
     node.health.window = node.window;
     node.jitter.reseed(0x5eed'f1ee'7000'0000ull + n);
+    ClientOptions copts;
+    copts.connect_timeout_ms = options.connect_timeout_ms;
+    copts.request_timeout_ms = options.request_timeout_ms;
+    copts.chaos = options.chaos;
+    // Per-node chaos streams: decorrelated by node index here and by
+    // connection ordinal inside the client.
+    copts.chaos.seed ^= 0x9e37'79b9'7f4a'7c15ull * (n + 1);
     node.client.set_options(copts);
+    // Nothing is in flight yet, so a failed bring-up requeues nothing.
     if (!connect_node(&node, options.connect_timeout_ms)) {
-      kill_node(&node, node.reason);
+      lose_node(&node, node.reason);
     }
   }
 
@@ -318,15 +325,10 @@ std::vector<RemoteResult> run_matrix_sharded(
     return false;
   };
   auto choose_node = [&](std::size_t index) -> Node* {
-    const std::size_t h = home[index];
-    if (!options.failover) return nodes[h].alive ? &nodes[h] : nullptr;
     for (std::size_t k = 0; k < count; ++k) {
-      Node& node = nodes[(h + k) % count];
+      Node& node = nodes[(home[index] + k) % count];
       if (!node.alive) continue;
-      if (k != 0) {
-        ++fleet.failovers;
-        health_counters().failovers.fetch_add(1, std::memory_order_relaxed);
-      }
+      if (k != 0) ++fleet.failovers;
       return &node;
     }
     return nullptr;
@@ -348,55 +350,38 @@ std::vector<RemoteResult> run_matrix_sharded(
       continue;
     }
     const std::size_t index = pending.front();
-    pending.pop_front();
     Node* node = choose_node(index);
-    if (node == nullptr && options.failover) {
+    if (node == nullptr) {
       // The whole fleet looks dead — give every node one immediate probe
       // before giving up on the remaining points.
       probe_dead(/*force=*/true);
       node = choose_node(index);
     }
     if (node == nullptr) {
+      // No node means NO node — every remaining point meets the same fate;
+      // fail them in one sweep instead of re-probing per point.
       const Node& h = nodes[home[index]];
-      results[index].error = kErrNodeLost;
-      results[index].message =
-          options.failover
-              ? "every node is dead; last loss on " + h.address + ": " +
-                    h.reason
-              : h.address + ": " + h.reason;
-      ++fleet.points_lost;
-      if (options.failover) {
-        // With failover on, "no node" means NO node — every remaining
-        // point meets the same fate; fail them in one sweep instead of
-        // re-probing per point.
-        for (const std::size_t j : pending) {
-          results[j].error = kErrNodeLost;
-          results[j].message = results[index].message;
-          ++fleet.points_lost;
-        }
-        pending.clear();
+      const std::string message =
+          "every node is dead; last loss on " + h.address + ": " + h.reason;
+      for (const std::size_t j : pending) {
+        results[j].error = kErrNodeLost;
+        results[j].message = message;
+        ++fleet.points_lost;
       }
+      pending.clear();
       continue;
     }
+    pending.pop_front();
     place_point(node, index);
   }
 
   // ---- health report ----
-  fleet.request_timeouts =
-      health_counters().request_timeouts.load() - timeouts_before;
-  fleet.chaos_injected =
-      health_counters().chaos_injected.load() - chaos_before;
-  for (Node& node : nodes) {
+  for (const Node& node : nodes) {
+    tally(node.client);
     fleet.nodes.push_back(node.health);
   }
   if (health != nullptr) *health = fleet;
   return results;
-}
-
-std::vector<RemoteResult> run_matrix_sharded(
-    const std::vector<std::string>& addresses,
-    const std::vector<sim::MatrixJob>& jobs) {
-  return run_matrix_sharded(addresses, jobs, ShardOptions{});
 }
 
 }  // namespace mlp::serve

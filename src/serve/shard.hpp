@@ -12,18 +12,20 @@
 // on the node count and list order — deterministic across runs, and adding
 // a node moves only the keys that fall to its virtual points.
 //
-// The sweep is SELF-HEALING. Each node gets its own connection, its own
-// sliding in-flight window sized to that node's admission bound, and its
-// own queue-full retry. A node that dies mid-sweep — connection refused,
-// reset, mid-frame close, or a request-deadline trip on a hung peer — loses
-// nothing but time: its submitted-but-unfetched points are RE-DISPATCHED to
-// the next surviving node on the ring (bounded by a per-point retry
-// budget), dead nodes are probed with exponentially backed-off pings and
-// re-admitted when they resurrect, and only when every node is dead or a
-// point's budget is exhausted does a typed `node-lost` error row appear.
-// Because jobs are pure functions of their spec and results merge by
-// submission index, a sweep that failed over is byte-identical to one that
-// never saw a fault.
+// The sweep is SELF-HEALING, with one policy taken only from ShardOptions.
+// Each node gets its own connection and its own sliding in-flight window
+// sized to that node's admission bound. A node's queue-full is backpressure,
+// never an error: the sweep frees one of its own slots there, or, holding
+// none, backs off in place and resubmits. A node that dies mid-sweep —
+// connection refused, reset, mid-frame close, or a request-deadline trip on
+// a hung peer — loses nothing but time: its submitted-but-unfetched points
+// are RE-DISPATCHED to the next surviving node on the ring (bounded by a
+// per-point retry budget), dead nodes are probed with exponentially
+// backed-off pings and re-admitted when they resurrect, and only when every
+// node is dead or a point's budget is exhausted does a typed `node-lost`
+// error row appear. Because jobs are pure functions of their spec and
+// results merge by submission index, a sweep that failed over is
+// byte-identical to one that never saw a fault.
 
 #include <string>
 #include <vector>
@@ -33,9 +35,8 @@
 
 namespace mlp::serve {
 
-/// Typed kind reported for jobs lost to node failure: every node dead, the
-/// point's retry budget exhausted, or (with failover disabled) its home
-/// node down.
+/// Typed kind reported for jobs lost to node failure: every node dead, or
+/// the point's retry budget exhausted.
 inline constexpr char kErrNodeLost[] = "node-lost";
 
 /// Consistent-hash ring: `nodes` members, `kVirtualNodes` points each.
@@ -78,16 +79,15 @@ struct ShardOptions {
   /// Dead-node probe backoff: first probe after ~probe_min_ms, doubling
   /// (with ±50% jitter) to at most probe_max_ms. probe_max_ms also bounds
   /// the probe ping itself, so a SIGSTOPped daemon whose listener still
-  /// accepts cannot wedge the prober.
+  /// accepts cannot wedge the prober. A queue-full node this sweep holds no
+  /// slot on is resubmitted on the same schedule, without jitter.
   u64 probe_min_ms = 50;
   u64 probe_max_ms = 2000;
-  /// Re-dispatch points from dead nodes to ring survivors. Off = the
-  /// legacy behaviour (a dead node's points become typed node-lost rows).
-  bool failover = true;
-  /// Outgoing-frame chaos injection (see serve/transport.hpp); defaults to
-  /// the MLP_CHAOS environment variable. Probe pings are exempt — chaos
-  /// exercises the RPC path, not the healing path.
-  ChaosConfig chaos = chaos_from_env();
+  /// Outgoing-frame chaos injection (see serve/transport.hpp); off unless
+  /// set. Each node's stream is seeded from chaos.seed and the node's index.
+  /// Probe pings are exempt — chaos exercises the RPC path, not the healing
+  /// path.
+  ChaosConfig chaos;
 };
 
 /// Fan `jobs` across the daemons at `addresses` (AF_UNIX paths or
@@ -97,12 +97,8 @@ struct ShardOptions {
 /// addresses).
 std::vector<RemoteResult> run_matrix_sharded(
     const std::vector<std::string>& addresses,
-    const std::vector<sim::MatrixJob>& jobs, const ShardOptions& options,
+    const std::vector<sim::MatrixJob>& jobs,
+    const ShardOptions& options = ShardOptions{},
     FleetHealth* health = nullptr);
-
-/// Default-policy convenience overload.
-std::vector<RemoteResult> run_matrix_sharded(
-    const std::vector<std::string>& addresses,
-    const std::vector<sim::MatrixJob>& jobs);
 
 }  // namespace mlp::serve

@@ -275,26 +275,4 @@ ChaosConfig parse_chaos(const std::string& spec) {
   return cfg;
 }
 
-ChaosConfig chaos_from_env() {
-  const char* spec = std::getenv("MLP_CHAOS");
-  if (spec == nullptr || *spec == '\0') return ChaosConfig{};
-  return parse_chaos(spec);
-}
-
-const char* chaos_action_name(ChaosInjector::Action action) {
-  switch (action) {
-    case ChaosInjector::Action::kNone:
-      return "none";
-    case ChaosInjector::Action::kDrop:
-      return "drop";
-    case ChaosInjector::Action::kDelay:
-      return "delay";
-    case ChaosInjector::Action::kTruncate:
-      return "truncate";
-    case ChaosInjector::Action::kClose:
-      return "close";
-  }
-  return "unknown";
-}
-
 }  // namespace mlp::serve

@@ -15,12 +15,13 @@
 // protocol_version are transport-independent: read_frame/write_frame only
 // ever see a connected stream fd.
 //
-// The transport also hosts the seeded CHAOS layer: an env/flag-driven fault
-// injector that drops, delays, truncates or closes outgoing request frames
-// with a per-connection decorrelated RNG (the same scheme as the DRAM
-// FaultInjector), so every client-side resilience path — deadlines, node
-// death, reconnect, failover re-dispatch — is deterministically testable
-// without root, network namespaces, or flaky sleeps.
+// The transport also hosts the seeded CHAOS layer: an opt-in fault injector
+// (ClientOptions::chaos, mlpsweep --chaos) that drops, delays, truncates or
+// closes outgoing request frames with a per-connection decorrelated RNG (the
+// same scheme as the DRAM FaultInjector), so every client-side resilience
+// path — deadlines, node death, reconnect, failover re-dispatch — is
+// deterministically testable without root, network namespaces, or flaky
+// sleeps.
 
 #include <string>
 
@@ -86,10 +87,6 @@ struct ChaosConfig {
 /// on unknown keys or rates outside [0, 1].
 ChaosConfig parse_chaos(const std::string& spec);
 
-/// Chaos config from the MLP_CHAOS environment variable (same grammar);
-/// all-zero (disabled) when unset or empty.
-ChaosConfig chaos_from_env();
-
 /// Per-connection chaos decision stream. Mirrors the DRAM FaultInjector:
 /// each connection draws from its own decorrelated RNG
 /// (seed ^ golden-ratio-mix of the connection ordinal), so injected
@@ -107,30 +104,21 @@ class ChaosInjector {
   Action next() {
     const double draw = rng_.uniform();
     double acc = cfg_.drop_rate;
-    if (draw < acc) return count(Action::kDrop);
+    if (draw < acc) return Action::kDrop;
     acc += cfg_.delay_rate;
-    if (draw < acc) return count(Action::kDelay);
+    if (draw < acc) return Action::kDelay;
     acc += cfg_.truncate_rate;
-    if (draw < acc) return count(Action::kTruncate);
+    if (draw < acc) return Action::kTruncate;
     acc += cfg_.close_rate;
-    if (draw < acc) return count(Action::kClose);
+    if (draw < acc) return Action::kClose;
     return Action::kNone;
   }
 
   u64 delay_ms() const { return cfg_.delay_ms; }
-  u64 injected() const { return injected_; }
 
  private:
-  Action count(Action action) {
-    ++injected_;
-    return action;
-  }
-
   ChaosConfig cfg_;
   Rng rng_;
-  u64 injected_ = 0;
 };
-
-const char* chaos_action_name(ChaosInjector::Action action);
 
 }  // namespace mlp::serve

@@ -72,11 +72,9 @@ Fleet resilience (with --server; see docs/ARCHITECTURE.md):
                           0 = no deadline, a hung node hangs the sweep)
   --retry-budget N        re-dispatches per point after node losses before
                           it becomes a typed error row (default 3)
-  --no-failover           legacy behaviour: a dead node's points become
-                          typed node-lost rows instead of failing over
   --chaos SPEC            seeded fault injection on outgoing frames, e.g.
                           drop=0.05,delay=0.1,delay-ms=20,truncate=0.01,
-                          close=0.02,seed=7 (also: MLP_CHAOS env var)
+                          close=0.02,seed=7
   --fleet-stats           append the fleet-health report as a "fleet"
                           member of the --stats-json document (with
                           --fork-at: the fork report as a "fork" member)
@@ -166,8 +164,10 @@ int run_remote(const std::vector<std::string>& servers,
                    r.error.c_str(), r.message.c_str());
       exit_code = 1;
       // The point still gets its row — config columns + the typed error
-      // (node-lost, queue-full, ...) — so a sweep that loses a node emits
-      // a rectangular CSV, exactly like a local per-job failure.
+      // (node-lost, or a rejection no node would accept such as
+      // bad-request) — so a sweep that loses points emits a rectangular
+      // CSV, exactly like a local per-job failure. A busy node's queue-full
+      // is backpressure and never becomes a row.
       sim::MatrixResult failed;
       failed.job = matrix[i];
       failed.error = r.error + ": " + r.message;
@@ -238,8 +238,6 @@ int main(int argc, char** argv) {
     } else if (args.is("--retry-budget")) {
       shard_options.retry_budget =
           tools::parse_u32(args.flag(), args.value());
-    } else if (args.is("--no-failover")) {
-      shard_options.failover = false;
     } else if (args.is("--chaos")) {
       try {
         shard_options.chaos = serve::parse_chaos(args.value());

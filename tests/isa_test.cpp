@@ -1,5 +1,5 @@
-// Tests for ISA metadata, binary encoding round-trips, program static
-// analysis, and the kernel builder.
+// Tests for ISA metadata, binary encoding round-trips and program static
+// analysis.
 
 #include <gtest/gtest.h>
 
@@ -11,7 +11,6 @@
 #include "core/decode_cache.hpp"
 #include "core/functional.hpp"
 #include "isa/assembler.hpp"
-#include "isa/builder.hpp"
 #include "isa/disassembler.hpp"
 #include "isa/encoding.hpp"
 #include "isa/program.hpp"
@@ -141,40 +140,6 @@ TEST(Program, StaticCounts) {
   EXPECT_EQ(counts.float_ops, 1u);
   EXPECT_EQ(p.label("top"), 0u);
   EXPECT_EQ(p.size_bytes(), 28u);
-}
-
-TEST(Builder, EmitsForwardAndBackwardBranches) {
-  KernelBuilder b;
-  Label loop = b.new_label();
-  Label done = b.new_label();
-  b.csrr(1, Csr::kTid);      // 0
-  b.li(2, 10);               // 1
-  b.bind(loop);
-  b.addi(1, 1, 1);           // 2
-  b.blt(1, 2, loop);         // 3 -> 2
-  b.jump(done);              // 4 -> 5
-  b.bind(done);
-  b.halt();                  // 5
-  Program p = b.build("builder_test");
-  EXPECT_EQ(p.at(3).imm, -1);
-  EXPECT_EQ(p.at(4).imm, 1);
-  EXPECT_EQ(p.at(5).op, Opcode::kHalt);
-}
-
-TEST(Builder, LiExpandsLargeConstants) {
-  KernelBuilder b;
-  b.li(1, 5);           // 1 instr
-  b.li(2, 0x12345678);  // 2 instrs
-  b.halt();
-  Program p = b.build("li_test");
-  EXPECT_EQ(p.size(), 4u);
-  EXPECT_EQ(p.at(0).op, Opcode::kAddi);
-  EXPECT_EQ(p.at(1).op, Opcode::kLui);
-  EXPECT_EQ(p.at(2).op, Opcode::kOri);
-  // Reassemble the constant.
-  const u32 value = (static_cast<u32>(p.at(1).imm) << 13) |
-                    static_cast<u32>(p.at(2).imm);
-  EXPECT_EQ(value, 0x12345678u);
 }
 
 // --- Seeded decoder fuzz: random valid programs through the assembler,

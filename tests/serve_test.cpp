@@ -9,7 +9,9 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <chrono>
+#include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
@@ -298,7 +300,6 @@ TEST(Transport, HungPeerTripsTheRequestDeadline) {
   ClientOptions options;
   options.connect_timeout_ms = 1000;
   options.request_timeout_ms = 200;
-  options.chaos = ChaosConfig{};
   Client client(options);
   client.connect(ep.path);
   ASSERT_TRUE(client.connected());
@@ -309,8 +310,10 @@ TEST(Transport, HungPeerTripsTheRequestDeadline) {
     EXPECT_EQ(e.kind(), kErrTimeout);
   }
   // The deadline poisons the connection — no half-read frame can desync a
-  // later request.
+  // later request — and the client counts the trip itself.
   EXPECT_FALSE(client.connected());
+  EXPECT_EQ(client.counts().request_timeouts, 1u);
+  EXPECT_EQ(client.counts().connections, 1u);
   ::close(listener);
   ::unlink(ep.path.c_str());
 }
@@ -498,32 +501,143 @@ TEST(Service, CancelSemantics) {
   LiveServer live(ServeConfig{"", "", /*threads=*/1, /*queue_limit=*/8});
   Client client;
   client.connect(live.path());
+  // status() counts every job once, in its current state.
+  using Counts = std::array<u64, 4>;  // queued, running, done, cancelled
+  const auto counts = [&live] {
+    const ServerStatus s = live.server().status();
+    return Counts{s.queued, s.running, s.done, s.cancelled};
+  };
+  EXPECT_EQ(counts(), (Counts{0, 0, 0, 0}));
 
   JobSpec held = small_job("count");
   held.hold_ms = 60'000;
   const u64 held_id = client.submit(held).doc.u64_at("id");
   EXPECT_EQ(client.job_status(held_id).doc.str_at("state"), "queued");
+  EXPECT_EQ(counts(), (Counts{1, 0, 0, 0}));
 
   // Cancelling a queued job works and is idempotent.
   ASSERT_TRUE(client.cancel(held_id).ok);
   EXPECT_EQ(client.job_status(held_id).doc.str_at("state"), "cancelled");
+  EXPECT_EQ(counts(), (Counts{0, 0, 0, 1}));
   EXPECT_TRUE(client.cancel(held_id).ok);
+  EXPECT_EQ(counts(), (Counts{0, 0, 0, 1}));
 
   // A cancelled job's result reports the cancellation, not stale data.
   const Response result = client.result(held_id, true);
   ASSERT_TRUE(result.ok);
   EXPECT_EQ(result.doc.str_at("state"), "cancelled");
+  EXPECT_EQ(counts(), (Counts{0, 0, 0, 1}));
 
   // A finished job can no longer be cancelled.
   const u64 done_id = client.submit(small_job("sample")).doc.u64_at("id");
   ASSERT_TRUE(client.result(done_id, true).ok);
+  EXPECT_EQ(counts(), (Counts{0, 0, 1, 1}));
   const Response late = client.cancel(done_id);
   EXPECT_FALSE(late.ok);
   EXPECT_EQ(late.error, kErrJobDone);
+  EXPECT_EQ(counts(), (Counts{0, 0, 1, 1}));
 
   const Response missing = client.cancel(777);
   EXPECT_FALSE(missing.ok);
   EXPECT_EQ(missing.error, kErrNoSuchJob);
+  EXPECT_EQ(counts(), (Counts{0, 0, 1, 1}));
+}
+
+TEST(Service, ChaosIsOnOnlyWhenTheOptionsSetIt) {
+  // Chaos comes only from the options, never from the environment: a
+  // process that names a close-every-connection schedule there still gets
+  // chaos-free default client and sweep options.
+  LiveServer live(ServeConfig{"", "", /*threads=*/1, /*queue_limit=*/4});
+  const char* const variable = "MLP_CHAOS";
+  ::setenv(variable, "close=1", /*overwrite=*/1);
+  const bool shard_chaos = ShardOptions{}.chaos.enabled();
+  Client client;
+  bool pong = false;
+  try {
+    client.connect(live.path());
+    pong = client.ping().ok;
+  } catch (const SimError&) {
+    // pong stays false; unset the variable before reporting.
+  }
+  ::unsetenv(variable);
+  EXPECT_FALSE(shard_chaos);
+  EXPECT_TRUE(pong);
+  EXPECT_EQ(client.counts().chaos_injected, 0u);
+}
+
+TEST(Service, EachClientKeepsItsOwnCounts) {
+  // Counts belong to the Client that did the work: one client's chaos and
+  // reconnects leave another's untouched, and a client's counts outlive
+  // each of its connections.
+  LiveServer live(ServeConfig{"", "", /*threads=*/1, /*queue_limit=*/4});
+  ClientOptions chaotic_options;
+  chaotic_options.chaos = parse_chaos("close=1,seed=5");
+  Client chaotic(chaotic_options);
+  Client calm;
+  calm.connect(live.path());
+  for (int i = 0; i < 3; ++i) {
+    chaotic.connect(live.path());
+    EXPECT_THROW(chaotic.ping(), SimError);
+    EXPECT_FALSE(chaotic.connected());
+    ASSERT_TRUE(calm.ping().ok);
+  }
+  EXPECT_EQ(chaotic.counts().connections, 3u);
+  EXPECT_EQ(chaotic.counts().chaos_injected, 3u);
+  EXPECT_EQ(chaotic.counts().request_timeouts, 0u);
+  EXPECT_EQ(calm.counts().connections, 1u);
+  EXPECT_EQ(calm.counts().chaos_injected, 0u);
+  EXPECT_EQ(calm.counts().request_timeouts, 0u);
+}
+
+TEST(Service, StatusCountsBalanceAcrossConcurrentClients) {
+  // The status counts move at submit, start, finish and cancel, so
+  // concurrent clients leave them balanced: every admitted job is counted
+  // once, in its final state, in status() and on the wire alike.
+  LiveServer live(ServeConfig{"", "", /*threads=*/2, /*queue_limit=*/32});
+  const std::vector<std::string> benches = {"count", "sample", "variance",
+                                            "kmeans"};
+  constexpr u64 kRunsPerClient = 3;
+  std::vector<std::thread> clients;
+  for (std::size_t i = 0; i < benches.size(); ++i) {
+    clients.emplace_back([&, i] {
+      Client client;
+      client.connect(live.path());
+      JobSpec held = small_job(benches[i]);
+      held.hold_ms = 60'000;  // cancelled below; never waited out
+      const Response held_sub = client.submit(held);
+      ASSERT_TRUE(held_sub.ok) << held_sub.message;
+      std::vector<u64> ids;
+      for (u64 k = 0; k < kRunsPerClient; ++k) {
+        const Response sub = client.submit(small_job(benches[i]));
+        ASSERT_TRUE(sub.ok) << sub.message;
+        ids.push_back(sub.doc.u64_at("id"));
+      }
+      ASSERT_TRUE(client.cancel(held_sub.doc.u64_at("id")).ok);
+      for (const u64 id : ids) {
+        const Response result = client.result(id, /*wait=*/true);
+        ASSERT_TRUE(result.ok) << result.message;
+        EXPECT_EQ(result.doc.str_at("state"), "done");
+      }
+    });
+  }
+  for (std::thread& t : clients) t.join();
+
+  const ServerStatus s = live.server().status();
+  EXPECT_EQ(s.queued, 0u);
+  EXPECT_EQ(s.running, 0u);
+  EXPECT_EQ(s.done, benches.size() * kRunsPerClient);
+  EXPECT_EQ(s.cancelled, benches.size());
+
+  Client client;
+  client.connect(live.path());
+  const Response status = client.server_status();
+  ASSERT_TRUE(status.ok);
+  const trace::JsonValue* jobs = status.doc.find("jobs");
+  ASSERT_NE(jobs, nullptr);
+  EXPECT_EQ(jobs->u64_at("queued"), s.queued);
+  EXPECT_EQ(jobs->u64_at("running"), s.running);
+  EXPECT_EQ(jobs->u64_at("done"), s.done);
+  EXPECT_EQ(jobs->u64_at("cancelled"), s.cancelled);
 }
 
 TEST(Service, GracefulDrainFinishesAdmittedJobs) {
@@ -793,10 +907,9 @@ ShardOptions fast_options() {
 }
 
 TEST(Sharded, DeadNodeFailsOverByteIdentically) {
-  // One node of the fleet never existed: with failover (the default) every
-  // point it owned re-dispatches to the survivor and the merged output is
-  // byte-identical to a healthy run — the sweep result does not betray
-  // that a node was lost.
+  // One node of the fleet never existed: every point it owned re-dispatches
+  // to the survivor and the merged output is byte-identical to a healthy
+  // run — the sweep result does not betray that a node was lost.
   LiveServer live(ServeConfig{"", "", /*threads=*/2, /*queue_limit=*/8});
   const std::string dead = "/tmp/mlpserve-no-such-node.sock";
   const std::vector<sim::MatrixJob> jobs = two_node_grid();
@@ -816,38 +929,6 @@ TEST(Sharded, DeadNodeFailsOverByteIdentically) {
   ASSERT_EQ(fleet.nodes.size(), 2u);
   EXPECT_EQ(fleet.nodes[0].jobs_completed, jobs.size());
   EXPECT_EQ(fleet.nodes[1].jobs_completed, 0u);
-}
-
-TEST(Sharded, NoFailoverYieldsTypedRowsNotAHang) {
-  // The legacy policy (--no-failover): a dead node's points become typed
-  // node-lost rows while the live node's points still serve.
-  LiveServer live(ServeConfig{"", "", /*threads=*/2, /*queue_limit=*/8});
-  const std::string dead = "/tmp/mlpserve-no-such-node.sock";
-  const std::vector<sim::MatrixJob> jobs = two_node_grid();
-
-  ShardOptions options = fast_options();
-  options.failover = false;
-  FleetHealth fleet;
-  const std::vector<RemoteResult> results =
-      run_matrix_sharded({live.path(), dead}, jobs, options, &fleet);
-  ASSERT_EQ(results.size(), jobs.size());
-  std::size_t lost = 0, served = 0;
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    if (results[i].ok) {
-      ++served;
-      const sim::MatrixResult local = sim::run_job(jobs[i]);
-      EXPECT_EQ(results[i].csv, sim::sweep_csv_row(local));
-    } else {
-      ++lost;
-      EXPECT_EQ(results[i].error, kErrNodeLost);
-      EXPECT_NE(results[i].message.find(dead), std::string::npos);
-    }
-  }
-  // Keys hash to both nodes (pinned by RingAssignmentsAreStableForever), so
-  // the sweep must lose SOME points and serve the rest from the live node.
-  EXPECT_GT(lost, 0u);
-  EXPECT_GT(served, 0u);
-  EXPECT_EQ(fleet.points_lost, lost);
 }
 
 TEST(Sharded, EveryNodeDeadFailsAllPointsNotTheSweep) {
@@ -926,6 +1007,71 @@ TEST(Sharded, ChaosClosedConnectionsHealByReconnect) {
   EXPECT_GT(fleet.chaos_injected, 0u);
   EXPECT_GE(fleet.node_deaths, 1u);
   EXPECT_GE(fleet.reconnects, 1u);
+}
+
+TEST(Sharded, ConcurrentSweepsReportOnlyTheirOwnHealth) {
+  // Two sweeps at once in one process, one under connection-killing chaos
+  // and one healthy. Each FleetHealth sums only its own sweep's clients, so
+  // the healthy sweep reports no degradation however the two interleave.
+  LiveServer chaotic_node(ServeConfig{"", "", /*threads=*/2,
+                                      /*queue_limit=*/8});
+  LiveServer calm_node(ServeConfig{"", "", /*threads=*/2, /*queue_limit=*/8});
+  const std::vector<sim::MatrixJob> jobs = two_node_grid();
+
+  ShardOptions chaotic = fast_options();
+  chaotic.retry_budget = 100;  // chaos this hot needs headroom
+  chaotic.chaos = parse_chaos("close=0.4,seed=11");
+  FleetHealth chaotic_fleet;
+  std::vector<RemoteResult> chaotic_results;
+  std::thread chaotic_sweep([&] {
+    chaotic_results = run_matrix_sharded({chaotic_node.path()}, jobs,
+                                         chaotic, &chaotic_fleet);
+  });
+  FleetHealth calm_fleet;
+  const std::vector<RemoteResult> calm_results = run_matrix_sharded(
+      {calm_node.path()}, jobs, fast_options(), &calm_fleet);
+  chaotic_sweep.join();
+
+  ASSERT_EQ(chaotic_results.size(), jobs.size());
+  ASSERT_EQ(calm_results.size(), jobs.size());
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    const std::string local = sim::sweep_csv_row(sim::run_job(jobs[i]));
+    ASSERT_TRUE(chaotic_results[i].ok) << i << ": "
+                                       << chaotic_results[i].message;
+    ASSERT_TRUE(calm_results[i].ok) << i << ": " << calm_results[i].message;
+    EXPECT_EQ(chaotic_results[i].csv, local) << i;
+    EXPECT_EQ(calm_results[i].csv, local) << i;
+  }
+  EXPECT_GT(chaotic_fleet.chaos_injected, 0u);
+  EXPECT_TRUE(chaotic_fleet.degraded());
+  EXPECT_EQ(calm_fleet.chaos_injected, 0u);
+  EXPECT_EQ(calm_fleet.request_timeouts, 0u);
+  EXPECT_FALSE(calm_fleet.degraded());
+  ASSERT_EQ(calm_fleet.nodes.size(), 1u);
+  EXPECT_EQ(calm_fleet.nodes[0].jobs_completed, jobs.size());
+}
+
+TEST(Sharded, BusyNodeIsBackpressureNotAnErrorRow) {
+  // Another client holds the daemon's only admission slot, so this sweep
+  // holds nothing in flight there when its submit is refused queue-full.
+  // The refusal is backpressure: the sweep backs off, resubmits once the
+  // slot frees, and returns the local run's row.
+  LiveServer live(ServeConfig{"", "", /*threads=*/1, /*queue_limit=*/1});
+  Client other;
+  other.connect(live.path());
+  JobSpec held = small_job("sample");
+  held.hold_ms = 300;
+  ASSERT_TRUE(other.submit(held).ok);
+
+  const std::vector<sim::MatrixJob> jobs = {small_job("count").job};
+  FleetHealth fleet;
+  const std::vector<RemoteResult> results =
+      run_matrix_sharded({live.path()}, jobs, fast_options(), &fleet);
+  ASSERT_EQ(results.size(), 1u);
+  ASSERT_TRUE(results[0].ok) << results[0].error << ": " << results[0].message;
+  EXPECT_EQ(results[0].csv, sim::sweep_csv_row(sim::run_job(jobs[0])));
+  EXPECT_EQ(fleet.points_lost, 0u);
+  EXPECT_EQ(fleet.node_deaths, 0u);
 }
 
 TEST(Sharded, RetryBudgetExhaustionIsATypedRow) {
