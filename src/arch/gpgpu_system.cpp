@@ -47,15 +47,8 @@ SmSystem::SmSystem(Machine& m, u32 width)
     prefetcher.emplace(cfg.gpgpu.line_bytes, cfg.gpgpu.prefetch_degree,
                        cfg.gpgpu.prefetch_distance);
   } else {
-    millipede::RowPlan plan;
-    plan.first_row = input.layout.first_row();
-    plan.num_rows = input.layout.num_rows();
-    const workloads::InterleavedLayout layout = input.layout;
-    const u32 cores = cfg.core.cores;
-    plan.expected_mask = [layout, cores](u64 r, u32 c) {
-      return layout.expected_slab_mask(r, c, cores);
-    };
-    pb.emplace(cfg, plan, &m.dram, nullptr, &m.stats, "pb", m.trace());
+    pb.emplace(cfg, m.row_plan(), &m.dram, nullptr, &m.stats, "pb",
+               m.trace());
   }
   sm_stats.register_with(&m.stats, "sm");
 
@@ -155,12 +148,6 @@ u32 pilot_warp_width(const RunSpec& spec) {
 
 RunResult run_gpgpu(const RunSpec& spec) {
   const MachineConfig& cfg = spec.cfg;
-  MLP_SIM_CHECK(!cfg.gpgpu.row_oriented ||
-                    cfg.millipede.unsafe_skip_window_check ||
-                    cfg.millipede.pf_entries >= spec.workload.fields,
-                "config",
-                "prefetch window smaller than a record's row footprint");
-
   u32 width = cfg.gpgpu.warp_width;
   if (spec.restoring()) {
     // The pilot already ran in the capturing process; its only durable

@@ -158,6 +158,14 @@ void Machine::add_corelets(core::GlobalPort* port, u32 issue_width) {
   engine.dump = [this] { return dump_corelets(corelets); };
 }
 
+millipede::RowPlan Machine::row_plan() const {
+  const workloads::InterleavedLayout& layout = input.layout;
+  return {layout.first_row(), layout.num_rows(),
+          [layout, cores = cfg.core.cores](u64 row, u32 corelet) {
+            return layout.expected_slab_mask(row, corelet, cores);
+          }};
+}
+
 void Machine::register_states() {
   image_delta_ =
       std::make_unique<ImageDelta>(&input.image, &spec_.prepared.image);

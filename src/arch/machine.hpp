@@ -30,6 +30,7 @@
 #include "mem/cache.hpp"
 #include "mem/channels.hpp"
 #include "mem/prefetcher.hpp"
+#include "millipede/prefetch_buffer.hpp"
 #include "sim/kernel.hpp"
 
 namespace mlp::arch {
@@ -96,6 +97,10 @@ class Machine {
   }
 
   trace::TraceSession* trace() const { return spec_.trace; }
+
+  /// The prefetch buffer's row stream (Millipede and VWS-row): every row of
+  /// the input layout, and the slab words each core demands from it.
+  millipede::RowPlan row_plan() const;
 
   /// Wires the shared hooks, restores a planned snapshot and runs the kernel
   /// until engine.done; returns the final simulated time. `arch_trace` adds

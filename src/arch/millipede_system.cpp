@@ -7,7 +7,6 @@
 #include <optional>
 
 #include "arch/machine.hpp"
-#include "common/error.hpp"
 #include "core/barrier.hpp"
 #include "millipede/prefetch_buffer.hpp"
 
@@ -15,15 +14,6 @@ namespace mlp::arch {
 
 RunResult run_millipede(const RunSpec& spec) {
   const MachineConfig& cfg = spec.cfg;
-  // A record's field loads touch `record_row_footprint()` concurrent rows
-  // (= fields under the field-major layout, 1 under slab-interleaving);
-  // flow control deadlocks if the window cannot hold them all. Fail fast —
-  // recoverably, so one undersized sweep point cannot kill a whole matrix.
-  MLP_SIM_CHECK(cfg.millipede.unsafe_skip_window_check ||
-                    cfg.millipede.pf_entries >=
-                        spec.prepared.layout.record_row_footprint(),
-                "config",
-                "prefetch window smaller than a record's row footprint");
   Machine m(spec, "millipede");
 
   // DFS retunes the kernel's compute clock, which therefore exists first.
@@ -33,15 +23,7 @@ RunResult run_millipede(const RunSpec& spec) {
                          &m.stats, "rate", m.trace());
   }
 
-  millipede::RowPlan plan;
-  plan.first_row = m.input.layout.first_row();
-  plan.num_rows = m.input.layout.num_rows();
-  const workloads::InterleavedLayout layout = m.input.layout;
-  const u32 cores = cfg.core.cores;
-  plan.expected_mask = [layout, cores](u64 row, u32 corelet) {
-    return layout.expected_slab_mask(row, corelet, cores);
-  };
-  millipede::PrefetchBuffer pb(cfg, plan, &m.dram,
+  millipede::PrefetchBuffer pb(cfg, m.row_plan(), &m.dram,
                                rate_matcher ? &*rate_matcher : nullptr,
                                &m.stats, "pb", m.trace());
   // The software-barrier ablation compiles `bar` into the kernels; wire a
@@ -53,7 +35,7 @@ RunResult run_millipede(const RunSpec& spec) {
 
   // On restore, the prefetch buffer's state (and the controller's queue)
   // come from the snapshot; priming would issue duplicate time-0 fetches
-  // whose callbacks target entries the restore is about to overwrite.
+  // whose wakes target entries the restore is about to overwrite.
   if (!spec.restoring()) pb.prime(0);
   for (core::Corelet& corelet : m.corelets) m.add_compute(&corelet);
   m.add_channel(&pb);
@@ -87,6 +69,7 @@ RunResult run_millipede(const RunSpec& spec) {
   // With ECC the prefetch-buffer SRAM also stores the check bits.
   const double pb_scale =
       cfg.dram.fault.ecc ? 1.0 + model.params().ecc_bit_overhead : 1.0;
+  const u32 cores = cfg.core.cores;
   const double sram_kb =
       cores * (cfg.core.local_mem_bytes + cfg.core.icache_bytes +
                cfg.millipede.pf_entries * cfg.dram.row_bytes * pb_scale /

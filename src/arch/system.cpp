@@ -86,12 +86,14 @@ RunResult run_arch(ArchKind kind, const MachineConfig& cfg,
                    sim::SnapshotPlan* snapshot) {
   MachineConfig tuned = cfg;
   RunResult (*run)(const RunSpec&) = nullptr;
+  bool row_buffer = false;  // the input path is the row prefetch buffer
   switch (kind) {
     case ArchKind::kMillipede:
     case ArchKind::kMillipedeNoFlowControl:
     case ArchKind::kMillipedeNoRateMatch:
       tuned.millipede.flow_control = kind != ArchKind::kMillipedeNoFlowControl;
       tuned.millipede.rate_match = kind == ArchKind::kMillipede;
+      row_buffer = true;
       run = run_millipede;
       break;
     case ArchKind::kSsmc:
@@ -111,6 +113,7 @@ RunResult run_arch(ArchKind kind, const MachineConfig& cfg,
                     "record barriers (bar) are not supported on the SM");
       tuned.gpgpu.vws = kind != ArchKind::kGpgpu;
       tuned.gpgpu.row_oriented = kind == ArchKind::kVwsRow;
+      row_buffer = tuned.gpgpu.row_oriented;
       if (!tuned.gpgpu.vws) tuned.gpgpu.warp_width = tuned.core.cores;
       run = run_gpgpu;
       break;
@@ -127,6 +130,15 @@ RunResult run_arch(ArchKind kind, const MachineConfig& cfg,
   if (prepared == nullptr) {
     prepared = &own.emplace(prepare_input(tuned, workload, seed));
   }
+  // A record's field loads touch `record_row_footprint()` concurrent rows
+  // (= fields under the field-major layout, 1 under slab-interleaving);
+  // flow control deadlocks if the window cannot hold them all. Fail fast —
+  // recoverably, so one undersized sweep point cannot kill a whole matrix.
+  MLP_SIM_CHECK(!row_buffer || tuned.millipede.unsafe_skip_window_check ||
+                    tuned.millipede.pf_entries >=
+                        prepared->layout.record_row_footprint(),
+                "config",
+                "prefetch window smaller than a record's row footprint");
   return run({arch_name(kind), tuned, workload, *prepared, trace, snapshot});
 }
 

@@ -198,7 +198,6 @@ struct GpgpuConfig {
                                ///< (SIMT-stack push + fetch redirect)
   u32 prefetch_degree = 4;    ///< sequential cache-block prefetcher
   u32 prefetch_distance = 16;
-  u32 prefetch_streams = 32;  ///< stride streams tracked (one per warp)
   /// Ablation (Section III-B): force the corelet-style 64 B slab record
   /// mapping on the plain GPGPU, destroying coalescing — demonstrates why
   /// GPGPUs need word-size columns in the interleaved layout.

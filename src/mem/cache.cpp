@@ -39,8 +39,8 @@ Cache::Line* Cache::find(Addr line) {
   return nullptr;
 }
 
-template <typename Wait>
-AccessStatus Cache::lookup(Addr addr, bool is_write, Picos now, Wait wait) {
+AccessStatus Cache::access(Addr addr, bool is_write, Picos now,
+                           sim::Wake on_fill) {
   const Addr line = line_base(addr);
   if (Line* hit = find(line)) {
     hit->lru = ++lru_clock_;
@@ -55,7 +55,7 @@ AccessStatus Cache::lookup(Addr addr, bool is_write, Picos now, Wait wait) {
 
   auto it = mshrs_.find(line);
   if (it != mshrs_.end()) {
-    wait(it->second);
+    if (on_fill) it->second.waiters.push_back(on_fill);
     it->second.dirty |= is_write;
     it->second.is_prefetch = false;  // demand access upgrades a prefetch
     mshr_merges_.inc();
@@ -69,17 +69,11 @@ AccessStatus Cache::lookup(Addr addr, bool is_write, Picos now, Wait wait) {
   }
 
   Mshr& mshr = mshrs_[line];
-  wait(mshr);
+  if (on_fill) mshr.waiters.push_back(on_fill);
   mshr.dirty = is_write;
   misses_.inc();
   queue_fill(line, now);
   return AccessStatus::kMiss;
-}
-
-AccessStatus Cache::access(Addr addr, bool is_write, Picos now,
-                           sim::Wake on_fill) {
-  return lookup(addr, is_write, now,
-                [on_fill](Mshr& mshr) { mshr.waiters.push_back(on_fill); });
 }
 
 void Cache::prefetch(Addr addr, Picos now) {
@@ -99,11 +93,12 @@ void Cache::queue_fill(Addr line, Picos now) {
   fill.bytes = line_bytes_;
   fill.is_write = false;
   fill.is_prefetch = mshrs_[line].is_prefetch;
-  fill.on_complete = [this, line](Picos at) { on_fill_arrived(line, at); };
+  fill.done = {this, static_cast<u32>(tag_of(line))};
   submit(std::move(fill), now);
 }
 
-void Cache::on_fill_arrived(Addr line, Picos at) {
+void Cache::wake(u32 index, Picos at) {
+  const Addr line = static_cast<Addr>(index) << line_shift_;
   auto it = mshrs_.find(line);
   MLP_CHECK(it != mshrs_.end(), "fill for unknown MSHR");
   Mshr mshr = std::move(it->second);
@@ -114,7 +109,6 @@ void Cache::on_fill_arrived(Addr line, Picos at) {
   // waiters: its line installs as prefetched.
   install(line, mshr.dirty, mshr.is_prefetch, at);
   for (const sim::Wake& waiter : mshr.waiters) waiter(at + hit_latency_ps_);
-  for (const auto& forward : mshr.forwards) forward(at + hit_latency_ps_);
 }
 
 void Cache::install(Addr line, bool dirty, bool prefetched, Picos now) {
@@ -171,14 +165,10 @@ bool Cache::request(MemRequest request, Picos now) {
   // Serving as a backend (e.g. L2 under L1): a hit completes after our hit
   // latency; a miss is tracked by an MSHR like any demand access.
   MLP_CHECK(request.bytes <= line_bytes_, "upstream line larger than ours");
-  std::function<void(Picos)>& done = request.on_complete;
   const AccessStatus status =
-      lookup(request.addr, request.is_write, now, [&done](Mshr& mshr) {
-        if (done) mshr.forwards.push_back(std::move(done));
-      });
-  if (status == AccessStatus::kHit) {
-    if (done) done(now + hit_latency_ps_);
-    return true;
+      access(request.addr, request.is_write, now, request.done);
+  if (status == AccessStatus::kHit && request.done) {
+    request.done(now + hit_latency_ps_);
   }
   return status != AccessStatus::kMshrFull;
 }

@@ -6,7 +6,6 @@
 // MSHRs are full and wakes the parked upstream cache when one retires).
 // Timing-only: data comes from DramImage.
 
-#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -21,17 +20,18 @@ namespace mlp::mem {
 
 enum class AccessStatus : u8 {
   kHit,       ///< data available after the cache's hit latency
-  kMiss,      ///< an MSHR tracks the fill; callback fires on arrival
+  kMiss,      ///< an MSHR tracks the fill; the waiter wakes on arrival
   kMshrFull,  ///< structural stall: retry next cycle
 };
 
-class Cache : public MemBackend, public Requester,
-              public sim::Snapshottable {
+class Cache : public MemBackend, public Requester, public sim::Snapshottable,
+              public sim::Waitable {
  public:
   Cache(std::string name, u32 size_bytes, u32 line_bytes, u32 assoc, u32 mshrs,
         Picos hit_latency_ps, MemBackend* backend, StatSet* stats);
 
-  /// Demand access. On kMiss, `on_fill` fires once the line (plus hit
+  /// Demand access (or an upstream cache's fill). On kMiss a non-null
+  /// `on_fill` joins the line's MSHR and fires once the line (plus hit
   /// latency) is available; on kHit the caller adds hit_latency itself.
   AccessStatus access(Addr addr, bool is_write, Picos now, sim::Wake on_fill);
 
@@ -41,7 +41,11 @@ class Cache : public MemBackend, public Requester,
 
   // Requester (the channel-domain Tickable): a channel edge retries
   // downstream requests (fills, writebacks) the backend refused; fills
-  // arrive via backend callbacks, not self-scheduled work.
+  // arrive as wakes, not self-scheduled work.
+
+  /// sim::Waitable: the fill of line number `index` (`tag_of(line)`; below
+  /// 2^26 since an image stays under 2^32 bytes) arrived at `at`.
+  void wake(u32 index, Picos at) override;
 
   /// MemBackend: lets this cache be another cache's next level.
   bool request(MemRequest request, Picos now) override;
@@ -53,8 +57,8 @@ class Cache : public MemBackend, public Requester,
   }
 
   // sim::Snapshottable: the full tag/LRU/dirty array plus the LRU clock;
-  // MSHRs hold waiters and the issue queue callbacks, so capture requires
-  // quiesce.
+  // MSHRs hold waiters and the issue queue holds requests that name them,
+  // so capture requires quiesce.
   void checkpoint(sim::StateIO& io) override;
 
   Picos hit_latency_ps() const { return hit_latency_ps_; }
@@ -68,13 +72,12 @@ class Cache : public MemBackend, public Requester,
     u64 lru = 0;
   };
 
-  /// One line in flight. A cache serves either cores (wakes) or the
-  /// cache above it (forwarded request completions), never both.
+  /// One line in flight. Its waiters are cores' contexts or warps, or the
+  /// fills of the cache above, woken alike once the line is here.
   struct Mshr {
     bool is_prefetch = false;
     bool dirty = false;  ///< some merged demand was a write
     std::vector<sim::Wake> waiters;
-    std::vector<std::function<void(Picos)>> forwards;
   };
 
   Addr line_base(Addr addr) const { return addr & ~static_cast<Addr>(line_bytes_ - 1); }
@@ -90,14 +93,8 @@ class Cache : public MemBackend, public Requester,
   u64 tag_of(Addr line) const { return line >> line_shift_; }
 
   Line* find(Addr line);
-  /// The hit / MSHR-merge / MSHR-allocate decision of a demand access or an
-  /// upstream request; on a miss `wait(mshr)` registers the waiter before
-  /// the fill is queued.
-  template <typename Wait>
-  AccessStatus lookup(Addr addr, bool is_write, Picos now, Wait wait);
   void install(Addr line, bool dirty, bool prefetched, Picos now);
   void queue_fill(Addr line, Picos now);
-  void on_fill_arrived(Addr line, Picos at);
 
   std::string name_;
   u32 line_bytes_;

@@ -87,9 +87,11 @@ bool ChannelDemux::try_push(MemRequest request, Picos now) {
     }
   }
 
-  auto join = std::make_shared<StripeJoin>();
-  join->remaining = n;
-  join->done = std::move(request.on_complete);
+  const auto is_free = [](const StripeJoin& j) { return j.remaining == 0; };
+  auto join = std::find_if(joins_.begin(), joins_.end(), is_free);
+  if (join == joins_.end()) join = joins_.emplace(joins_.end());
+  *join = {n, 0, request.done};
+  const u32 slot = static_cast<u32>(join - joins_.begin());
   const u32 base_bytes = request.bytes / n;
   const u32 extra = request.bytes % n;
   Addr addr = request.addr;
@@ -99,10 +101,7 @@ bool ChannelDemux::try_push(MemRequest request, Picos now) {
     sub.bytes = base_bytes + (s < extra ? 1 : 0);
     sub.is_write = request.is_write;
     sub.is_prefetch = request.is_prefetch;
-    sub.on_complete = [join](Picos done_at) {
-      join->latest = std::max(join->latest, done_at);
-      if (--join->remaining == 0 && join->done) join->done(join->latest);
-    };
+    sub.done = {this, slot};
     addr += sub.bytes;
     const DramCoord coord = map_.stripe_coord(base, (start + s) % stripes);
     const bool pushed =
@@ -111,6 +110,16 @@ bool ChannelDemux::try_push(MemRequest request, Picos now) {
   }
   wake_at(now);
   return true;
+}
+
+void ChannelDemux::wake(u32 index, Picos at) {
+  StripeJoin& join = joins_[index];
+  join.latest = std::max(join.latest, at);
+  if (--join.remaining != 0) return;
+  // The slot is free now: fire a copy, as the woken unit may push a striped
+  // request that takes it.
+  const StripeJoin last = join;
+  if (last.done) last.done(last.latest);
 }
 
 void ChannelDemux::tick(Picos now) {

@@ -4,7 +4,7 @@
 // per channel, decodes every request through the mapping, and — for
 // mappings that interleave channel/rank/bank fields below the column field
 // — stripes a single request into per-channel sub-transfers whose
-// completions are joined back into the caller's callback.
+// completions are joined back into the caller's wake.
 //
 // The demux is the channel-domain sim::Tickable, the kSecController
 // sim::Snapshottable and the MemBackend that caches and the prefetch buffer
@@ -36,7 +36,7 @@
 namespace mlp::mem {
 
 class ChannelDemux : public sim::Tickable, public sim::Snapshottable,
-                     public MemBackend {
+                     public MemBackend, public sim::Waitable {
  public:
   /// Builds the AddressMap (throws SimError("config") on bad geometry or a
   /// malformed mapping) and one controller per channel. Registers the
@@ -60,6 +60,10 @@ class ChannelDemux : public sim::Tickable, public sim::Snapshottable,
   }
   void park(Requester* requester) override { parked_.push_back(requester); }
   void count_refusals(u64 n) override { counters_.rejected.inc(n); }
+
+  /// sim::Waitable: a stripe of the striped request joined in slot `index`
+  /// finished at `at`.
+  void wake(u32 index, Picos at) override;
 
   /// Advance one channel clock edge on every channel.
   void tick(Picos now);
@@ -154,12 +158,12 @@ class ChannelDemux : public sim::Tickable, public sim::Snapshottable,
   std::string debug_dump() const;
 
  private:
-  /// Join node for a striped request: the caller's completion fires once
-  /// when the last stripe retires, with the latest stripe finish time.
+  /// Join slot for a striped request: the caller's wake fires once when
+  /// the last stripe retires, with the latest stripe finish time.
   struct StripeJoin {
     u32 remaining = 0;
     Picos latest = 0;
-    std::function<void(Picos)> done;
+    sim::Wake done;
   };
 
   DramConfig cfg_;
@@ -168,6 +172,7 @@ class ChannelDemux : public sim::Tickable, public sim::Snapshottable,
   std::vector<std::unique_ptr<Counter>> channel_bytes_;
   std::vector<std::unique_ptr<MemoryController>> channels_;
   std::vector<Requester*> parked_;  ///< refused, waiting for a free slot
+  std::vector<StripeJoin> joins_;   ///< a slot with no stripe left is free
   RefreshSpec refresh_;
   PagePolicy policy_;
 };

@@ -321,8 +321,8 @@ bool MemoryController::tick(Picos now) {
       in_flight_.pop_back();
       if (transfer.needs_retry) {
         requeue(std::move(transfer), now);
-      } else if (transfer.request.on_complete) {
-        transfer.request.on_complete(transfer.done_at);
+      } else if (transfer.request.done) {
+        transfer.request.done(transfer.done_at);
       }
     } else {
       ++i;

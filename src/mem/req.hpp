@@ -4,24 +4,26 @@
 // a requester and the backend it pushes into.
 
 #include <deque>
-#include <functional>
+#include <type_traits>
 #include <vector>
 
 #include "common/types.hpp"
 #include "sim/tickable.hpp"
+#include "sim/wake.hpp"
 
 namespace mlp::mem {
 
-/// A read or write of `bytes` starting at `addr`. Completion is signalled by
-/// invoking `on_complete` with the time the last data beat leaves the
-/// channel. Timing-only: functional data lives in the flat DramImage.
+/// A read or write of `bytes` starting at `addr`. Completion fires `done`
+/// with the time the last data beat leaves the channel. Timing-only:
+/// functional data lives in the flat DramImage.
 struct MemRequest {
   Addr addr = 0;
   u32 bytes = 0;
   bool is_write = false;
   bool is_prefetch = false;
-  std::function<void(Picos)> on_complete;  ///< may be empty (e.g. writebacks)
+  sim::Wake done;  ///< null when nobody waits (writebacks)
 };
+static_assert(std::is_trivially_copyable_v<MemRequest>);
 
 class Requester;
 
@@ -30,7 +32,7 @@ class MemBackend {
  public:
   virtual ~MemBackend() = default;
 
-  /// Submit a request. May invoke `on_complete` immediately (with a future
+  /// Submit a request. May fire its `done` immediately (with a future
   /// timestamp) or later. Returns false when the backend cannot accept the
   /// request now; the caller keeps it and retries on a later edge.
   virtual bool request(MemRequest request, Picos now) = 0;

@@ -110,7 +110,7 @@ void PrefetchBuffer::issue_prefetch(u64 row, Picos now) {
   req.addr = ctrl_->address_map().row_base(row);
   req.bytes = cfg_.dram.row_bytes;
   req.is_prefetch = true;
-  req.on_complete = [this, row](Picos at) { on_fill(row, at); };
+  req.done = {this, static_cast<u32>(row)};
   row_prefetches_.inc();
   if (trace_ != nullptr) {
     trace_->emit(trace::Domain::kChannel, trace::EventKind::kPrefetchIssue,
@@ -119,7 +119,8 @@ void PrefetchBuffer::issue_prefetch(u64 row, Picos now) {
   submit(std::move(req), now);
 }
 
-void PrefetchBuffer::on_fill(u64 row, Picos at) {
+void PrefetchBuffer::wake(u32 index, Picos at) {
+  const u64 row = index;
   Entry* entry = find(row);
   if (entry == nullptr) return;  // evicted before arrival (no flow control)
   entry->filled = true;
@@ -198,7 +199,7 @@ void PrefetchBuffer::trigger(Picos now, bool force_evict) {
         mem::MemRequest req;
         req.addr = ctrl_->address_map().row_base(head.row);
         req.bytes = slab_bytes_;
-        req.on_complete = waiter;
+        req.done = waiter;
         direct_fetches_.inc();
         submit(std::move(req), now);
       }
@@ -253,7 +254,10 @@ void PrefetchBuffer::checkpoint(sim::StateIO& io) {
     std::pair<u64, u32> key = io.loading() ? std::pair<u64, u32>{} : slabs[i];
     io.field(key.first);
     io.index(key.second, cores, "victim-slab corelet");
-    if (io.loading()) victim_slabs_[key].filled = true;
+    if (io.loading()) {
+      victim_slabs_.try_emplace(key, hit_latency_ps_).first->second.filled =
+          true;
+    }
   }
 }
 
@@ -288,33 +292,27 @@ std::string PrefetchBuffer::debug_dump() const {
 
 core::PortResult PrefetchBuffer::victim_fetch(u32 core, u64 row, Picos now,
                                               sim::Wake wake) {
-  const auto key = std::make_pair(row, core);
-  auto it = victim_slabs_.find(key);
-  if (it != victim_slabs_.end()) {
-    if (it->second.filled) {
-      return {core::PortStatus::kDone, now + hit_latency_ps_};
-    }
-    it->second.waiters.push_back(wake);
-    return {core::PortStatus::kPending, 0};
-  }
-  VictimSlab& slab = victim_slabs_[key];
+  auto [it, fresh] =
+      victim_slabs_.try_emplace(std::make_pair(row, core), hit_latency_ps_);
+  VictimSlab& slab = it->second;
+  if (slab.filled) return {core::PortStatus::kDone, now + hit_latency_ps_};
   slab.waiters.push_back(wake);
+  if (!fresh) return {core::PortStatus::kPending, 0};
   mem::MemRequest req;
   req.addr = ctrl_->address_map().row_base(row) +
              static_cast<Addr>(core) * slab_bytes_;
   req.bytes = slab_bytes_;
-  const Picos lat = hit_latency_ps_;
-  req.on_complete = [this, key, lat](Picos at) {
-    auto entry = victim_slabs_.find(key);
-    MLP_CHECK(entry != victim_slabs_.end(), "victim slab vanished");
-    entry->second.filled = true;
-    std::vector<sim::Wake> batch = std::move(entry->second.waiters);
-    entry->second.waiters.clear();
-    for (const sim::Wake& waiter : batch) waiter(at + lat);
-  };
+  req.done = {&slab, 0};
   direct_fetches_.inc();
   submit(std::move(req), now);
   return {core::PortStatus::kPending, 0};
+}
+
+void PrefetchBuffer::VictimSlab::wake(u32 /*index*/, Picos at) {
+  filled = true;
+  std::vector<sim::Wake> batch = std::move(waiters);
+  waiters.clear();
+  for (const sim::Wake& waiter : batch) waiter(at + hit_latency_ps);
 }
 
 core::PortResult PrefetchBuffer::load(u32 core, u32 /*ctx*/, Addr addr,

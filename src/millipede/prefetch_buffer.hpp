@@ -47,7 +47,7 @@ struct RowPlan {
 };
 
 class PrefetchBuffer : public core::GlobalPort, public mem::Requester,
-                       public sim::Snapshottable {
+                       public sim::Snapshottable, public sim::Waitable {
  public:
   PrefetchBuffer(const MachineConfig& cfg, RowPlan plan,
                  mem::ChannelDemux* ctrl, RateMatcher* rate_matcher,
@@ -64,6 +64,10 @@ class PrefetchBuffer : public core::GlobalPort, public mem::Requester,
   // mem::Requester (the channel-domain Tickable): a channel edge retries
   // issues the controller refused; otherwise the buffer only reacts to
   // fills and demand accesses driven from other components.
+
+  /// sim::Waitable: the fill of row `index` (rows stay below 2^21) arrived
+  /// at `at`. A row evicted before its data arrived ignores the fill.
+  void wake(u32 index, Picos at) override;
 
   /// Quiesce for snapshot capture: no backpressured issues, no waiters
   /// anywhere (entry waiters, flow-control waits, victim-slab waits) and every allocated entry's row data delivered. Holds whenever
@@ -122,7 +126,6 @@ class PrefetchBuffer : public core::GlobalPort, public mem::Requester,
 
   void allocate_next(Picos now);
   void issue_prefetch(u64 row, Picos now);
-  void on_fill(u64 row, Picos at);
   void retire_saturated_heads(Picos now);
   /// Consume pending allocation triggers. Without flow control,
   /// `force_evict` (set when a leading corelet's demand wrapped past the
@@ -157,8 +160,13 @@ class PrefetchBuffer : public core::GlobalPort, public mem::Requester,
 
   /// Victim slabs (no-flow-control only): after a premature eviction, a
   /// lagging corelet refetches its 64 B slab once; later words of the slab
-  /// hit this side structure instead of issuing further DRAM traffic.
-  struct VictimSlab {
+  /// hit this side structure instead of issuing further DRAM traffic. Each
+  /// slab is the waitable its fetch wakes.
+  struct VictimSlab final : sim::Waitable {
+    explicit VictimSlab(Picos latency) : hit_latency_ps(latency) {}
+    void wake(u32 index, Picos at) override;
+
+    Picos hit_latency_ps;
     bool filled = false;
     std::vector<sim::Wake> waiters;
   };

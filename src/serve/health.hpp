@@ -19,7 +19,7 @@ struct NodeHealth {
   std::string address;
   u64 jobs_completed = 0;  ///< results fetched from this node
   u64 deaths = 0;          ///< times this node was declared dead
-  u64 reconnects = 0;      ///< times a probe re-admitted it
+  u64 reconnects = 0;      ///< in-place reconnects plus probe re-admissions
   u64 window = 0;          ///< in-flight window the sweep actually used
   bool window_from_status = false;  ///< sized from queue_limit vs. fallback
 };
@@ -29,7 +29,7 @@ struct NodeHealth {
 struct FleetHealth {
   u64 retries = 0;          ///< point re-dispatches after a node loss
   u64 failovers = 0;        ///< points that ran off their home ring node
-  u64 reconnects = 0;       ///< node re-admissions
+  u64 reconnects = 0;       ///< in-place reconnects and node re-admissions
   u64 node_deaths = 0;      ///< node-death events (a node can die repeatedly)
   u64 request_timeouts = 0; ///< request deadlines tripped
   u64 chaos_injected = 0;   ///< chaos actions fired during the sweep

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <random>
 
 #include "common/error.hpp"
 #include "serve/transport.hpp"
@@ -71,10 +72,24 @@ void apply_job_budget(u64 budget_ms, sim::MatrixJob* job) {
   if (budget_ms != 0 && (wall == 0 || wall > budget_ms)) wall = budget_ms;
 }
 
+/// This process's first job id: a random point below 2^52, so every id
+/// stays exact in a double. Ids count up from it, so an id one daemon
+/// process issued names no job of a later process at the same address: a
+/// client that reconnects to a restarted daemon and repeats `result` for a
+/// stale id reads no-such-job, never another job's result.
+u64 first_job_id() {
+  std::random_device entropy;
+  const u64 bits = (u64{entropy()} << 32) ^ entropy();
+  return (bits & ((u64{1} << 52) - 1)) + 1;
+}
+
 }  // namespace
 
 Server::Server(const ServeConfig& cfg)
-    : cfg_(cfg), cache_(cfg.cache_entries), snapshots_(cfg.snapshot_entries) {}
+    : cfg_(cfg),
+      cache_(cfg.cache_entries),
+      snapshots_(cfg.snapshot_entries),
+      next_id_(first_job_id()) {}
 
 Server::~Server() { close_listeners(); }
 

@@ -134,7 +134,7 @@ class Server {
 
   mutable std::mutex mutex_;
   std::map<u64, JobEntry> jobs_;
-  u64 next_id_ = 1;
+  u64 next_id_;  ///< starts at random, so ids never repeat across restarts
   /// jobs_ per state, moved at each transition (submit, start, finish,
   /// cancel) so status() never walks jobs_; queued + running is the
   /// admission-bounded population.

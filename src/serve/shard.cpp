@@ -4,6 +4,7 @@
 #include <chrono>
 #include <deque>
 #include <iostream>
+#include <optional>
 #include <thread>
 
 #include "common/error.hpp"
@@ -164,6 +165,29 @@ std::vector<RemoteResult> run_matrix_sharded(
     }
   };
 
+  /// One request to `node`. A dropped connection is not a dead node: the
+  /// daemon still holds every job it admitted, so a transport error
+  /// reconnects the node's client once in place and repeats the request.
+  /// A daemon restarted in between answers a stale id with no-such-job,
+  /// never another job's result: ids start at random in every process.
+  /// Only a second failure loses the node, and then there is no response.
+  auto call = [&](Node* node,
+                  const auto& request) -> std::optional<Response> {
+    try {
+      return request();
+    } catch (const SimError&) {
+    }
+    try {
+      node->client.connect(node->address);
+      ++node->health.reconnects;
+      ++fleet.reconnects;
+      return request();
+    } catch (const SimError& e) {
+      lose_node(node, e.what());
+      return std::nullopt;
+    }
+  };
+
   /// Fetch the node's oldest in-flight result, heartbeating through long
   /// jobs: the server parks at most ~half the request deadline and answers
   /// with a typed job-running/job-pending when the job is still in flight,
@@ -176,27 +200,25 @@ std::vector<RemoteResult> run_matrix_sharded(
             ? std::max<u64>(100,
                             static_cast<u64>(options.request_timeout_ms) / 2)
             : 0;
-    try {
-      for (;;) {
-        const Response r = node->client.result(id, /*wait=*/true,
-                                               heartbeat_ms);
-        if (r.ok) {
-          node->inflight.pop_front();
-          decode_result_response(r, &results[index]);
-          ++node->health.jobs_completed;
-          return;
-        }
-        if (r.error == kErrJobRunning || r.error == kErrJobPending) {
-          continue;  // heartbeat: the job is slow but the node is alive
-        }
-        // The job is unfetchable HERE (e.g. the daemon restarted and lost
-        // it) but the node answers — re-dispatch the point, keep the node.
+    for (;;) {
+      const std::optional<Response> r = call(node, [&, id = id] {
+        return node->client.result(id, /*wait=*/true, heartbeat_ms);
+      });
+      if (!r) return;
+      if (r->ok) {
         node->inflight.pop_front();
-        requeue(index, node->address + ": " + r.error + ": " + r.message);
+        decode_result_response(*r, &results[index]);
+        ++node->health.jobs_completed;
         return;
       }
-    } catch (const SimError& e) {
-      lose_node(node, e.what());
+      if (r->error == kErrJobRunning || r->error == kErrJobPending) {
+        continue;  // heartbeat: the job is slow but the node is alive
+      }
+      // The job is unfetchable HERE (e.g. the daemon restarted and lost
+      // it) but the node answers — re-dispatch the point, keep the node.
+      node->inflight.pop_front();
+      requeue(index, node->address + ": " + r->error + ": " + r->message);
+      return;
     }
   };
 
@@ -250,43 +272,43 @@ std::vector<RemoteResult> run_matrix_sharded(
       return;
     }
     u64 backoff_ms = options.probe_min_ms;
-    try {
-      for (;;) {
-        const Response r = node->client.submit(JobSpec{jobs[index], 0});
-        if (r.ok) {
-          node->inflight.emplace_back(index, r.doc.u64_at("id"));
-          return;
-        }
-        if (r.error == kErrQueueFull) {
-          if (node->inflight.empty()) {
-            std::this_thread::sleep_for(std::chrono::milliseconds(backoff_ms));
-            backoff_ms = std::min(options.probe_max_ms,
-                                  std::max<u64>(1, backoff_ms) * 2);
-          } else {
-            drain_one(node);
-          }
-          if (!node->alive) {
-            requeue(index, node->address + ": " + node->reason);
-            return;
-          }
-          continue;
-        }
-        if (r.error == kErrShuttingDown) {
-          // A graceful drain is a typed response, not a transport error,
-          // but the node is leaving the fleet all the same.
-          lose_node(node, "server is draining (shutting-down)");
-          requeue(index, node->address + ": shutting-down");
-          return;
-        }
-        // Deterministic per-job rejection (bad-request, ...): no node will
-        // accept this job, so it becomes an error row, not a retry.
-        results[index].error = r.error;
-        results[index].message = r.message;
+    for (;;) {
+      const std::optional<Response> r = call(
+          node, [&] { return node->client.submit(JobSpec{jobs[index], 0}); });
+      if (!r) {
+        requeue(index, node->address + ": " + node->reason);
         return;
       }
-    } catch (const SimError& e) {
-      lose_node(node, e.what());
-      requeue(index, node->address + ": " + e.what());
+      if (r->ok) {
+        node->inflight.emplace_back(index, r->doc.u64_at("id"));
+        return;
+      }
+      if (r->error == kErrQueueFull) {
+        if (node->inflight.empty()) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(backoff_ms));
+          backoff_ms = std::min(options.probe_max_ms,
+                                std::max<u64>(1, backoff_ms) * 2);
+        } else {
+          drain_one(node);
+        }
+        if (!node->alive) {
+          requeue(index, node->address + ": " + node->reason);
+          return;
+        }
+        continue;
+      }
+      if (r->error == kErrShuttingDown) {
+        // A graceful drain is a typed response, not a transport error,
+        // but the node is leaving the fleet all the same.
+        lose_node(node, "server is draining (shutting-down)");
+        requeue(index, node->address + ": shutting-down");
+        return;
+      }
+      // Deterministic per-job rejection (bad-request, ...): no node will
+      // accept this job, so it becomes an error row, not a retry.
+      results[index].error = r->error;
+      results[index].message = r->message;
+      return;
     }
   };
 

@@ -16,16 +16,20 @@
 // Each node gets its own connection and its own sliding in-flight window
 // sized to that node's admission bound. A node's queue-full is backpressure,
 // never an error: the sweep frees one of its own slots there, or, holding
-// none, backs off in place and resubmits. A node that dies mid-sweep —
-// connection refused, reset, mid-frame close, or a request-deadline trip on
-// a hung peer — loses nothing but time: its submitted-but-unfetched points
-// are RE-DISPATCHED to the next surviving node on the ring (bounded by a
-// per-point retry budget), dead nodes are probed with exponentially
-// backed-off pings and re-admitted when they resurrect, and only when every
-// node is dead or a point's budget is exhausted does a typed `node-lost`
-// error row appear. Because jobs are pure functions of their spec and
-// results merge by submission index, a sweep that failed over is
-// byte-identical to one that never saw a fault.
+// none, backs off in place and resubmits. A dropped connection is not a
+// dead node: the sweep reconnects in place once and repeats the request,
+// since the daemon still holds every job it admitted (job ids never repeat
+// across daemon processes, so a repeat that reaches a restarted daemon
+// reads no-such-job and re-dispatches the point). A node whose repeat
+// fails too — connection refused, reset, mid-frame close, or a
+// request-deadline trip on a hung peer — loses nothing but time: its
+// submitted-but-unfetched points are RE-DISPATCHED to the next surviving
+// node on the ring (bounded by a per-point retry budget), dead nodes are
+// probed with exponentially backed-off pings and re-admitted when they
+// resurrect, and only when every node is dead or a point's budget is
+// exhausted does a typed `node-lost` error row appear. Because jobs are
+// pure functions of their spec and results merge by submission index, a
+// sweep that failed over is byte-identical to one that never saw a fault.
 
 #include <string>
 #include <vector>
@@ -66,9 +70,10 @@ struct ShardOptions {
   /// elapses (also the per-attempt TCP handshake bound). <= 0 disables the
   /// retry window AND the handshake bound (single blocking attempt).
   i64 connect_timeout_ms = 5000;
-  /// Whole-roundtrip deadline per request in ms; a trip marks the node dead
-  /// (a hung node is indistinguishable from — and treated as — a crashed
-  /// one). Long jobs stay safe: result waits are bounded server-side and
+  /// Whole-roundtrip deadline per request in ms; a trip reconnects in place
+  /// and repeats the request, and a second trip marks the node dead (a hung
+  /// node is indistinguishable from — and treated as — a crashed one). Long
+  /// jobs stay safe: result waits are bounded server-side and
   /// answered with typed heartbeats well inside this deadline. <= 0
   /// disables deadlines (a hung node then hangs the sweep; only for
   /// debugging).

@@ -9,6 +9,8 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <cctype>
+#include <cerrno>
 #include <cstdlib>
 #include <cstring>
 
@@ -90,9 +92,13 @@ void apply_chaos_kv(const std::string& item, ChaosConfig* cfg) {
     return r;
   };
   const auto integer = [&] {
+    // Digits only: strtoull alone takes " 7", "+7" and a wrapped "-1".
     char* end = nullptr;
+    errno = 0;
     const unsigned long long n = std::strtoull(value.c_str(), &end, 10);
-    MLP_SIM_CHECK(end != value.c_str() && *end == '\0', "serve",
+    MLP_SIM_CHECK(std::isdigit(static_cast<unsigned char>(value[0])) &&
+                      *end == '\0' && errno != ERANGE,
+                  "serve",
                   "chaos \"" + key + "\" must be an integer, got: " + value);
     return static_cast<u64>(n);
   };
@@ -106,6 +112,9 @@ void apply_chaos_kv(const std::string& item, ChaosConfig* cfg) {
     cfg->close_rate = rate();
   } else if (key == "delay-ms") {
     cfg->delay_ms = integer();
+    MLP_SIM_CHECK(cfg->delay_ms <= kMaxChaosDelayMs, "serve",
+                  "chaos \"delay-ms\" must be at most " +
+                      std::to_string(kMaxChaosDelayMs) + ", got: " + value);
   } else if (key == "seed") {
     cfg->seed = integer();
   } else {

@@ -82,9 +82,13 @@ struct ChaosConfig {
   }
 };
 
+/// The longest injected delay a spec may name: one hour, far inside what
+/// std::chrono::milliseconds and the nanosecond clock of sleep_for hold.
+inline constexpr u64 kMaxChaosDelayMs = 3'600'000;
+
 /// Parse a chaos spec "drop=0.05,delay=0.1,delay-ms=20,truncate=0.01,
 /// close=0.02,seed=7" (any subset of keys). Throws SimError("serve", ...)
-/// on unknown keys or rates outside [0, 1].
+/// on unknown keys, rates outside [0, 1] and delays above kMaxChaosDelayMs.
 ChaosConfig parse_chaos(const std::string& spec);
 
 /// Per-connection chaos decision stream. Mirrors the DRAM FaultInjector:

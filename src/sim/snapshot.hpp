@@ -7,8 +7,8 @@
 // with every counter, trace event and result byte identical to the
 // uninterrupted run.
 //
-// Quiescence is the load-bearing invariant: waiter lists (sim::Wake handles
-// into live components) and MemRequest::on_complete closures cannot be
+// Quiescence is the load-bearing invariant: waiter lists and in-flight
+// MemRequests hold sim::Wake handles into live components, which cannot be
 // serialized, so the kernel only captures at a step-loop top where none is
 // outstanding anywhere — every context runnable or halted (none kWaitMem),
 // no warp waiting on a fill, MSHRs and issue queues empty, the memory
@@ -320,13 +320,13 @@ class StateIO {
 
 /// Contract implemented by every stateful component. checkpoint() captures
 /// only when quiescent() is true for EVERY registered component, so it may
-/// assume that no waiter or request callback is outstanding.
+/// assume that no waiter or request is outstanding.
 class Snapshottable {
  public:
   virtual ~Snapshottable() = default;
   virtual void checkpoint(StateIO& io) = 0;
   /// True when this component holds no unserializable in-flight state
-  /// (outstanding callbacks, queued requests). Stateless-between-edges
+  /// (outstanding waiters, queued requests). Stateless-between-edges
   /// components keep the default.
   virtual bool quiescent() const { return true; }
 };

@@ -67,9 +67,11 @@ Fleet resilience (with --server; see docs/ARCHITECTURE.md):
   --connect-timeout-ms N  initial-connect window + TCP handshake bound per
                           node; a just-launched daemon is retried until it
                           elapses (default 5000; 0 = single blocking try)
-  --request-timeout-ms N  per-request deadline; a node silent that long is
-                          dead and its points fail over (default 30000;
-                          0 = no deadline, a hung node hangs the sweep)
+  --request-timeout-ms N  per-request deadline; a trip reconnects in place
+                          and repeats the request, a second trip marks the
+                          node dead and its points fail over (default
+                          30000; 0 = no deadline, a hung node hangs the
+                          sweep)
   --retry-budget N        re-dispatches per point after node losses before
                           it becomes a typed error row (default 3)
   --chaos SPEC            seeded fault injection on outgoing frames, e.g.

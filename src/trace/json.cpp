@@ -1,6 +1,7 @@
 #include "trace/json.hpp"
 
 #include <cctype>
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -215,6 +216,11 @@ class Parser {
         case 'u': {
           if (pos_ + 4 > text_.size()) fail("truncated \\u escape");
           const std::string hex = text_.substr(pos_, 4);
+          for (const char h : hex) {
+            if (!std::isxdigit(static_cast<unsigned char>(h))) {
+              fail("\\u escape needs four hex digits");
+            }
+          }
           pos_ += 4;
           const long code = std::strtol(hex.c_str(), nullptr, 16);
           // Traces only contain ASCII; encode low codepoints directly.
@@ -231,28 +237,64 @@ class Parser {
     return out;
   }
 
+  /// The next character is `c` (false at the end of the text).
+  bool at(char c) const { return pos_ < text_.size() && text_[pos_] == c; }
+
+  /// One or more digits (the JSON grammar's `digits`).
+  void digits() {
+    const size_t start = pos_;
+    while (pos_ < text_.size() &&
+           std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
+      ++pos_;
+    }
+    if (pos_ == start) fail("malformed number");
+  }
+
+  /// -?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)?; an integer token must
+  /// fit an i64 when negative and a u64 otherwise.
   JsonValue parse_number() {
     const size_t start = pos_;
-    if (peek() == '-') ++pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-')) {
+    if (at('-')) ++pos_;
+    if (at('0')) {
       ++pos_;
+    } else {
+      digits();
+    }
+    const bool integral = !at('.') && !at('e') && !at('E');
+    if (at('.')) {
+      ++pos_;
+      digits();
+    }
+    if (at('e') || at('E')) {
+      ++pos_;
+      if (at('+') || at('-')) ++pos_;
+      digits();
     }
     const std::string token = text_.substr(start, pos_ - start);
     JsonValue value;
     value.type = JsonValue::Type::kNumber;
     value.number = std::strtod(token.c_str(), nullptr);
-    if (token.find_first_of(".eE") == std::string::npos) {
+    if (integral) {
       value.is_integer = true;
+      errno = 0;
       value.integer = std::strtoll(token.c_str(), nullptr, 10);
-      if (!token.empty() && token[0] != '-') {
+      if (token[0] != '-') {
         // Counters are u64; keep full precision beyond i64 range.
+        errno = 0;
         value.unsigned_integer = std::strtoull(token.c_str(), nullptr, 10);
       }
+      if (errno == ERANGE) fail("integer out of range");
     }
     return value;
+  }
+
+  /// Enter one '[' or '{': recursion is bounded, so no frame can exhaust
+  /// the stack of the thread that parses it.
+  void descend() {
+    if (++depth_ > kMaxJsonDepth) {
+      fail("nesting deeper than " + std::to_string(kMaxJsonDepth));
+    }
+    ++pos_;
   }
 
   JsonValue parse_value() {
@@ -261,10 +303,11 @@ class Parser {
     switch (peek()) {
       case '{': {
         value.type = JsonValue::Type::kObject;
-        ++pos_;
+        descend();
         skip_ws();
         if (peek() == '}') {
           ++pos_;
+          --depth_;
           return value;
         }
         while (true) {
@@ -279,15 +322,17 @@ class Parser {
             continue;
           }
           expect('}');
+          --depth_;
           return value;
         }
       }
       case '[': {
         value.type = JsonValue::Type::kArray;
-        ++pos_;
+        descend();
         skip_ws();
         if (peek() == ']') {
           ++pos_;
+          --depth_;
           return value;
         }
         while (true) {
@@ -298,6 +343,7 @@ class Parser {
             continue;
           }
           expect(']');
+          --depth_;
           return value;
         }
       }
@@ -326,6 +372,7 @@ class Parser {
 
   const std::string& text_;
   size_t pos_ = 0;
+  u32 depth_ = 0;  ///< containers open at pos_
 };
 
 }  // namespace

@@ -1,10 +1,12 @@
 #pragma once
 // Minimal JSON support for the observability layer: a streaming writer used
 // by the trace/stats exporters and a small recursive-descent parser used by
-// the schema tests and the golden-counter regression suite. Deliberately
-// tiny — no external dependency, deterministic output (stable key order is
-// the caller's job; numbers are formatted with fixed printf specifiers so a
-// given build emits byte-identical documents for identical inputs).
+// the schema tests, the golden-counter regression suite and the service,
+// which parses every untrusted request frame with it (so the parser is
+// strict and its recursion bounded). Deliberately tiny — no external
+// dependency, deterministic output (stable key order is the caller's job;
+// numbers are formatted with fixed printf specifiers so a given build emits
+// byte-identical documents for identical inputs).
 
 #include <string>
 #include <utility>
@@ -74,8 +76,15 @@ struct JsonValue {
   const std::string& str_at(const std::string& name) const;
 };
 
+/// Deepest nesting of arrays and objects json_parse accepts. The deepest
+/// document the tools write nests 4 levels; the bound keeps a hostile frame
+/// from overflowing the parsing thread's stack.
+inline constexpr u32 kMaxJsonDepth = 64;
+
 /// Parse a complete JSON document; throws SimError("json", ...) on malformed
-/// input (including trailing garbage).
+/// input: trailing garbage, nesting deeper than kMaxJsonDepth, a number
+/// outside the JSON grammar or an integer outside its type (i64 when
+/// negative, u64 otherwise), a \u escape without four hex digits.
 JsonValue json_parse(const std::string& text);
 
 }  // namespace mlp::trace

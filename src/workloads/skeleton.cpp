@@ -1,14 +1,11 @@
 #include "workloads/skeleton.hpp"
 
 namespace mlp::workloads {
+namespace {
 
-std::string kernel_skeleton(const std::string& preamble,
-                            const std::string& body, bool record_barrier) {
-  if (record_barrier) {
-    // Fixed-trip-count loop (guarded per record) so every thread reaches
-    // every barrier; tail imbalance must not skip synchronization points.
-    std::string out;
-    out += R"(
+/// Both loop shapes start by reading the thread's CSRs into the skeleton's
+/// registers (skeleton.hpp) and deriving the row size and the idx end.
+constexpr char kCsrPreamble[] = R"(
     csrr r1, IDX_BASE
     csrr r2, IDX_STRIDE
     csrr r3, RPT
@@ -21,8 +18,17 @@ std::string kernel_skeleton(const std::string& preamble,
     li   r9, 1
     sll  r9, r9, r14        ; r9 = row bytes
     mul  r3, r3, r2
-    add  r3, r3, r1         ; r3 = idx end
+    add  r3, r3, r1         ; r3 = idx end = idx_base + rpt*stride
 )";
+
+}  // namespace
+
+std::string kernel_skeleton(const std::string& preamble,
+                            const std::string& body, bool record_barrier) {
+  if (record_barrier) {
+    // Fixed-trip-count loop (guarded per record) so every thread reaches
+    // every barrier; tail imbalance must not skip synchronization points.
+    std::string out = kCsrPreamble;
     out += preamble;
     out += R"(
     li   r10, 0
@@ -57,22 +63,7 @@ done:
   // index bump, loop branch) by hoisting the tail-group guard into a
   // per-group limit: the record loop runs idx from idx_base up to
   // min(idx_base + rpt*stride, records remaining in this group).
-  std::string out;
-  out += R"(
-    csrr r1, IDX_BASE
-    csrr r2, IDX_STRIDE
-    csrr r3, RPT
-    csrr r4, NGROUPS
-    csrr r5, NRECORDS
-    csrr r6, FIELDS
-    csrr r7, INPUT_BASE
-    csrr r8, GROUP_SHIFT
-    csrr r14, ROW_SHIFT
-    li   r9, 1
-    sll  r9, r9, r14        ; r9 = row bytes
-    mul  r3, r3, r2
-    add  r3, r3, r1         ; r3 = idx end = idx_base + rpt*stride
-)";
+  std::string out = kCsrPreamble;
   out += preamble;
   out += R"(
     li   r10, 0             ; g = 0

@@ -26,6 +26,7 @@
 #include "sim/kernel.hpp"
 #include "sim/runner.hpp"
 #include "trace/trace.hpp"
+#include "wake_probe.hpp"
 
 namespace mlp {
 namespace {
@@ -221,7 +222,7 @@ struct FloodRequester final : mem::Requester {
       mem::MemRequest req;
       req.addr = static_cast<Addr>(r) * row_bytes;
       req.bytes = row_bytes;
-      req.on_complete = [this](Picos) { ++completed; };
+      req.done = done;
       submit(std::move(req), 0);
     }
   }
@@ -233,6 +234,7 @@ struct FloodRequester final : mem::Requester {
 
   u32 row_bytes;
   u64 completed = 0;
+  test::WakeProbe done{[this](Picos) { ++completed; }};
   u64 ticks = 0;
   u64 parked_ticks = 0;
 };

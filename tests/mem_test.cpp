@@ -64,7 +64,8 @@ struct ControllerFixture : ::testing::Test {
     MemRequest req;
     req.addr = addr;
     req.bytes = bytes;
-    req.on_complete = [&](Picos at) { done = at; };
+    test::WakeProbe probe([&](Picos at) { done = at; });
+    req.done = probe;
     EXPECT_TRUE(ctrl.try_push(std::move(req), now));
     drain();
     EXPECT_TRUE(done.has_value());
@@ -124,14 +125,16 @@ TEST_F(ControllerFixture, FrFcfsPrefersRowHitOverOlderMiss) {
   run_read(0, 64);  // opens bank0 row0
   // Queue: first a conflicting miss to bank0 row4, then a hit to row0.
   Picos miss_done = 0, hit_done = 0;
+  test::WakeProbe miss_probe([&](Picos at) { miss_done = at; });
+  test::WakeProbe hit_probe([&](Picos at) { hit_done = at; });
   MemRequest miss;
   miss.addr = 4 * 2048;
   miss.bytes = 64;
-  miss.on_complete = [&](Picos at) { miss_done = at; };
+  miss.done = miss_probe;
   MemRequest hit;
   hit.addr = 128;
   hit.bytes = 64;
-  hit.on_complete = [&](Picos at) { hit_done = at; };
+  hit.done = hit_probe;
   ASSERT_TRUE(ctrl.try_push(std::move(miss), now));
   ASSERT_TRUE(ctrl.try_push(std::move(hit), now));
   drain();
@@ -158,13 +161,15 @@ TEST_F(ControllerFixture, BankParallelismOverlapsActivations) {
   // Two cold reads to different banks finish sooner than two to the same
   // bank+row-conflict because activations overlap.
   Picos done_a = 0, done_b = 0;
+  test::WakeProbe probe_a([&](Picos at) { done_a = at; });
+  test::WakeProbe probe_b([&](Picos at) { done_b = at; });
   MemRequest a, b;
   a.addr = 0;        // bank 0
   a.bytes = 2048;
-  a.on_complete = [&](Picos at) { done_a = at; };
+  a.done = probe_a;
   b.addr = 2048;     // bank 1
   b.bytes = 2048;
-  b.on_complete = [&](Picos at) { done_b = at; };
+  b.done = probe_b;
   ASSERT_TRUE(ctrl.try_push(std::move(a), now));
   ASSERT_TRUE(ctrl.try_push(std::move(b), now));
   drain();
@@ -337,7 +342,8 @@ struct PolicyFixture : ::testing::Test {
     MemRequest req;
     req.addr = addr;
     req.bytes = bytes;
-    req.on_complete = [&](Picos at) { done = at; };
+    test::WakeProbe probe([&](Picos at) { done = at; });
+    req.done = probe;
     EXPECT_TRUE(ctrl->try_push(std::move(req), now));
     while (!ctrl->idle()) {
       ctrl->tick(now);
@@ -434,6 +440,7 @@ TEST_F(RefreshFixture, EveryRankRefreshesIndependently) {
 TEST_F(RefreshFixture, DemandPostponesUpToTheDebtWindow) {
   build("on:trefi=20:trfc=5:postpone=2");
   u32 completed = 0;
+  test::WakeProbe probe([&](Picos) { ++completed; });
   u64 max_debt = 0;
   for (u64 c = 0; c < 400; ++c) {
     const Picos now = c * period;
@@ -441,7 +448,7 @@ TEST_F(RefreshFixture, DemandPostponesUpToTheDebtWindow) {
       MemRequest req;
       req.addr = 0;  // a hot row: demand always queued for rank 0
       req.bytes = 64;
-      req.on_complete = [&](Picos) { ++completed; };
+      req.done = probe;
       ctrl->try_push(std::move(req), now);
     }
     ctrl->tick(now);
@@ -496,7 +503,8 @@ struct DemuxFixture : ::testing::Test {
     MemRequest req;
     req.addr = addr;
     req.bytes = bytes;
-    req.on_complete = [&](Picos at) { done = at; };
+    test::WakeProbe probe([&](Picos at) { done = at; });
+    req.done = probe;
     EXPECT_TRUE(ctrl->try_push(std::move(req), now));
     while (!ctrl->idle()) {
       ctrl->tick(now);
@@ -534,10 +542,11 @@ TEST_F(DemuxFixture, SubRowMappingFansOneRequestAcrossChannels) {
 TEST_F(DemuxFixture, StripedCompletionFiresOnceAtTheLatestStripe) {
   build("row:bank:col:channel", /*channels=*/2);
   u32 completions = 0;
+  test::WakeProbe probe([&](Picos) { ++completions; });
   MemRequest req;
   req.addr = 0;
   req.bytes = 2048;
-  req.on_complete = [&](Picos) { ++completions; };
+  req.done = probe;
   ASSERT_TRUE(ctrl->try_push(std::move(req), now));
   while (!ctrl->idle()) {
     ctrl->tick(now);
@@ -625,7 +634,7 @@ class FakeBackend : public MemBackend {
     auto batch = std::move(requests);
     requests.clear();
     for (MemRequest& r : batch) {
-      if (r.on_complete) r.on_complete(at);
+      if (r.done) r.done(at);
     }
   }
 
@@ -802,19 +811,21 @@ TEST_F(CacheFixture, SnapshotKeepsInvalidWaysAfterTheValidOnes) {
 TEST_F(CacheFixture, ActsAsBackendForUpstreamCache) {
   // Use the cache itself through the MemBackend interface.
   Picos done = 0;
+  test::WakeProbe probe([&](Picos at) { done = at; });
   MemRequest req;
   req.addr = 0x1000;
   req.bytes = 128;
-  req.on_complete = [&](Picos at) { done = at; };
+  req.done = probe;
   EXPECT_TRUE(cache.request(std::move(req), now));  // miss accepted
   backend.complete_all(400);
   EXPECT_GE(done, 400u);
   // Second time: hit completes immediately with +latency timestamp.
   Picos done2 = 0;
+  test::WakeProbe probe2([&](Picos at) { done2 = at; });
   MemRequest req2;
   req2.addr = 0x1000;
   req2.bytes = 128;
-  req2.on_complete = [&](Picos at) { done2 = at; };
+  req2.done = probe2;
   EXPECT_TRUE(cache.request(std::move(req2), now));
   EXPECT_EQ(done2, now + cache.hit_latency_ps());
 }

@@ -55,6 +55,19 @@ struct PbFixture : ::testing::Test {
     ASSERT_TRUE(ctrl->idle());
   }
 
+  /// Advance DRAM time edge by edge until `probe` wakes; returns the edge
+  /// whose controller tick retired the transfer. Every transfer here starts
+  /// and lasts whole channel cycles, so that edge is its finish time.
+  Picos tick_until_woken(const test::WakeProbe& probe) {
+    for (int i = 0; i < 100000 && probe.woken.empty(); ++i) {
+      pb->pump(now);
+      ctrl->tick(now);
+      now += cfg.dram.period_ps();
+    }
+    EXPECT_FALSE(probe.woken.empty());
+    return now - cfg.dram.period_ps();
+  }
+
   /// Demand-fetch one word; returns the result. `on_wake` runs when a
   /// pending demand's data arrives.
   core::PortResult demand(u32 corelet, u64 row, u32 word,
@@ -182,12 +195,41 @@ TEST_F(PbFixture, NoFlowControlEvictsPrematurelyAndDirectFetches) {
   // for its slab, deduplicated for subsequent words.
   std::optional<Picos> woke;
   const auto result = demand(1, 0, 0, [&](Picos at) { woke = at; });
+  const test::WakeProbe& first = waiters.back();
   EXPECT_EQ(result.status, core::PortStatus::kPending);
   EXPECT_EQ(stats.get("pb.direct_fetches"), 1u);
   demand(1, 0, 1, [](Picos) {});
+  const test::WakeProbe& second = waiters.back();
   EXPECT_EQ(stats.get("pb.direct_fetches"), 1u) << "victim slab deduplicates";
+  // Both slab waiters wake once, at the slab's fill time plus the buffer's
+  // hit latency.
+  const Picos hit_latency =
+      static_cast<Picos>(cfg.millipede.pb_hit_latency) * cfg.core.period_ps();
+  const Picos slab_filled = tick_until_woken(first);
   drain();
   EXPECT_TRUE(woke.has_value());
+  const std::vector<std::pair<u32, Picos>> at_fill = {
+      {0, slab_filled + hit_latency}};
+  EXPECT_EQ(first.woken, at_fill);
+  EXPECT_EQ(second.woken, at_fill);
+
+  // An orphaned waiter: corelet 0 waits on row 5, which its demand
+  // allocates (the window becomes rows 2..5, row 5 unfilled), then wraps to
+  // row 9, which evicts rows 2..5 before row 5's data arrives. The waiter's
+  // direct fetch carries its own wake: it wakes once, at the transfer's
+  // finish time, and row 5's late fill is ignored.
+  const u64 evictions = stats.get("pb.premature_evictions");
+  EXPECT_EQ(demand(0, 5, 0).status, core::PortStatus::kPending);
+  const test::WakeProbe& orphan = waiters.back();
+  EXPECT_EQ(stats.get("pb.premature_evictions"), evictions + 1);
+  EXPECT_EQ(demand(0, 9, 0).status, core::PortStatus::kPending);
+  EXPECT_EQ(stats.get("pb.premature_evictions"), evictions + 5);
+  EXPECT_EQ(stats.get("pb.direct_fetches"), 2u) << "one orphan fetch";
+  const Picos fetched = tick_until_woken(orphan);
+  drain();
+  const std::vector<std::pair<u32, Picos>> at_fetch = {{0, fetched}};
+  EXPECT_EQ(orphan.woken, at_fetch);
+  EXPECT_EQ(waiters.back().woken.size(), 1u) << "row 9 fills its waiter";
 }
 
 TEST_F(PbFixture, FlowControlNeverEvictsPrematurely) {

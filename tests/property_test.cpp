@@ -27,6 +27,7 @@
 #include "isa/encoding.hpp"
 #include "mem/addrmap.hpp"
 #include "mem/channels.hpp"
+#include "wake_probe.hpp"
 #include "workloads/layout.hpp"
 
 namespace mlp {
@@ -159,6 +160,8 @@ TEST(Property, ControllerCompletesEveryAcceptedRequestOnce) {
   Picos now = 0;
   u64 accepted_bytes = 0, completed = 0, completed_bytes = 0, accepted = 0;
   std::map<int, int> completions;  // request id -> count
+  std::vector<u32> bytes_of;       // request id -> size
+  test::WakeProbe probe;           // wakes waiter `id` per completion
   int next_id = 0;
 
   for (int step = 0; step < 20000; ++step) {
@@ -173,11 +176,8 @@ TEST(Property, ControllerCompletesEveryAcceptedRequestOnce) {
       req.is_write = rng.chance(0.2);
       const int id = next_id++;
       const u32 bytes = req.bytes;
-      req.on_complete = [&, id, bytes](Picos) {
-        ++completions[id];
-        ++completed;
-        completed_bytes += bytes;
-      };
+      bytes_of.push_back(bytes);
+      req.done = probe.handle(static_cast<u32>(id));
       if (ctrl.try_push(std::move(req), now)) {
         ++accepted;
         accepted_bytes += bytes;
@@ -189,6 +189,11 @@ TEST(Property, ControllerCompletesEveryAcceptedRequestOnce) {
   while (!ctrl.idle()) {
     ctrl.tick(now);
     now += cfg.period_ps();
+  }
+  for (const auto& [id, at] : probe.woken) {
+    ++completions[static_cast<int>(id)];
+    ++completed;
+    completed_bytes += bytes_of[id];
   }
   EXPECT_EQ(completed, accepted);
   EXPECT_EQ(completed_bytes, accepted_bytes);

@@ -5,13 +5,18 @@
 // remote result is byte-identical to a cold local run.
 
 #include <gtest/gtest.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <memory>
+#include <optional>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -253,6 +258,12 @@ TEST(Chaos, SpecGrammar) {
   EXPECT_THROW(parse_chaos("drop=-0.1"), SimError);     // negative rate
   EXPECT_THROW(parse_chaos("drop"), SimError);          // missing '='
   EXPECT_THROW(parse_chaos("drop=lots"), SimError);     // non-numeric
+  EXPECT_THROW(parse_chaos("delay-ms=-1"), SimError);   // negative count
+  EXPECT_THROW(parse_chaos("delay-ms=18446744073709551615"), SimError);
+  EXPECT_THROW(parse_chaos("delay-ms=3600001"), SimError);  // over an hour
+  EXPECT_EQ(parse_chaos("delay-ms=3600000").delay_ms, kMaxChaosDelayMs);
+  EXPECT_THROW(parse_chaos("seed= 7"), SimError);       // not all digits
+  EXPECT_THROW(parse_chaos("seed=18446744073709551616"), SimError);  // > u64
 }
 
 TEST(Chaos, InjectorIsDeterministicPerSeedAndConnection) {
@@ -285,6 +296,66 @@ TEST(Chaos, InjectorIsDeterministicPerSeedAndConnection) {
   EXPECT_NE(std::count(actions.begin(), actions.end(),
                        ChaosInjector::Action::kNone),
             256);
+}
+
+TEST(ChaosSpecFuzz, SpecsParseOrThrowTyped) {
+  // Seeded random specs: well-formed ones parse to exactly the values they
+  // name; truncated and byte-mutated ones parse to rates inside [0, 1] and
+  // a bounded delay, or throw a typed SimError("serve") — never anything
+  // else.
+  std::mt19937_64 rng(20261019);  // fixed seed: failures must reproduce
+  const char* const rate_keys[] = {"drop", "delay", "truncate", "close"};
+  const std::string alphabet =
+      std::string("=,.-+e0123456789abcdrsz ") + '\0' + '\xff';
+  auto check = [](const std::string& spec) {
+    try {
+      const ChaosConfig cfg = parse_chaos(spec);
+      for (const double rate : {cfg.drop_rate, cfg.delay_rate,
+                                cfg.truncate_rate, cfg.close_rate}) {
+        EXPECT_TRUE(rate >= 0.0 && rate <= 1.0) << spec;
+      }
+      EXPECT_LE(cfg.delay_ms, kMaxChaosDelayMs) << spec;
+    } catch (const SimError& e) {
+      EXPECT_EQ(e.kind(), "serve") << spec;
+    }
+  };
+  for (int iter = 0; iter < 300; ++iter) {
+    ChaosConfig want;
+    double* const rates[] = {&want.drop_rate, &want.delay_rate,
+                             &want.truncate_rate, &want.close_rate};
+    std::string spec;
+    for (int k = 0; k < 4; ++k) {
+      if (rng() % 2 == 0) continue;
+      *rates[k] = static_cast<double>(rng() % 1001) / 1000.0;
+      spec += std::string(rate_keys[k]) + "=" + std::to_string(*rates[k]) +
+              ",";
+    }
+    want.delay_ms = rng() % 100000;
+    want.seed = rng();
+    spec += "delay-ms=" + std::to_string(want.delay_ms) +
+            ",seed=" + std::to_string(want.seed);
+    const ChaosConfig got = parse_chaos(spec);
+    EXPECT_EQ(got.drop_rate, want.drop_rate) << spec;
+    EXPECT_EQ(got.delay_rate, want.delay_rate) << spec;
+    EXPECT_EQ(got.truncate_rate, want.truncate_rate) << spec;
+    EXPECT_EQ(got.close_rate, want.close_rate) << spec;
+    EXPECT_EQ(got.delay_ms, want.delay_ms) << spec;
+    EXPECT_EQ(got.seed, want.seed) << spec;
+    for (int cut = 0; cut < 8; ++cut) {
+      check(spec.substr(0, rng() % spec.size()));
+    }
+    for (int m = 0; m < 16; ++m) {
+      std::string mutated = spec;
+      const std::size_t at = rng() % mutated.size();
+      const char byte = alphabet[rng() % alphabet.size()];
+      switch (rng() % 3) {
+        case 0: mutated[at] = byte; break;
+        case 1: mutated.insert(mutated.begin() + at, byte); break;
+        default: mutated.erase(at, 1); break;
+      }
+      check(mutated);
+    }
+  }
 }
 
 TEST(Transport, HungPeerTripsTheRequestDeadline) {
@@ -772,6 +843,22 @@ TEST(ServiceTcp, FramingViolationsDropThePeerNotTheServer) {
   EXPECT_TRUE(client.ping().ok);
 }
 
+TEST(Service, DeeplyNestedFrameIsABadRequest) {
+  // A 40 KB frame nesting 20,000 arrays: the parser's depth bound answers
+  // it with a typed bad-request instead of overflowing the connection
+  // thread's stack, and the daemon keeps serving the same connection.
+  LiveServer live(ServeConfig{"", "", /*threads=*/1, /*queue_limit=*/4});
+  Client client;
+  client.connect(live.path());
+  const Response nested =
+      client.roundtrip(std::string(20000, '[') + std::string(20000, ']'));
+  EXPECT_FALSE(nested.ok);
+  EXPECT_EQ(nested.error, kErrBadRequest);
+  EXPECT_NE(nested.message.find("nesting deeper than"), std::string::npos)
+      << nested.message;
+  EXPECT_TRUE(client.ping().ok);
+}
+
 // ---- consistent-hash sharding ----------------------------------------------
 
 TEST(Shard, RingAssignmentsAreStableForever) {
@@ -984,29 +1071,162 @@ TEST(Sharded, HungNodeTripsTheDeadlineAndFailsOver) {
 }
 
 TEST(Sharded, ChaosClosedConnectionsHealByReconnect) {
-  // Aggressive connection-killing chaos against ONE healthy daemon: every
-  // close is a node death, every probe an instant resurrection (the daemon
-  // itself never dies). The sweep must converge with zero lost points —
-  // the reconnect/re-dispatch loop healing each injected failure.
-  LiveServer live(ServeConfig{"", "", /*threads=*/2, /*queue_limit=*/8});
+  // Connection-killing chaos against ONE healthy daemon, which itself never
+  // dies. A dropped connection reconnects in place and repeats the request;
+  // only a second drop in a row loses the node, and every probe then
+  // resurrects it. Each sweep must return the local rows with no lost
+  // point, inside its row's bounds on deaths and retries.
+  struct Case {
+    const char* chaos;
+    i64 request_timeout_ms;
+    u32 retry_budget;
+    u64 max_deaths;  ///< node deaths allowed; with none, no retry either
+  };
+  const Case cases[] = {
+      // So hot that two closes in a row happen: deaths need budget headroom.
+      {"close=0.4,seed=11", 5000, 100, ~u64{0}},
+      // A deadline long enough that no result wait heartbeats keeps the
+      // request sequence, and so the chaos draws, deterministic: every drop
+      // heals in place, and no point is requeued or runs twice.
+      {"close=0.15,truncate=0.1,seed=4", 120000, 3, 0},
+  };
   const std::vector<sim::MatrixJob> jobs = two_node_grid();
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.chaos);
+    LiveServer live(ServeConfig{"", "", /*threads=*/2, /*queue_limit=*/8});
+    ShardOptions options = fast_options();
+    options.request_timeout_ms = c.request_timeout_ms;
+    options.retry_budget = c.retry_budget;
+    options.chaos = parse_chaos(c.chaos);
+    FleetHealth fleet;
+    const std::vector<RemoteResult> results =
+        run_matrix_sharded({live.path()}, jobs, options, &fleet);
+    ASSERT_EQ(results.size(), jobs.size());
+    for (std::size_t i = 0; i < results.size(); ++i) {
+      ASSERT_TRUE(results[i].ok) << i << ": " << results[i].message;
+      EXPECT_EQ(results[i].csv, sim::sweep_csv_row(sim::run_job(jobs[i])))
+          << i;
+    }
+    EXPECT_GT(fleet.chaos_injected, 0u);
+    EXPECT_GE(fleet.reconnects, 1u);
+    EXPECT_LE(fleet.node_deaths, c.max_deaths);
+    if (c.max_deaths == 0) {
+      EXPECT_EQ(fleet.retries, 0u);
+    }
+    EXPECT_EQ(fleet.points_lost, 0u);
+  }
+}
+
+/// A node that admits points and then dies with them in flight: it answers
+/// `status` and `submit` like a daemon, leaves `result` unanswered, and on
+/// cut() removes its socket and drops the connection.
+class DyingNode {
+ public:
+  DyingNode() {
+    ep_.kind = Endpoint::Kind::kUnix;
+    ep_.path = "/tmp/mlpserve-dying-" + std::to_string(::getpid()) + ".sock";
+    listener_ = listen_endpoint(ep_);
+    thread_ = std::thread([this] { serve(); });
+  }
+  ~DyingNode() {
+    cut();
+    thread_.join();
+  }
+
+  const std::string& path() const { return ep_.path; }
+  /// A result request arrived: the sweep now waits on this node.
+  bool waited_on() const { return waited_on_.load(); }
+
+  void cut() {
+    if (cut_.exchange(true)) return;
+    ::close(listener_);
+    ::unlink(ep_.path.c_str());
+    const int fd = conn_.load();
+    if (fd >= 0) ::shutdown(fd, SHUT_RDWR);
+  }
+
+ private:
+  void serve() {
+    pollfd pfd{listener_, POLLIN, 0};
+    while (!cut_.load() && ::poll(&pfd, 1, 20) <= 0) {
+    }
+    if (cut_.load()) return;
+    conn_.store(::accept(listener_, nullptr, nullptr));
+    if (cut_.load()) ::shutdown(conn_.load(), SHUT_RDWR);
+    u64 next_id = 1;
+    try {
+      while (const std::optional<std::string> frame =
+                 read_frame(conn_.load())) {
+        const std::string type = trace::json_parse(*frame).str_at("type");
+        if (type == "status") {
+          ServerStatus status;
+          status.queue_limit = 8;
+          write_frame(conn_.load(), status_response(status));
+        } else if (type == "submit") {
+          write_frame(conn_.load(), submitted_response(next_id++));
+        } else {
+          waited_on_.store(true);
+        }
+      }
+    } catch (const SimError&) {
+      // The peer reset the connection: this node is gone either way.
+    }
+    ::close(conn_.load());
+  }
+
+  Endpoint ep_;
+  int listener_ = -1;
+  std::atomic<int> conn_{-1};
+  std::atomic<bool> cut_{false};
+  std::atomic<bool> waited_on_{false};
+  std::thread thread_;
+};
+
+TEST(Sharded, RestartedNodeNeverAnswersForAStaleId) {
+  // Node B restarts at the same address while it holds finished points
+  // that the sweep has not fetched yet, and then node A dies, so A's
+  // points fail over to the new B process. The sweep reconnects to B in
+  // place and repeats `result` for ids that the old process issued; none
+  // of them may name a failed-over point there, or that point's row would
+  // be written into another point's place. Every row must be the local one.
+  DyingNode a;
+  const std::string b_path =
+      "/tmp/mlpserve-restart-" + std::to_string(::getpid()) + ".sock";
+  const ServeConfig b_cfg{b_path, "", /*threads=*/2, /*queue_limit=*/8};
+  auto b = std::make_unique<LiveServer>(b_cfg);
+  const std::vector<sim::MatrixJob> jobs = two_node_grid();
+  std::size_t b_points = 0;
+  for (const sim::MatrixJob& job : jobs) b_points += shard_for_job(job, 2);
 
   ShardOptions options = fast_options();
-  options.retry_budget = 100;  // chaos this hot needs headroom
-  options.chaos = parse_chaos("close=0.4,seed=11");
+  options.request_timeout_ms = 120000;  // A's silence must not trip it
   FleetHealth fleet;
-  const std::vector<RemoteResult> results =
-      run_matrix_sharded({live.path()}, jobs, options, &fleet);
+  std::vector<RemoteResult> results;
+  std::thread sweep([&] {
+    results = run_matrix_sharded({a.path(), b_path}, jobs, options, &fleet);
+  });
+  // The sweep drains node 0 first, so it waits on A while B finishes.
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while ((!a.waited_on() || b->server().status().done < b_points) &&
+         std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  b.reset();
+  b = std::make_unique<LiveServer>(b_cfg);
+  a.cut();
+  sweep.join();
+
   ASSERT_EQ(results.size(), jobs.size());
   for (std::size_t i = 0; i < results.size(); ++i) {
     ASSERT_TRUE(results[i].ok) << i << ": " << results[i].message;
-    const sim::MatrixResult local = sim::run_job(jobs[i]);
-    EXPECT_EQ(results[i].csv, sim::sweep_csv_row(local)) << i;
+    EXPECT_EQ(results[i].csv, sim::sweep_csv_row(sim::run_job(jobs[i]))) << i;
   }
+  EXPECT_GT(b_points, 0u);
+  EXPECT_LT(b_points, jobs.size());
+  EXPECT_EQ(fleet.node_deaths, 1u);
+  EXPECT_GT(fleet.failovers, 0u);
   EXPECT_EQ(fleet.points_lost, 0u);
-  EXPECT_GT(fleet.chaos_injected, 0u);
-  EXPECT_GE(fleet.node_deaths, 1u);
-  EXPECT_GE(fleet.reconnects, 1u);
 }
 
 TEST(Sharded, ConcurrentSweepsReportOnlyTheirOwnHealth) {

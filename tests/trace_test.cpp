@@ -7,11 +7,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <limits>
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <random>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -94,11 +96,148 @@ TEST(Json, RejectsMalformedDocuments) {
   EXPECT_THROW(trace::json_parse("[1,2] trailing"), SimError);
   EXPECT_THROW(trace::json_parse("\"unterminated"), SimError);
   EXPECT_THROW(trace::json_parse(""), SimError);
+  // Number tokens follow the JSON grammar and fit their integer type.
+  EXPECT_THROW(trace::json_parse("[-]"), SimError);
+  EXPECT_THROW(trace::json_parse("[--1]"), SimError);
+  EXPECT_THROW(trace::json_parse("[1e5e5]"), SimError);
+  EXPECT_THROW(trace::json_parse("{\"a\":-}"), SimError);
+  EXPECT_THROW(trace::json_parse("[01]"), SimError);
+  EXPECT_THROW(trace::json_parse("[1.]"), SimError);
+  EXPECT_THROW(trace::json_parse("[18446744073709551616]"), SimError);
+  EXPECT_THROW(trace::json_parse("[-9223372036854775809]"), SimError);
+  EXPECT_EQ(trace::json_parse("[-9223372036854775808]").array[0].integer,
+            std::numeric_limits<i64>::min());
+  // A \u escape needs four hex digits.
+  EXPECT_THROW(trace::json_parse("[\"\\uZZZZ\"]"), SimError);
+  // Nesting is bounded: kMaxJsonDepth levels parse, one more does not.
+  const u32 depth = trace::kMaxJsonDepth;
+  EXPECT_NO_THROW(trace::json_parse(std::string(depth, '[') +
+                                    std::string(depth, ']')));
+  EXPECT_THROW(trace::json_parse(std::string(depth + 1, '[') +
+                                 std::string(depth + 1, ']')),
+               SimError);
   try {
     trace::json_parse("nope");
     FAIL() << "must throw";
   } catch (const SimError& e) {
     EXPECT_EQ(e.kind(), "json");
+  }
+}
+
+/// Writes `value` back through JsonWriter: a document the writer produced
+/// must come out byte for byte as it went in.
+void rewrite(const trace::JsonValue& value, trace::JsonWriter* w) {
+  switch (value.type) {
+    case trace::JsonValue::Type::kNull: w->raw("null"); break;
+    case trace::JsonValue::Type::kBool: w->value(value.boolean); break;
+    case trace::JsonValue::Type::kString: w->value(value.string); break;
+    case trace::JsonValue::Type::kNumber:
+      if (!value.is_integer) {
+        w->value(value.number);
+      } else if (value.number < 0) {
+        w->value(value.integer);
+      } else {
+        w->value(value.unsigned_integer);
+      }
+      break;
+    case trace::JsonValue::Type::kArray:
+      w->begin_array();
+      for (const trace::JsonValue& item : value.array) rewrite(item, w);
+      w->end_array();
+      break;
+    case trace::JsonValue::Type::kObject:
+      w->begin_object();
+      for (const auto& [name, item] : value.object) {
+        w->key(name);
+        rewrite(item, w);
+      }
+      w->end_object();
+      break;
+  }
+}
+
+std::string random_bytes(std::mt19937_64& rng) {
+  std::string text(rng() % 12, ' ');
+  for (char& c : text) c = static_cast<char>(rng() % 256);
+  return text;
+}
+
+/// A random document through JsonWriter, at most `depth` containers deep:
+/// strings of arbitrary bytes, integers across both types' ranges, finite
+/// nonzero doubles from 2^-80 to 2^80 (the writer prints -0.0 as "-0",
+/// which reads back as the integer 0), booleans and nulls.
+void random_json(std::mt19937_64& rng, u32 depth, trace::JsonWriter* w) {
+  switch (rng() % (depth == 0 ? 5 : 7)) {
+    case 0: w->value(random_bytes(rng)); break;
+    case 1: w->value(static_cast<u64>(rng() >> (rng() % 64))); break;
+    case 2: w->value(static_cast<i64>(rng() >> (rng() % 64))); break;
+    case 3: {
+      const double mantissa =
+          static_cast<double>((rng() >> 11) + 1) / 9007199254740992.0;
+      const double number =
+          std::ldexp(mantissa, static_cast<int>(rng() % 161) - 80);
+      w->value(rng() % 2 == 0 ? number : -number);
+      break;
+    }
+    case 4:
+      if (rng() % 2 == 0) {
+        w->value(rng() % 2 == 0);
+      } else {
+        w->raw("null");
+      }
+      break;
+    case 5: {
+      w->begin_array();
+      for (u64 n = rng() % 5; n > 0; --n) random_json(rng, depth - 1, w);
+      w->end_array();
+      break;
+    }
+    default: {
+      w->begin_object();
+      for (u64 n = rng() % 5; n > 0; --n) {
+        w->key(random_bytes(rng));
+        random_json(rng, depth - 1, w);
+      }
+      w->end_object();
+      break;
+    }
+  }
+}
+
+/// json_parse either succeeds or throws SimError("json").
+void parse_or_typed_error(const std::string& text) {
+  try {
+    trace::json_parse(text);
+  } catch (const SimError& e) {
+    EXPECT_EQ(e.kind(), "json") << e.what();
+  }
+}
+
+TEST(JsonFuzz, WriterDocumentsRoundTripAndDamageIsTyped) {
+  std::mt19937_64 rng(20261019);  // fixed seed: failures must reproduce
+  const std::string alphabet =
+      std::string("[]{}:,\"\\-+.eE0123456789tfnu ") + '\0' + '\xff';
+  for (int iter = 0; iter < 400; ++iter) {
+    trace::JsonWriter w;
+    random_json(rng, 1 + static_cast<u32>(rng() % 6), &w);
+    const std::string text = w.str();
+    trace::JsonWriter again;
+    rewrite(trace::json_parse(text), &again);
+    ASSERT_EQ(again.str(), text);
+    for (int cut = 0; cut < 8; ++cut) {
+      parse_or_typed_error(text.substr(0, rng() % text.size()));
+    }
+    for (int m = 0; m < 16; ++m) {
+      std::string mutated = text;
+      const std::size_t at = rng() % mutated.size();
+      const char byte = alphabet[rng() % alphabet.size()];
+      switch (rng() % 3) {
+        case 0: mutated[at] = byte; break;
+        case 1: mutated.insert(mutated.begin() + at, byte); break;
+        default: mutated.erase(at, 1); break;
+      }
+      parse_or_typed_error(mutated);
+    }
   }
 }
 
