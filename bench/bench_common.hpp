@@ -15,6 +15,7 @@
 #include "common/table.hpp"
 #include "sim/pool.hpp"
 #include "sim/runner.hpp"
+#include "tools/argparse.hpp"
 
 namespace mlp::bench {
 
@@ -30,33 +31,15 @@ struct HarnessOptions {
   u64 rows = sim::kDefaultRows;  ///< data volume per benchmark in DRAM rows
 };
 
-inline u64 parse_positive(const char* flag, const char* text) {
-  char* end = nullptr;
-  const unsigned long long value = std::strtoull(text, &end, 10);
-  if (end == text || *end != '\0' || value == 0) {
-    std::fprintf(stderr, "%s expects a positive integer, got \"%s\"\n", flag,
-                 text);
-    std::exit(2);
-  }
-  return value;
-}
-
 inline HarnessOptions parse_harness(int argc, char** argv) {
   HarnessOptions options;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", arg.c_str());
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (arg == "--jobs" || arg == "-j") {
-      options.jobs = static_cast<u32>(parse_positive("--jobs", next()));
-    } else if (arg == "--rows") {
-      options.rows = parse_positive("--rows", next());
-    } else if (arg == "--help" || arg == "-h") {
+  tools::ArgCursor args(argc, argv);
+  while (args.next()) {
+    if (args.is("--jobs") || args.is("-j")) {
+      options.jobs = tools::parse_u32("--jobs", args.value(), /*min=*/1);
+    } else if (args.is("--rows")) {
+      options.rows = tools::parse_u64("--rows", args.value(), /*min=*/1);
+    } else if (args.is("--help") || args.is("-h")) {
       std::printf(
           "  --jobs N   concurrent simulations (default: all hardware "
           "threads)\n"
@@ -65,8 +48,7 @@ inline HarnessOptions parse_harness(int argc, char** argv) {
           static_cast<unsigned long long>(sim::kDefaultRows));
       std::exit(0);
     } else {
-      std::fprintf(stderr, "unknown option %s (try --help)\n", arg.c_str());
-      std::exit(2);
+      std::exit(tools::unknown_flag(args.flag()));
     }
   }
   return options;

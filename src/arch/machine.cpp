@@ -225,6 +225,7 @@ RunResult Machine::run(const TraceHook& arch_trace,
   result.input_words = workload.num_records * workload.fields;
   result.final_clock_mhz = kernel.final_clock_mhz();
   result.warp_width = engine.warp_width;
+  result.work = kernel.work();
   // The SM counts a branch once per warp; branches_per_inst is per thread.
   const u64 branch_threads = engine.warp_width == 0 ? 1 : engine.warp_width;
   finalize_result(&result, engine.branches->value * branch_threads, stats);

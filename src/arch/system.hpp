@@ -12,6 +12,7 @@
 #include "energy/energy.hpp"
 #include "mem/dram_image.hpp"
 #include "sim/snapshot.hpp"
+#include "sim/tickable.hpp"
 #include "trace/trace.hpp"
 #include "workloads/binding.hpp"
 #include "workloads/bmla.hpp"
@@ -53,6 +54,7 @@ struct RunResult {
   energy::EnergyBreakdown energy;
   std::map<std::string, u64> stats;
   std::string verification;  ///< empty iff results matched the reference
+  sim::KernelWork work;      ///< scheduling work; in no report
 
   double seconds() const { return static_cast<double>(runtime_ps) * 1e-12; }
   double energy_delay() const { return energy.total_j() * seconds(); }

@@ -146,7 +146,6 @@ void MachineConfig::validate() const {
   MLP_CFG_CHECK(!dram.fault.enabled() || dram.fault.max_retries > 0,
                 "fault injection needs a nonzero retry budget");
   MLP_CFG_CHECK(core.cores > 0 && core.contexts > 0, "need at least one thread");
-  MLP_CFG_CHECK(core.regs >= 8 && core.regs <= 32, "register count out of range");
   MLP_CFG_CHECK(is_pow2(core.cores), "core count must be a power of two for slab mapping");
   MLP_CFG_CHECK(is_pow2(core.contexts), "context count must be a power of two");
   MLP_CFG_CHECK(millipede.pf_entries >= 2, "prefetch buffer needs >= 2 entries");

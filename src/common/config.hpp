@@ -143,7 +143,6 @@ struct CoreConfig {
   double clock_mhz = 700.0;
   u32 cores = 32;     ///< corelets / lanes / simple cores per processor
   u32 contexts = 4;   ///< hardware thread contexts (warps for the SM)
-  u32 regs = 32;      ///< architectural registers per context
   u32 icache_bytes = 4 * 1024;
   u32 local_mem_bytes = 4 * 1024;  ///< per corelet (live state)
   u32 local_latency = 2;           ///< compute cycles for a local access

@@ -64,6 +64,7 @@ void Schedule::tick_due(Picos now, Picos period_ps) {
       // Units up to this one have passed the edge; a settle() during its
       // tick charges the skipped ones before it for this edge too.
       passed_ = slot + 1;
+      ++unit_ticks_;
       wake_[slot] = unit->tick(now, period_ps);
     }
     earliest = std::min(earliest, wake_[slot]);
@@ -237,6 +238,7 @@ Picos SimulationKernel::run(const std::function<bool()>& done) {
     if (compute_.next_edge_ps() <= channel_.next_edge_ps()) {
       now_ = compute_.next_edge_ps();
       const Picos period = compute_.period_ps();
+      ++compute_edges_;
       if (compute_edge_hook_) compute_edge_hook_();
       if (fast_forward_) {
         compute_units_.tick_due(now_, period);
@@ -254,6 +256,7 @@ Picos SimulationKernel::run(const std::function<bool()>& done) {
     } else {
       now_ = channel_.next_edge_ps();
       const Picos period = channel_.period_ps();
+      ++channel_edges_;
       if (fast_forward_) {
         channel_units_.tick_due(now_, period);
       } else {

@@ -134,6 +134,10 @@ class SimulationKernel {
   u64 compute_cycles() const { return compute_.ticks(); }
   double final_clock_mhz() const { return compute_.frequency_mhz(); }
   Picos now() const { return now_; }
+  KernelWork work() const {
+    return {compute_edges_, channel_edges_,
+            compute_units_.unit_ticks() + channel_units_.unit_ticks()};
+  }
 
  private:
   /// When no unit is due at the next edge of either domain, skip both
@@ -185,6 +189,8 @@ class SimulationKernel {
   SnapshotPlan* plan_ = nullptr;
 
   Picos now_ = 0;
+  u64 compute_edges_ = 0;  ///< processed edges, for work()
+  u64 channel_edges_ = 0;
 };
 
 }  // namespace mlp::sim

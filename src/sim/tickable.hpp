@@ -31,6 +31,16 @@ namespace mlp::sim {
 /// external stimulus (a callback fired by another component's tick).
 inline constexpr Picos kNoEvent = ~Picos{0};
 
+/// The scheduling work of one run. A scheduling regression moves no
+/// simulated counter, so tests pin these instead; they stay out of the
+/// StatSet and every report. Jumped compute edges are compute_cycles minus
+/// compute_edges (a restored run counts from the restore).
+struct KernelWork {
+  u64 compute_edges = 0;  ///< compute edges processed
+  u64 channel_edges = 0;  ///< channel edges processed
+  u64 unit_ticks = 0;     ///< Tickable::tick calls, both domains
+};
+
 class Schedule;
 
 class Tickable {
@@ -88,6 +98,7 @@ class Schedule {
   /// Poll mode: tick every unit at this edge.
   void tick_all(Picos now, Picos period_ps) {
     for (Tickable* unit : units_) unit->tick(now, period_ps);
+    unit_ticks_ += units_.size();
   }
 
   /// Activity-driven mode: bind every unit to this schedule, post its
@@ -126,6 +137,9 @@ class Schedule {
   /// without a stimulus from the other domain).
   Picos earliest() const { return earliest_; }
 
+  /// Tickable::tick calls made in either mode.
+  u64 unit_ticks() const { return unit_ticks_; }
+
  private:
   const ClockDomain* clock_;
   std::vector<Tickable*> units_;
@@ -136,6 +150,7 @@ class Schedule {
   /// a unit's finished edges include that edge once its turn has come.
   u64 edge_ = ~u64{0};
   u32 passed_ = 0;
+  u64 unit_ticks_ = 0;
 };
 
 inline void Tickable::wake_at(Picos at) {

@@ -2,15 +2,18 @@
 // accounting, and — the load-bearing property — that activity-driven
 // scheduling is invisible: every counter, metric, trace event and trace
 // file byte must be identical to polling every unit at every edge
-// (MachineConfig::fast_forward = false, --no-fast-forward).
+// (MachineConfig::fast_forward = false, --no-fast-forward). The scheduling
+// work it saves (edges processed, units ticked) is pinned per point.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -347,6 +350,28 @@ sim::MatrixJob matrix_job(arch::ArchKind kind, const std::string& bench,
   return job;
 }
 
+std::string label(const sim::MatrixJob& job) {
+  return std::string(arch::arch_name(job.kind)) + "/" + job.bench;
+}
+
+arch::RunResult run_ok(const sim::MatrixJob& job) {
+  const sim::MatrixResult run = sim::run_job(job);
+  EXPECT_TRUE(run.ok()) << label(job) << ": " << run.error;
+  return run.result;
+}
+
+/// Two runs of one point in different simulator modes: every counter and
+/// metric must match.
+void expect_same_result(const arch::RunResult& a, const arch::RunResult& b,
+                        const std::string& what) {
+  EXPECT_EQ(a.compute_cycles, b.compute_cycles) << what;
+  EXPECT_EQ(a.runtime_ps, b.runtime_ps) << what;
+  EXPECT_EQ(a.thread_instructions, b.thread_instructions) << what;
+  EXPECT_EQ(a.final_clock_mhz, b.final_clock_mhz) << what;
+  EXPECT_EQ(a.energy.core_j, b.energy.core_j) << what;
+  EXPECT_EQ(a.stats, b.stats) << what;
+}
+
 /// Runs `job` polled and activity-driven; every counter and metric must
 /// match. Returns the polled result.
 arch::RunResult expect_same_run(const sim::MatrixJob& job) {
@@ -354,21 +379,9 @@ arch::RunResult expect_same_run(const sim::MatrixJob& job) {
   poll_job.options.cfg.fast_forward = false;
   sim::MatrixJob event_job = job;
   event_job.options.cfg.fast_forward = true;
-  const sim::MatrixResult poll = sim::run_job(poll_job);
-  const sim::MatrixResult event = sim::run_job(event_job);
-  const std::string label =
-      std::string(arch::arch_name(job.kind)) + "/" + job.bench;
-  EXPECT_TRUE(poll.ok()) << label << ": " << poll.error;
-  EXPECT_TRUE(event.ok()) << label << ": " << event.error;
-  EXPECT_EQ(poll.result.compute_cycles, event.result.compute_cycles) << label;
-  EXPECT_EQ(poll.result.runtime_ps, event.result.runtime_ps) << label;
-  EXPECT_EQ(poll.result.thread_instructions, event.result.thread_instructions)
-      << label;
-  EXPECT_EQ(poll.result.final_clock_mhz, event.result.final_clock_mhz)
-      << label;
-  EXPECT_EQ(poll.result.energy.core_j, event.result.energy.core_j) << label;
-  EXPECT_EQ(poll.result.stats, event.result.stats) << label;
-  return poll.result;
+  const arch::RunResult poll = run_ok(poll_job);
+  expect_same_result(poll, run_ok(event_job), label(job));
+  return poll;
 }
 
 TEST(KernelFastForward, CountersMatchPollingAcrossTheMatrix) {
@@ -499,6 +512,85 @@ TEST(KernelFastForward, MillipedeFreqStepsMatchPolling) {
   EXPECT_FALSE(poll_steps.empty());
   EXPECT_EQ(poll_steps, ff_steps);
   EXPECT_EQ(poll_mhz, ff_mhz);
+}
+
+// ------------------------------------------------------ scheduling work ----
+
+/// compute_cycles, runtime_ps, thread_instructions, decode.block_hits,
+/// decode.block_misses and decode.batched_lanes of a point no golden pins.
+using PinnedCounters = std::array<u64, 6>;
+
+/// One point at rows 24: its event-mode scheduling work (compute edges
+/// processed, channel edges processed, unit ticks) and, off the paper
+/// defaults whose full StatSet the goldens pin, six of its counters.
+struct WorkPoint {
+  arch::ArchKind kind;
+  const char* bench;
+  double bus_efficiency;  ///< 0 keeps the paper default
+  const char* refresh;    ///< DramConfig::refresh; null keeps it off
+  std::array<u64, 3> work;  ///< compute edges, channel edges, unit ticks
+  std::optional<PinnedCounters> counters;  ///< {} where a golden pins them
+};
+
+/// The four kinds' count and millipede/kmeans under paper defaults, two
+/// bandwidth-starved points where requesters park on DRAM, the
+/// compute-bound millipede/pca (every corelet due at every edge) and
+/// JEDEC-cadence refresh.
+const WorkPoint kWorkPoints[] = {
+    {arch::ArchKind::kMillipede, "count", 0, nullptr, {5000, 36, 154310}, {}},
+    {arch::ArchKind::kSsmc, "count", 0, nullptr, {14037, 2077, 162249}, {}},
+    {arch::ArchKind::kGpgpu, "count", 0, nullptr, {6115, 604, 6719}, {}},
+    {arch::ArchKind::kMulticore, "count", 0, nullptr, {31680, 763, 93341}, {}},
+    {arch::ArchKind::kMillipede, "kmeans", 0, nullptr, {17557, 36, 560381}, {}},
+    {arch::ArchKind::kMulticore, "count", 0.05, nullptr, {93384, 764, 94358},
+     PinnedCounters{188392, 52372698, 124876, 124866, 10, 21579}},
+    {arch::ArchKind::kSsmc, "count", 0.05, nullptr, {74512, 2246, 163679},
+     PinnedCounters{77661, 110976140, 154252, 154242, 10, 17583}},
+    {arch::ArchKind::kMillipede, "pca", 0.9, nullptr, {54332, 20, 1738644},
+     PinnedCounters{55101, 78737900, 1738624, 1738608, 16, 1684292}},
+    {arch::ArchKind::kMillipede, "count", 0, "on", {5000, 39, 154313},
+     PinnedCounters{6151, 8788350, 154252, 154242, 10, 83076}},
+};
+
+/// A scheduling regression (a unit ticked at edges where it has nothing to
+/// do, a jump not taken) moves no counter, only the kernel's work. Polling
+/// and the reference interpreter give the same full result, polling
+/// processes every compute edge, and the event kernel's work is pinned.
+TEST(KernelWorkCounters, PinnedPerPointAndEqualAcrossModes) {
+  for (const WorkPoint& p : kWorkPoints) {
+    sim::MatrixJob job = matrix_job(p.kind, p.bench, true);
+    if (p.bus_efficiency > 0) {
+      job.options.cfg.dram.bus_efficiency = p.bus_efficiency;
+    }
+    if (p.refresh != nullptr) job.options.cfg.dram.refresh = p.refresh;
+    std::ostringstream os;
+    const DramConfig& dram = job.options.cfg.dram;
+    os << label(job) << " bus_efficiency " << dram.bus_efficiency
+       << " refresh " << dram.refresh;
+    const std::string name = os.str();
+    sim::MatrixJob poll_job = job;
+    poll_job.options.cfg.fast_forward = false;
+    sim::MatrixJob nc_job = job;
+    nc_job.options.cfg.block_cache = false;
+    const arch::RunResult event = run_ok(job);
+    const arch::RunResult poll = run_ok(poll_job);
+    expect_same_result(event, poll, name + " polled");
+    expect_same_result(event, run_ok(nc_job), name + " without block cache");
+
+    EXPECT_EQ(poll.work.compute_edges, poll.compute_cycles) << name;
+    const std::array<u64, 3> work = {event.work.compute_edges,
+                                     event.work.channel_edges,
+                                     event.work.unit_ticks};
+    EXPECT_EQ(work, p.work) << name;
+    if (p.counters) {
+      const PinnedCounters counters = {
+          event.compute_cycles, event.runtime_ps, event.thread_instructions,
+          event.stats.at("decode.block_hits"),
+          event.stats.at("decode.block_misses"),
+          event.stats.at("decode.batched_lanes")};
+      EXPECT_EQ(counters, *p.counters) << name;
+    }
+  }
 }
 
 std::string read_file(const fs::path& path) {
