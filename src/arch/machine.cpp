@@ -1,41 +1,10 @@
 #include "arch/machine.hpp"
 
-#include <cstdio>
 #include <memory>
 #include <utility>
 
 namespace mlp::arch {
 namespace {
-
-const char* context_state_name(core::Context::State state) {
-  switch (state) {
-    case core::Context::State::kReady: return "ready";
-    case core::Context::State::kWaitMem: return "wait-mem";
-    case core::Context::State::kHalted: return "halted";
-  }
-  return "?";
-}
-
-/// Multi-line per-corelet context snapshot (PC, state, ready time) for the
-/// forward-progress watchdog's diagnostic dump.
-std::string dump_corelets(const std::vector<core::Corelet>& corelets) {
-  std::string out;
-  char line[160];
-  for (const core::Corelet& corelet : corelets) {
-    for (u32 x = 0; x < corelet.num_contexts(); ++x) {
-      const core::Context& ctx = corelet.context(x);
-      std::snprintf(line, sizeof(line),
-                    "  corelet[%u].ctx[%u] pc=%u state=%s ready_at=%llu "
-                    "instret=%llu\n",
-                    corelet.core_id(), x, ctx.pc,
-                    context_state_name(ctx.state),
-                    static_cast<unsigned long long>(ctx.ready_at),
-                    static_cast<unsigned long long>(ctx.instret));
-      out += line;
-    }
-  }
-  return out;
-}
 
 /// Reduces the live states and compares them with the golden reference;
 /// returns the diagnostic ("" on success). Without ECC, injected bit flips
@@ -124,7 +93,6 @@ Machine::Machine(const RunSpec& spec, const char* family, bool offchip_dram)
       offchip_dram_(offchip_dram) {
   dram.attach_image(&input.image);
   dcache.register_with(&stats, "decode");
-  kernel.set_compute_edge_hook([this] { dcache.begin_compute_edge(); });
   locals.reserve(cfg.core.cores);
   for (u32 c = 0; c < cfg.core.cores; ++c) {
     locals.emplace_back(cfg.core.local_mem_bytes);
@@ -136,26 +104,26 @@ void Machine::add_corelets(core::GlobalPort* port, u32 issue_width) {
   const u32 cores = cfg.core.cores;
   const u32 contexts = cfg.core.contexts;
   exec.register_with(&stats, "exec");
-  corelets.reserve(cores);
+  core::CoreletArray& array =
+      corelets.emplace(cfg.core, &dcache, locals, &input.image, port, &exec,
+                       spec_.trace, issue_width);
   for (u32 c = 0; c < cores; ++c) {
-    corelets.emplace_back(c, cfg.core, &dcache, &locals[c], &input.image,
-                          port, &exec, spec_.trace, issue_width,
-                          &live_corelets_);
     for (u32 x = 0; x < contexts; ++x) {
       const workloads::ThreadSlice slice = input.layout.slice(
           workloads::ThreadMapping::kSlab, cores, contexts, c, x);
-      workloads::bind_csrs(corelets.back().context(x).csr, workload,
+      workloads::bind_csrs(array.core(c).context(x).csr, workload,
                            input.layout, slice, c * contexts + x,
                            cfg.core.threads(), c, cores, x, contexts);
     }
   }
+  kernel.add_compute(&array);
   engine.instructions = &exec.instructions;
   engine.branches = &exec.branches;
-  engine.done = [this] { return live_corelets_ == 0; };
+  engine.done = [&array] { return array.halted(); };
   engine.name_tracks = [cores, contexts](trace::TraceSession* session) {
     trace::name_context_tracks(session, cores, contexts);
   };
-  engine.dump = [this] { return dump_corelets(corelets); };
+  engine.dump = [&array] { return array.debug_dump(); };
 }
 
 millipede::RowPlan Machine::row_plan() const {
@@ -174,8 +142,8 @@ void Machine::register_states() {
   for (const auto& [section, state] : states_) kernel.add_state(section, state);
   kernel.add_state(sim::kSecDecodeCache, &dcache);
   for (u32 c = 0; c < cfg.core.cores; ++c) {
-    if (c < corelets.size()) {
-      kernel.add_state(sim::kSecCoreletBase + c, &corelets[c]);
+    if (corelets) {
+      kernel.add_state(sim::kSecCoreletBase + c, &corelets->core(c));
     }
     for (const CoreState& s : core_states_) {
       if (s.core == c) kernel.add_state(s.section, s.state);
@@ -226,6 +194,7 @@ RunResult Machine::run(const TraceHook& arch_trace,
   result.final_clock_mhz = kernel.final_clock_mhz();
   result.warp_width = engine.warp_width;
   result.work = kernel.work();
+  if (corelets) result.work.core_ticks = corelets->core_ticks();
   // The SM counts a branch once per warp; branches_per_inst is per thread.
   const u64 branch_threads = engine.warp_width == 0 ? 1 : engine.warp_width;
   finalize_result(&result, engine.branches->value * branch_threads, stats);

@@ -7,8 +7,8 @@
 //  * the run's private copy of the prepared input, the StatSet, the
 //    per-channel DRAM controllers attached to that image, the simulation
 //    kernel and the decoded-block cache;
-//  * one local store per core (or SM lane), plus the MIMD corelets with
-//    their CSRs bound to the slab mapping (add_corelets);
+//  * one local store per core (or SM lane), plus the MIMD processor's
+//    corelet array with its CSRs bound to the slab mapping (add_corelets);
 //  * the progress signature, the watchdog dump, checkpoint registration in
 //    one fixed section order, and the trace wiring with the DRAM queue and
 //    refresh gauges;
@@ -21,6 +21,7 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -76,9 +77,9 @@ class Machine {
   Machine(Machine&&) = delete;
   Machine& operator=(Machine&&) = delete;
 
-  /// One corelet per core issuing through `port` (up to `issue_width`
-  /// instructions per edge), each context's CSRs bound to its slab of the
-  /// input. The caller registers the corelets as compute units.
+  /// The processor's corelet array, one corelet per core issuing through
+  /// `port` (up to `issue_width` instructions per edge), each context's CSRs
+  /// bound to its slab of the input; registered as the compute unit.
   void add_corelets(core::GlobalPort* port, u32 issue_width = 1);
 
   /// Registration order is tick order; the controller ticks last.
@@ -126,8 +127,8 @@ class Machine {
   /// One per job, shared read-only by every corelet or warp.
   core::DecodedBlockCache dcache;
   std::vector<mem::LocalStore> locals;  ///< one per core or SM lane
-  core::ExecStats exec;                 ///< the corelets' counters
-  std::vector<core::Corelet> corelets;  ///< empty on the SM systems
+  core::ExecStats exec;  ///< the corelets' counters
+  std::optional<core::CoreletArray> corelets;  ///< empty on the SM systems
   Engine engine;
 
  private:
@@ -140,7 +141,6 @@ class Machine {
   void register_states();
 
   const RunSpec spec_;
-  u32 live_corelets_ = 0;  ///< corelets with a context not yet halted
   std::string family_;
   bool offchip_dram_;
   std::vector<std::pair<u32, sim::Snapshottable*>> states_;

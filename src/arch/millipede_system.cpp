@@ -7,7 +7,6 @@
 #include <optional>
 
 #include "arch/machine.hpp"
-#include "core/barrier.hpp"
 #include "millipede/prefetch_buffer.hpp"
 
 namespace mlp::arch {
@@ -26,22 +25,18 @@ RunResult run_millipede(const RunSpec& spec) {
   millipede::PrefetchBuffer pb(cfg, m.row_plan(), &m.dram,
                                rate_matcher ? &*rate_matcher : nullptr,
                                &m.stats, "pb", m.trace());
-  // The software-barrier ablation compiles `bar` into the kernels; wire a
-  // processor-wide barrier over the prefetch-buffer port when present.
-  const bool uses_bar = spec.workload.program.contains(isa::Opcode::kBar);
-  core::BarrierPort barrier_port(&pb, cfg.core.threads());
-  m.add_corelets(uses_bar ? static_cast<core::GlobalPort*>(&barrier_port)
-                          : static_cast<core::GlobalPort*>(&pb));
+  m.add_corelets(&pb);
 
   // On restore, the prefetch buffer's state (and the controller's queue)
   // come from the snapshot; priming would issue duplicate time-0 fetches
   // whose wakes target entries the restore is about to overwrite.
   if (!spec.restoring()) pb.prime(0);
-  for (core::Corelet& corelet : m.corelets) m.add_compute(&corelet);
   m.add_channel(&pb);
   m.add_state(sim::kSecPrefetchBuffer, &pb);
   if (rate_matcher) m.add_state(sim::kSecRateMatcher, &*rate_matcher);
-  if (uses_bar) m.add_state(sim::kSecBarrier, &barrier_port);
+  if (core::Barrier* barrier = m.corelets->barrier()) {
+    m.add_state(sim::kSecBarrier, barrier);
+  }
 
   RunResult result = m.run(
       [&pb](trace::TraceSession* session) {

@@ -50,7 +50,6 @@ RunResult run_multicore(const RunSpec& spec) {
   // from its SMT contexts (OoO approximation; DESIGN.md).
   m.add_corelets(&port, cfg.multicore.issue_width);
 
-  for (core::Corelet& corelet : m.corelets) m.add_compute(&corelet);
   for (mem::Cache& l1 : l1s) m.add_channel(&l1);
   for (mem::Cache& l2 : l2s) m.add_channel(&l2);
   for (u32 c = 0; c < cores; ++c) {

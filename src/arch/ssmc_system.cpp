@@ -32,7 +32,6 @@ RunResult run_ssmc(const RunSpec& spec) {
   CachedPort port(m, &caches, &prefetchers);
   m.add_corelets(&port);
 
-  for (core::Corelet& corelet : m.corelets) m.add_compute(&corelet);
   for (mem::Cache& cache : caches) m.add_channel(&cache);
   for (u32 c = 0; c < cores; ++c) {
     m.add_core_state(sim::kSecL1Base, c, &caches[c]);

@@ -107,10 +107,6 @@ RunResult run_arch(ArchKind kind, const MachineConfig& cfg,
       MLP_SIM_CHECK(!cfg.slab_layout, "config",
                     "the GPGPU needs word-size columns for coalescing "
                     "(paper III-B)");
-      // Warps are lockstep already; the record-barrier ablation (paper
-      // IV-C) is a MIMD software alternative the SM does not model.
-      MLP_SIM_CHECK(!workload.program.contains(isa::Opcode::kBar), "config",
-                    "record barriers (bar) are not supported on the SM");
       tuned.gpgpu.vws = kind != ArchKind::kGpgpu;
       tuned.gpgpu.row_oriented = kind == ArchKind::kVwsRow;
       row_buffer = tuned.gpgpu.row_oriented;
@@ -123,6 +119,14 @@ RunResult run_arch(ArchKind kind, const MachineConfig& cfg,
       break;
   }
   MLP_CHECK(run != nullptr, "unknown architecture");
+  // The record-barrier ablation (paper IV-C) is the software alternative to
+  // Millipede's flow control: only the Millipede processor has a barrier.
+  // The SM's warps are lockstep already.
+  MLP_SIM_CHECK(run == run_millipede ||
+                    !workload.program.contains(isa::Opcode::kBar),
+                "config",
+                std::string("record barriers (bar) are not supported on ") +
+                    (run == run_gpgpu ? "the SM" : arch_name(kind)));
   tuned.validate();
   // Layout, image and reference depend only on the row geometry and the
   // slab-layout switch, which no tuning above touches.

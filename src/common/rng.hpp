@@ -39,8 +39,6 @@ class Rng {
     return result;
   }
 
-  u32 next_u32() { return static_cast<u32>(next_u64() >> 32); }
-
   /// Uniform integer in [0, bound). bound must be nonzero.
   u64 below(u64 bound) { return next_u64() % bound; }
 

@@ -1,10 +1,12 @@
 #pragma once
-// Fundamental integer/width aliases and the check macro used across the
-// simulator. Kept deliberately tiny: every other header includes this one.
+// Fundamental integer/width aliases, the duration bound and the check macro
+// used across the simulator. Kept deliberately tiny: every other header
+// includes this one.
 
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <string>
 
 namespace mlp {
 
@@ -24,6 +26,16 @@ using Addr = u64;
 /// DRAM channel) are reconciled through this common unit, which also lets
 /// dynamic frequency scaling change the compute period mid-run.
 using Picos = u64;
+
+/// The longest millisecond duration a flag or a request may ask for: one
+/// week. A deadline is steady_clock::now() plus milliseconds(v), which
+/// converts v to signed 64-bit nanoseconds and overflows past ~9.2e12 ms.
+inline constexpr u64 kMaxDurationMs = 604'800'000;
+/// What a value past kMaxDurationMs is told it should be.
+inline std::string duration_expects() {
+  return "a duration of at most " + std::to_string(kMaxDurationMs) +
+         " ms (one week)";
+}
 
 }  // namespace mlp
 

@@ -43,10 +43,11 @@ struct WatchdogConfig {
   /// live system makes progress every few thousand edges even when rate
   /// matching has slowed compute to its floor.
   u64 stall_cycles = 2'000'000;
-  /// Wall-clock budget in milliseconds; 0 disables it. Unlike the cycle
-  /// limits this is nondeterministic by nature, so it is OFF by default and
-  /// only set by service deployments (mlpserved --job-timeout-ms) where a
-  /// client-visible deadline matters more than reproducing the trip point.
+  /// Wall-clock budget in milliseconds, at most kMaxDurationMs; 0 disables
+  /// it. Unlike the cycle limits this is nondeterministic by nature, so it
+  /// is OFF by default and only set by service deployments (mlpserved
+  /// --job-timeout-ms) where a client-visible deadline matters more than
+  /// reproducing the trip point.
   u64 wall_ms = 0;
 
   bool operator==(const WatchdogConfig&) const = default;
@@ -62,6 +63,8 @@ class Watchdog {
       : cfg_(cfg), arch_(std::move(arch)), dump_(std::move(dump)),
         trace_(trace) {
     if (cfg_.wall_ms != 0) {
+      // Every flag and job member that sets it checks the bound.
+      MLP_CHECK(cfg_.wall_ms <= kMaxDurationMs, "wall-clock budget too long");
       wall_deadline_ = std::chrono::steady_clock::now() +
                        std::chrono::milliseconds(cfg_.wall_ms);
     }

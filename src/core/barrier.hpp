@@ -4,7 +4,8 @@
 // are the only software alternative to hardware flow control, and shows
 // they do not help. A thread executing `bar` blocks until every live
 // (non-halted) thread has arrived; halted threads deregister so tail
-// imbalance cannot deadlock the machine.
+// imbalance cannot deadlock the machine. A processor's CoreletArray holds
+// it when the program contains `bar`.
 
 #include <vector>
 
@@ -14,7 +15,7 @@
 
 namespace mlp::core {
 
-class Barrier {
+class Barrier : public sim::Snapshottable {
  public:
   explicit Barrier(u32 expected) : expected_(expected) {
     MLP_CHECK(expected_ > 0, "barrier needs participants");
@@ -43,11 +44,11 @@ class Barrier {
   u32 waiting() const { return static_cast<u32>(waiters_.size()); }
   u64 episodes() const { return episodes_; }
 
-  /// Checkpoint state: a barrier-blocked thread is a live wake, so capture
-  /// requires no waiters — then arrived_ is guaranteed 0 and only the
-  /// halt-decayed expectation and the episode count carry state.
-  bool quiescent() const { return waiters_.empty(); }
-  void checkpoint(sim::StateIO& io) {
+  // sim::Snapshottable: a barrier-blocked thread is a live wake, so capture
+  // requires no waiters; then arrived_ is guaranteed 0 and only the
+  // halt-decayed expectation and the episode count carry state.
+  bool quiescent() const override { return waiters_.empty(); }
+  void checkpoint(sim::StateIO& io) override {
     io.positive(expected_, "barrier expectation");
     io.field(episodes_);
   }
@@ -65,51 +66,6 @@ class Barrier {
   u32 arrived_ = 0;
   u64 episodes_ = 0;
   std::vector<sim::Wake> waiters_;
-};
-
-/// GlobalPort decorator adding barrier support on top of any memory port.
-class BarrierPort : public GlobalPort, public sim::Snapshottable {
- public:
-  BarrierPort(GlobalPort* inner, u32 threads)
-      : GlobalPort(inner->local_latency_fixed()),
-        inner_(inner),
-        barrier_(threads) {}
-
-  PortResult load(u32 core, u32 ctx, Addr addr, Picos now,
-                  sim::Wake wake) override {
-    return inner_->load(core, ctx, addr, now, wake);
-  }
-
-  PortResult store(u32 core, u32 ctx, Addr addr, Picos now) override {
-    return inner_->store(core, ctx, addr, now);
-  }
-
-  PortResult local_access(u32 core, u32 ctx, Addr addr, bool is_write,
-                          Picos fixed_ready_at, Picos now,
-                          sim::Wake wake) override {
-    return inner_->local_access(core, ctx, addr, is_write, fixed_ready_at,
-                                now, wake);
-  }
-
-  PortResult barrier(u32 /*core*/, u32 /*ctx*/, Picos now, Picos period_ps,
-                     sim::Wake wake) override {
-    return barrier_.arrive(now, period_ps, wake);
-  }
-
-  void thread_halted(u32 /*core*/, u32 /*ctx*/, Picos now,
-                     Picos period_ps) override {
-    barrier_.deregister(now, period_ps);
-  }
-
-  const Barrier& state() const { return barrier_; }
-
-  // sim::Snapshottable: delegates to the wrapped Barrier.
-  void checkpoint(sim::StateIO& io) override { barrier_.checkpoint(io); }
-  bool quiescent() const override { return barrier_.quiescent(); }
-
- private:
-  GlobalPort* inner_;
-  Barrier barrier_;
 };
 
 }  // namespace mlp::core

@@ -1,16 +1,16 @@
 #include "core/corelet.hpp"
 
 #include <algorithm>
+#include <cstdio>
 
 #include "core/decode_cache.hpp"
 
 namespace mlp::core {
 
-Corelet::Corelet(u32 core_id, const CoreConfig& cfg,
+Corelet::Corelet(CoreletArray* array, u32 core_id, const CoreConfig& cfg,
                  DecodedBlockCache* dcache, mem::LocalStore* local,
                  mem::DramImage* dram, GlobalPort* port, ExecStats* stats,
-                 trace::TraceSession* trace, u32 issue_width,
-                 u32* live_corelets)
+                 trace::TraceSession* trace, u32 issue_width)
     : contexts_(cfg.contexts),
       issue_width_(issue_width),
       branch_penalty_(cfg.branch_penalty),
@@ -18,11 +18,11 @@ Corelet::Corelet(u32 core_id, const CoreConfig& cfg,
       local_(local),
       dram_(dram),
       stats_(stats),
+      array_(array),
       core_id_(core_id),
       cfg_(cfg),
       port_(port),
       trace_(trace),
-      live_corelets_(live_corelets),
       issued_(cfg.contexts) {
   MLP_CHECK(dcache_ != nullptr && local_ != nullptr && dram_ != nullptr &&
                 port_ != nullptr && stats_ != nullptr,
@@ -43,18 +43,9 @@ Corelet::Corelet(u32 core_id, const CoreConfig& cfg,
 }
 
 void Corelet::recount_live() {
-  const bool was_live = live_contexts_ != 0;
   live_contexts_ = 0;
   for (const Context& ctx : contexts_) {
     if (ctx.state != Context::State::kHalted) ++live_contexts_;
-  }
-  const bool live = live_contexts_ != 0;
-  if (live_corelets_ != nullptr && live != was_live) {
-    if (live) {
-      ++*live_corelets_;
-    } else {
-      --*live_corelets_;
-    }
   }
 }
 
@@ -79,24 +70,10 @@ void Corelet::checkpoint(sim::StateIO& io) {
   std::vector<u32>& words = local_->words();
   io.expect(words.size(), "corelet local-store size");
   for (u32& word : words) io.field(word);
-  if (io.loading()) recount_live();
-}
-
-Picos Corelet::next_event(Picos now) const {
-  // A kReady context issues at its wake-up edge; kWaitMem and kHalted
-  // contexts only become schedulable through a port callback. Note a kReady
-  // context whose last issue hit port backpressure (kRetry) keeps
-  // ready_at <= now, so retry polling is never skipped over.
-  Picos at = sim::kNoEvent;
-  for (const Context& ctx : contexts_) {
-    if (ctx.state != Context::State::kReady) continue;
-    at = std::min(at, std::max(ctx.ready_at, now));
+  if (io.loading()) {
+    recount_live();
+    array_->recount_live();
   }
-  return at;
-}
-
-void Corelet::skip_idle(u64 edges) {
-  if (!halted()) stats_->idle_cycles.inc(edges * issue_width_);
 }
 
 // Inlined into tick(): the straight path is the per-instruction hot loop.
@@ -141,7 +118,17 @@ Picos Corelet::tick(Picos now, Picos period_ps) {
   // A context still ready after issuing usually goes again at the next
   // edge, so skip the scan and ask to be ticked then (an early wake is
   // safe); only a corelet whose contexts all blocked or idled looks ahead.
-  return ready ? now : next_event(now);
+  if (ready) return now;
+  // A kReady context issues at its wake-up edge; kWaitMem and kHalted
+  // contexts only become schedulable through a wake. A kReady context whose
+  // last issue hit port backpressure (kRetry) keeps ready_at <= now, so
+  // retry polling is never skipped over.
+  Picos at = sim::kNoEvent;
+  for (const Context& ctx : contexts_) {
+    if (ctx.state != Context::State::kReady) continue;
+    at = std::min(at, std::max(ctx.ready_at, now));
+  }
+  return at;
 }
 
 void Corelet::wake(u32 index, Picos at) {
@@ -160,7 +147,6 @@ void Corelet::wake(u32 index, Picos at) {
   }
   ctx.state = Context::State::kReady;
   ctx.ready_at = at;
-  wake_at(at);
 }
 
 bool Corelet::issue_to_port(const DecodedInstr& de, Context& ctx, u32 index,
@@ -169,10 +155,8 @@ bool Corelet::issue_to_port(const DecodedInstr& de, Context& ctx, u32 index,
     de.fn(de, ctx, *local_, *dram_);
     stats_->instructions.inc();
     stats_->busy_cycles.inc();
-    if (--live_contexts_ == 0 && live_corelets_ != nullptr) {
-      --*live_corelets_;
-    }
-    port_->thread_halted(core_id_, index, now, period_ps);
+    --live_contexts_;
+    array_->retire_thread(*this, now, period_ps);
     return false;
   }
   if (de.kind == StepKind::kGlobalStore) {
@@ -191,9 +175,9 @@ bool Corelet::issue_to_port(const DecodedInstr& de, Context& ctx, u32 index,
   }
 
   // Loads, port-timed live-state accesses and barriers block the context
-  // until the port fires its wake, which may happen before the call
-  // returns; a retry leaves the instruction unexecuted.
-  const sim::Wake wake{this, index};
+  // until the port or the barrier fires its wake, which may happen before
+  // the call returns; a retry leaves the instruction unexecuted.
+  const sim::Wake wake{array_, core_id_ * cfg_.contexts + index};
   ctx.state = Context::State::kWaitMem;
   PortResult result;
   Counter* counter = nullptr;
@@ -217,7 +201,7 @@ bool Corelet::issue_to_port(const DecodedInstr& de, Context& ctx, u32 index,
       break;
     default:
       MLP_CHECK(de.kind == StepKind::kBarrier, "kind issues straight");
-      result = port_->barrier(core_id_, index, now, period_ps, wake);
+      result = array_->barrier()->arrive(now, period_ps, wake);
       break;
   }
   if (result.status == PortStatus::kRetry) {
@@ -234,6 +218,87 @@ bool Corelet::issue_to_port(const DecodedInstr& de, Context& ctx, u32 index,
     ctx.ready_at = result.ready_at;
   }
   return ctx.state == Context::State::kReady;
+}
+
+CoreletArray::CoreletArray(const CoreConfig& cfg, DecodedBlockCache* dcache,
+                           std::span<mem::LocalStore> locals,
+                           mem::DramImage* dram, GlobalPort* port,
+                           ExecStats* stats, trace::TraceSession* trace,
+                           u32 issue_width)
+    : wake_(cfg.cores, 0),
+      dcache_(dcache),
+      stats_(stats),
+      contexts_(cfg.contexts),
+      issue_width_(issue_width) {
+  MLP_CHECK(locals.size() == cfg.cores, "one local store per core");
+  corelets_.reserve(cfg.cores);
+  for (u32 c = 0; c < cfg.cores; ++c) {
+    corelets_.emplace_back(this, c, cfg, dcache, &locals[c], dram, port,
+                           stats, trace, issue_width);
+  }
+  if (dcache->program().contains(isa::Opcode::kBar)) {
+    barrier_.emplace(cfg.threads());
+  }
+  recount_live();
+}
+
+void CoreletArray::recount_live() {
+  live_cores_ = 0;
+  for (const Corelet& core : corelets_) live_cores_ += !core.halted();
+}
+
+Picos CoreletArray::tick(Picos now, Picos period_ps) {
+  dcache_->begin_compute_edge();
+  // Polled, every core is due at every edge.
+  const Picos due_by = scheduled() ? now : sim::kNoEvent;
+  u64 idle = live_cores_;  // less each live core ticked
+  Picos next = sim::kNoEvent;
+  woken_ = sim::kNoEvent;
+  for (u32 c = 0; c < corelets_.size(); ++c) {
+    if (wake_[c] <= due_by) {
+      idle -= !corelets_[c].halted();
+      wake_[c] = corelets_[c].tick(now, period_ps);
+      ++core_ticks_;
+    }
+    next = std::min(next, wake_[c]);
+  }
+  stats_->idle_cycles.inc(idle * issue_width_);
+  // A barrier released by a later core's halt wakes a core the loop
+  // already passed.
+  return std::min(next, woken_);
+}
+
+Picos CoreletArray::next_event(Picos now) const {
+  // A core ticked before its wake only idles, so an early wake is safe.
+  return std::max(now, *std::min_element(wake_.begin(), wake_.end()));
+}
+
+void CoreletArray::wake(u32 index, Picos at) {
+  const u32 c = index / contexts_;
+  corelets_[c].wake(index - c * contexts_, at);
+  wake_[c] = std::min(wake_[c], at);
+  woken_ = std::min(woken_, at);
+  wake_at(at);
+}
+
+std::string CoreletArray::debug_dump() const {
+  // By Context::State.
+  static constexpr const char* kStates[] = {"ready", "wait-mem", "halted"};
+  std::string out;
+  char line[160];
+  for (u32 c = 0; c < corelets_.size(); ++c) {
+    for (u32 x = 0; x < contexts_; ++x) {
+      const Context& ctx = corelets_[c].context(x);
+      std::snprintf(line, sizeof(line),
+                    "  corelet[%u].ctx[%u] pc=%u state=%s ready_at=%llu "
+                    "instret=%llu\n",
+                    c, x, ctx.pc, kStates[static_cast<u32>(ctx.state)],
+                    static_cast<unsigned long long>(ctx.ready_at),
+                    static_cast<unsigned long long>(ctx.instret));
+      out += line;
+    }
+  }
+  return out;
 }
 
 }  // namespace mlp::core

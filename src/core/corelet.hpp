@@ -8,10 +8,14 @@
 // an issue width above one (see the constructor).
 
 #include <array>
+#include <optional>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "common/config.hpp"
 #include "common/stats.hpp"
+#include "core/barrier.hpp"
 #include "core/functional.hpp"
 #include "core/port.hpp"
 #include "sim/snapshot.hpp"
@@ -48,36 +52,30 @@ struct ExecStats {
   }
 };
 
-class alignas(64) Corelet : public sim::Tickable,
-                            public sim::Snapshottable,
-                            public sim::Waitable {
+class CoreletArray;
+
+/// One core of a MIMD processor; its CoreletArray ticks it, takes its
+/// contexts' wakes and holds the processor's barrier.
+class alignas(64) Corelet : public sim::Snapshottable {
  public:
-  /// `dcache` decodes and dispatches every issued instruction (shared
-  /// read-only across a job's corelets; it also names the program).
-  /// `issue_width` > 1 approximates the multicore's wide issue: each edge
-  /// runs that many single-issue steps across the contexts. `live_corelets`,
-  /// when given, counts corelets with a context not yet halted.
-  Corelet(u32 core_id, const CoreConfig& cfg, DecodedBlockCache* dcache,
-          mem::LocalStore* local, mem::DramImage* dram, GlobalPort* port,
-          ExecStats* stats, trace::TraceSession* trace = nullptr,
-          u32 issue_width = 1, u32* live_corelets = nullptr);
+  /// `array` owns this core. `dcache` decodes and dispatches every issued
+  /// instruction (shared read-only across a job's corelets; it also names
+  /// the program). `issue_width` > 1 approximates the multicore's wide
+  /// issue: each edge runs that many single-issue steps across the contexts.
+  Corelet(CoreletArray* array, u32 core_id, const CoreConfig& cfg,
+          DecodedBlockCache* dcache, mem::LocalStore* local,
+          mem::DramImage* dram, GlobalPort* port, ExecStats* stats,
+          trace::TraceSession* trace, u32 issue_width);
 
   /// One compute-clock edge: issue up to `issue_width` instructions.
-  /// `period_ps` is the current compute period (DFS may change it).
-  Picos tick(Picos now, Picos period_ps) override;
+  /// `period_ps` is the current compute period (DFS may change it). Returns
+  /// this core's next wake: the soonest ready context's wake-up, or `now`
+  /// while a context that just issued is still ready.
+  Picos tick(Picos now, Picos period_ps);
 
-  /// Earliest edge at which some context could issue: the soonest kReady
-  /// wake-up. Mem-stalled and halted contexts only change via port
-  /// wakes, which post the context's wake-up as this corelet's wake.
-  Picos next_event(Picos now) const override;
-
-  /// Idle accounting for edges without a tick (matches tick()'s
-  /// nothing-runnable path).
-  void skip_idle(u64 edges) override;
-
-  /// sim::Waitable: context `index` has its data (or its barrier release)
-  /// at `at`. A traced context closes its load's stall slice here.
-  void wake(u32 index, Picos at) override;
+  /// Context `index` has its data (or its barrier release) at `at`. A
+  /// traced context closes its load's stall slice here.
+  void wake(u32 index, Picos at);
 
   bool halted() const { return live_contexts_ == 0; }
 
@@ -95,8 +93,6 @@ class alignas(64) Corelet : public sim::Tickable,
 
   Context& context(u32 i) { return contexts_[i]; }
   const Context& context(u32 i) const { return contexts_[i]; }
-  u32 num_contexts() const { return static_cast<u32>(contexts_.size()); }
-  u32 core_id() const { return core_id_; }
 
  private:
   /// How a kind issues. A kind with a counter runs straight: execute, count,
@@ -119,7 +115,7 @@ class alignas(64) Corelet : public sim::Tickable,
   /// Issue one instruction from runnable context `index`; true when that
   /// context is still ready afterwards (it may go again next edge).
   bool issue(u32 index, Picos now, Picos period_ps);
-  /// issue() for the kinds that go through the port.
+  /// issue() for the kinds that go through the port or the barrier.
   bool issue_to_port(const DecodedInstr& de, Context& ctx, u32 index,
                      Picos now, Picos period_ps);
   /// The context after `index` in round-robin order (no division: the
@@ -127,12 +123,10 @@ class alignas(64) Corelet : public sim::Tickable,
   u32 following(u32 index) const {
     return index + 1 == contexts_.size() ? 0 : index + 1;
   }
-  /// Recount live contexts (construction, restore) and keep the shared
-  /// live-corelet count in step.
+  /// Recount live contexts (construction, restore).
   void recount_live();
 
-  // What every issue reads comes first, next to the vtable pointer the
-  // kernel's tick call loads anyway.
+  // What every issue reads comes first.
   std::vector<Context> contexts_;
   u32 rr_next_ = 0;
   u32 live_contexts_ = 0;
@@ -144,12 +138,77 @@ class alignas(64) Corelet : public sim::Tickable,
   ExecStats* stats_;
   std::array<KindTiming, kNumStepKinds> timing_;
 
+  CoreletArray* array_;
   u32 core_id_;
   CoreConfig cfg_;
   GlobalPort* port_;
   trace::TraceSession* trace_;
-  u32* live_corelets_;
   std::vector<IssueRecord> issued_;  ///< per context; used when traced
+};
+
+/// A MIMD processor (Millipede, SSMC, the multicore) as one compute unit, as
+/// the SM is for the GPGPU. It is the waiter for all its contexts (wake index
+/// `core * contexts + context`, also the context's trace track) and keeps
+/// each core's wake: what the core's tick returned, lowered by its contexts'
+/// wakes. A tick runs, in core order, only the cores whose wake has come
+/// (every core when polled) and charges the live cores it passes over their
+/// idle issue slots. With `bar` in the program it holds the processor-wide
+/// Barrier over all its threads: `bar` arrives there, `halt` deregisters.
+class CoreletArray : public sim::Tickable, public sim::Waitable {
+ public:
+  /// One corelet per core of `cfg`, core `c` owning `locals[c]`, each
+  /// issuing through `port` (up to `issue_width` instructions per edge).
+  CoreletArray(const CoreConfig& cfg, DecodedBlockCache* dcache,
+               std::span<mem::LocalStore> locals, mem::DramImage* dram,
+               GlobalPort* port, ExecStats* stats,
+               trace::TraceSession* trace = nullptr, u32 issue_width = 1);
+  // Its corelets, its kernel slot and pending wakes hold its address.
+  CoreletArray(const CoreletArray&) = delete;
+  CoreletArray& operator=(const CoreletArray&) = delete;
+
+  Picos tick(Picos now, Picos period_ps) override;
+  /// The soonest core wake.
+  Picos next_event(Picos now) const override;
+  /// Every live core idles `issue_width` slots per edge.
+  void skip_idle(u64 edges) override {
+    stats_->idle_cycles.inc(edges * live_cores_ * issue_width_);
+  }
+  /// sim::Waitable: context `index % contexts` of core `index / contexts`.
+  void wake(u32 index, Picos at) override;
+
+  /// No core has a context left (O(1): the kernel asks every edge).
+  bool halted() const { return live_cores_ == 0; }
+
+  /// A thread of `core` halted; the barrier stops expecting it.
+  void retire_thread(const Corelet& core, Picos now, Picos period_ps) {
+    live_cores_ -= core.halted();
+    if (barrier_) barrier_->deregister(now, period_ps);
+  }
+  /// After construction or a core's restore.
+  void recount_live();
+  /// Corelet::tick calls so far (scheduling work, not a simulated counter).
+  u64 core_ticks() const { return core_ticks_; }
+
+  Corelet& core(u32 c) { return corelets_[c]; }
+  /// The processor's barrier; null unless the program contains `bar`.
+  Barrier* barrier() { return barrier_ ? &*barrier_ : nullptr; }
+
+  /// One line per context (PC, state, ready time, instret) for watchdog
+  /// dumps.
+  std::string debug_dump() const;
+
+ private:
+  std::vector<Corelet> corelets_;
+  std::vector<Picos> wake_;  ///< per core
+  /// The soonest wake fired since this edge's tick began.
+  Picos woken_ = sim::kNoEvent;
+  std::optional<Barrier> barrier_;
+  DecodedBlockCache* dcache_;
+  ExecStats* stats_;
+  u32 contexts_;
+  u32 issue_width_;
+  u32 live_cores_ = 0;
+  u64 core_ticks_ = 0;
 };
 
 }  // namespace mlp::core

@@ -45,9 +45,9 @@ class DecodedBlockCache : public sim::Snapshottable {
     return de;
   }
 
-  /// Resets the convergence memo; the kernel calls this once per compute
-  /// clock edge (fast-forwarded edges issue nothing, so skipping them
-  /// changes no counter).
+  /// Resets the convergence memo; the processor's compute unit (the corelet
+  /// array or the SM) calls this at the start of each of its ticks. An edge
+  /// at which it is not ticked issues nothing, so that changes no counter.
   void begin_compute_edge() { edge_block_ = kNoBlock; }
 
   /// Extra converged lanes executing one decoded instruction (SIMT warps:

@@ -57,20 +57,6 @@ class GlobalPort {
     return PortResult{PortStatus::kDone, fixed_ready_at};
   }
 
-  /// Processor-wide thread barrier (`bar`). Default: free no-op, for
-  /// architectures that don't wire one up (the ablation uses BarrierPort).
-  virtual PortResult barrier(u32 core, u32 ctx, Picos now, Picos period_ps,
-                             sim::Wake wake) {
-    (void)core; (void)ctx; (void)wake;
-    return PortResult{PortStatus::kDone, now + period_ps};
-  }
-
-  /// Notification that a hardware thread executed halt (barriers must stop
-  /// expecting it).
-  virtual void thread_halted(u32 core, u32 ctx, Picos now, Picos period_ps) {
-    (void)core; (void)ctx; (void)now; (void)period_ps;
-  }
-
  private:
   bool local_latency_fixed_;
 };

@@ -106,6 +106,7 @@ std::string StreamingMultiprocessor::debug_dump() const {
 }
 
 Picos StreamingMultiprocessor::tick(Picos now, Picos period_ps) {
+  deps_.dcache->begin_compute_edge();
   const u32 contexts = cfg_.core.contexts;
   bool ready = false;
   for (u32 g = 0; g < groups_; ++g) {
@@ -291,9 +292,9 @@ void StreamingMultiprocessor::issue(Warp& warp, u32 group, Picos now,
       break;
     }
     case core::StepKind::kBarrier: {
-      // Internal invariant: the software-barrier ablation targets the MIMD
-      // machines, and run_arch rejects record barriers on the SIMT kinds
-      // as a config error before any program reaches the SM.
+      // Internal invariant: the software-barrier ablation targets the
+      // Millipede processor, and run_arch rejects record barriers on every
+      // other kind as a config error before any program reaches the SM.
       MLP_CHECK(false, "bar is not supported on the SM");
       break;
     }

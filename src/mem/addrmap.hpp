@@ -132,13 +132,6 @@ class AddressMap {
     return index;
   }
 
-  // Field accessors for the mapping property tests.
-  const BitField& channel_field() const { return channel_; }
-  const BitField& rank_field() const { return rank_; }
-  const BitField& bank_field() const { return bank_; }
-  const BitField& row_field() const { return row_; }
-  const BitField& column_field() const { return column_; }
-
  private:
   enum Which : u32 { kChannel = 0, kRank = 1, kBank = 2 };
   struct StripedField {

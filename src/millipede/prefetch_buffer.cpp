@@ -57,13 +57,6 @@ PrefetchBuffer::Entry* PrefetchBuffer::find(u64 row) {
   return &entry;
 }
 
-bool PrefetchBuffer::all_filled() const {
-  for (u32 i = 0; i < count_; ++i) {
-    if (!entries_[(head_ + i) % num_entries_].filled) return false;
-  }
-  return count_ > 0;
-}
-
 void PrefetchBuffer::prime(Picos now) {
   const u64 end = plan_.first_row + plan_.num_rows;
   // Steady-state run-ahead equals the priming depth (each entry's first

@@ -132,7 +132,6 @@ class PrefetchBuffer : public core::GlobalPort, public mem::Requester,
   /// window) re-allocates unsaturated heads — the premature eviction the
   /// paper quantifies; ordinary triggers defer exactly like flow control.
   void trigger(Picos now, bool force_evict = false);
-  bool all_filled() const;
   core::PortResult victim_fetch(u32 core, u64 row, Picos now,
                                 sim::Wake wake);
 

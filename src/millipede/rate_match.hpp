@@ -31,7 +31,6 @@ class RateMatcher : public sim::Snapshottable {
   void vote_compute_bound(Picos now = 0);
 
   double current_mhz() const { return clock_->frequency_mhz(); }
-  u64 adjustments() const { return steps_down_.value + steps_up_.value; }
 
   // sim::Snapshottable: the in-window vote tallies (the clock period itself
   // is restored with the compute ClockDomain by the kernel section).

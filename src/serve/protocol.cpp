@@ -143,6 +143,14 @@ std::string id_request(const char* type, u64 id) {
 
 }  // namespace
 
+u64 member_ms(const trace::JsonValue& obj, const std::string& name) {
+  const u64 ms = member_u64(obj, name, 0);
+  if (ms > kMaxDurationMs) {
+    bad_request("\"" + name + "\" must be " + duration_expects());
+  }
+  return ms;
+}
+
 const char* job_state_name(JobState state) {
   switch (state) {
     case JobState::kQueued:
@@ -256,7 +264,7 @@ JobSpec job_from_json(const trace::JsonValue& doc) {
     sim::knob_set(knob, job.options, *value);
   }
 
-  spec.hold_ms = member_u64(doc, "hold_ms", 0);
+  spec.hold_ms = member_ms(doc, "hold_ms");
   return spec;
 }
 

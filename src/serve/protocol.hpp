@@ -123,6 +123,10 @@ std::string job_json(const JobSpec& spec);
 /// unknown arch spellings throw SimError(kErrBadRequest, ...).
 JobSpec job_from_json(const trace::JsonValue& doc);
 
+/// A request's millisecond member ("hold_ms", "wait_ms"); 0 when absent.
+/// Anything but an integer in [0, kMaxDurationMs] throws kErrBadRequest.
+u64 member_ms(const trace::JsonValue& obj, const std::string& name);
+
 // ---- request builders (client side) ----
 
 std::string ping_request();

@@ -305,9 +305,7 @@ std::string Server::handle_result(const trace::JsonValue& doc) {
   const u64 id = doc.u64_at("id");
   const trace::JsonValue* wait = doc.find("wait");
   const bool block = wait != nullptr && wait->boolean;
-  const trace::JsonValue* wait_ms = doc.find("wait_ms");
-  const u64 bound_ms =
-      wait_ms != nullptr ? wait_ms->unsigned_integer : 0;
+  const u64 bound_ms = member_ms(doc, "wait_ms");
 
   std::unique_lock<std::mutex> lock(mutex_);
   const auto it = jobs_.find(id);

@@ -239,7 +239,6 @@ Picos SimulationKernel::run(const std::function<bool()>& done) {
       now_ = compute_.next_edge_ps();
       const Picos period = compute_.period_ps();
       ++compute_edges_;
-      if (compute_edge_hook_) compute_edge_hook_();
       if (fast_forward_) {
         compute_units_.tick_due(now_, period);
       } else {

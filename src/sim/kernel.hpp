@@ -1,7 +1,7 @@
 #pragma once
 // The shared two-domain simulation kernel. Every architecture model wires
-// its components (corelets or an SM on the compute domain; prefetch buffer,
-// caches and the channel demux on the DRAM-channel domain) onto one
+// its components (a corelet array or an SM on the compute domain; prefetch
+// buffer, caches and the channel demux on the DRAM-channel domain) onto one
 // SimulationKernel and calls run(); the kernel owns the step loop:
 //
 //  * two ClockDomains advanced in global time order (compute edge first on
@@ -64,15 +64,6 @@ class SimulationKernel {
   /// run().
   void set_progress(std::function<u64()> progress) {
     progress_ = std::move(progress);
-  }
-
-  /// Optional hook invoked once per PROCESSED compute edge, before the
-  /// compute units tick (the decoded-block cache resets its convergence
-  /// memo here). Jumped-over edges skip it by construction: a skipped edge
-  /// issues nothing, so a memo reset there would be a no-op — which is why
-  /// decode counters stay bit-identical to polling.
-  void set_compute_edge_hook(std::function<void()> hook) {
-    compute_edge_hook_ = std::move(hook);
   }
 
   /// One-stop trace registration reproducing the pre-kernel per-arch layout:
@@ -177,7 +168,6 @@ class SimulationKernel {
   Schedule channel_units_{&channel_};
   std::function<std::string()> dump_;
   std::function<u64()> progress_;
-  std::function<void()> compute_edge_hook_;
   /// A member so restore can write its trip state in place; its wall-clock
   /// budget (a deployment setting, off by default) runs from construction.
   Watchdog watchdog_;

@@ -106,7 +106,8 @@ const Knob kKnobs[] = {
      .field = MLP_KNOB_FIELD(cfg.watchdog.stall_cycles)},
     {.name = "watchdog_wall", .flag = "--watchdog-wall", .metavar = "MS",
      .help = "per-run job-timeout error after MS ms of wall clock; 0 = off",
-     .field = MLP_KNOB_FIELD(cfg.watchdog.wall_ms)},
+     .field = MLP_KNOB_FIELD(cfg.watchdog.wall_ms),
+     .range = KnobRange::kDurationMs},
     {.name = "fast_forward", .flag = "--no-fast-forward",
      .help = "tick every component at every clock edge (the poll oracle)",
      .field = MLP_KNOB_FIELD(cfg.fast_forward)},
@@ -150,7 +151,8 @@ u64 int_limit(const Knob& knob) {
 bool in_range(const Knob& knob, const KnobValue& value) {
   if (const u64* n = std::get_if<u64>(&value)) {
     return *n <= int_limit(knob) &&
-           (knob.range != KnobRange::kPositive || *n >= 1);
+           (knob.range != KnobRange::kPositive || *n >= 1) &&
+           (knob.range != KnobRange::kDurationMs || *n <= kMaxDurationMs);
   }
   if (const double* x = std::get_if<double>(&value)) {
     if (!std::isfinite(*x)) return false;
@@ -281,6 +283,7 @@ std::optional<KnobValue> knob_from_json(const Knob& knob,
 std::string knob_expects(const Knob& knob) {
   if (knob.expects != nullptr) return knob.expects;
   const KnobValue value = knob_default(knob);
+  if (knob.range == KnobRange::kDurationMs) return duration_expects();
   if (std::holds_alternative<u64>(value)) {
     std::string text = knob.range == KnobRange::kPositive ? "a positive "
                                                           : "a non-negative ";

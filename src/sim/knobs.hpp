@@ -26,9 +26,10 @@ using KnobValue = std::variant<u64, double, bool, std::string>;
 using KnobField = std::variant<u64*, u32*, double*, bool*, std::string*>;
 
 /// Accepted values of a numeric knob. Integers: kAny is [0, type max],
-/// kPositive is [1, type max]. Reals: kPositive is (0, inf), kProbability
-/// is [0, 1]. Booleans and text knobs ignore it.
-enum class KnobRange : u8 { kAny, kPositive, kProbability };
+/// kPositive is [1, type max], kDurationMs is [0, kMaxDurationMs]. Reals:
+/// kPositive is (0, inf), kProbability is [0, 1]. Booleans and text knobs
+/// ignore it.
+enum class KnobRange : u8 { kAny, kPositive, kProbability, kDurationMs };
 
 struct Knob {
   const char* name;  ///< job-object member, CSV column, stats-JSON key

@@ -1,8 +1,8 @@
 #pragma once
 // The component interface of the shared simulation kernel. A Tickable is
-// anything wired onto one of the kernel's two clock domains (corelets and
-// the SM on the compute domain; prefetch buffer, caches and the channel
-// demux on the DRAM-channel domain).
+// anything wired onto one of the kernel's two clock domains (a MIMD
+// processor's corelet array or the SM on the compute domain; prefetch
+// buffer, caches and the channel demux on the DRAM-channel domain).
 //
 // The kernel is activity-driven (sim/kernel.hpp): each unit has a posted
 // wake time, and the kernel ticks a unit only at the edges of its domain at
@@ -39,6 +39,7 @@ struct KernelWork {
   u64 compute_edges = 0;  ///< compute edges processed
   u64 channel_edges = 0;  ///< channel edges processed
   u64 unit_ticks = 0;     ///< Tickable::tick calls, both domains
+  u64 core_ticks = 0;     ///< Corelet::tick calls by a CoreletArray
 };
 
 class Schedule;
@@ -68,6 +69,9 @@ class Tickable {
   virtual void skip_idle(u64 edges) { (void)edges; }
 
  protected:
+  /// False while polled: every edge ticks the unit.
+  bool scheduled() const { return schedule_ != nullptr; }
+
   /// A stimulus from outside this unit's own tick may let it act at `at`.
   /// No-op when the unit is not scheduled by an activity-driven kernel.
   void wake_at(Picos at);

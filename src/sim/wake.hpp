@@ -12,8 +12,8 @@
 
 namespace mlp::sim {
 
-/// A unit with waiters: an issue engine whose contexts (the corelet) or
-/// warps (the SM) block, or a memory unit whose fills wait on DRAM.
+/// A unit with waiters: an issue engine whose contexts (the corelet array)
+/// or warps (the SM) block, or a memory unit whose fills wait on DRAM.
 class Waitable {
  public:
   /// Waiter `index` can go on at `at`.

@@ -124,6 +124,15 @@ inline u64 parse_u64(const std::string& flag, const std::string& text,
   return value;
 }
 
+/// Milliseconds, at most kMaxDurationMs.
+inline u64 parse_ms(const std::string& flag, const std::string& text) {
+  const u64 value = parse_u64(flag, text);
+  if (value > kMaxDurationMs) {
+    flag_error(flag, text, duration_expects().c_str());
+  }
+  return value;
+}
+
 inline u32 parse_u32(const std::string& flag, const std::string& text,
                      u32 min = 0) {
   const u64 value = parse_u64(flag, text, min);

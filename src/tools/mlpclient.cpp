@@ -90,7 +90,7 @@ serve::JobSpec parse_job(tools::ArgCursor& args, bool* stats_json) {
     } else if (args.is("--tag")) {
       spec.job.tag = args.value();
     } else if (args.is("--hold-ms")) {
-      spec.hold_ms = tools::parse_u64(arg, args.value());
+      spec.hold_ms = tools::parse_ms(arg, args.value());
     } else if (!tools::consume_knob(args, spec.job.options)) {
       std::exit(tools::unknown_flag(arg));
     }
@@ -186,10 +186,10 @@ int main(int argc, char** argv) {
       raw = true;
     } else if (args.is("--connect-timeout-ms")) {
       client_options.connect_timeout_ms =
-          static_cast<i64>(tools::parse_u64(args.flag(), args.value()));
+          static_cast<i64>(tools::parse_ms(args.flag(), args.value()));
     } else if (args.is("--request-timeout-ms")) {
       client_options.request_timeout_ms =
-          static_cast<i64>(tools::parse_u64(args.flag(), args.value()));
+          static_cast<i64>(tools::parse_ms(args.flag(), args.value()));
     } else if (args.flag().rfind("--", 0) == 0) {
       return tools::unknown_flag(args.flag());
     } else {

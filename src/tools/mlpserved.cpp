@@ -86,8 +86,7 @@ int main(int argc, char** argv) {
       cfg.snapshot_entries = tools::parse_u64(args.flag(), args.value(),
                                               /*min=*/1);
     } else if (args.is("--job-timeout-ms")) {
-      cfg.job_timeout_ms = tools::parse_u64(args.flag(), args.value(),
-                                            /*min=*/0);
+      cfg.job_timeout_ms = tools::parse_ms(args.flag(), args.value());
     } else {
       return tools::unknown_flag(args.flag());
     }

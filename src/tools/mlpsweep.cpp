@@ -233,10 +233,10 @@ int main(int argc, char** argv) {
       }
     } else if (args.is("--connect-timeout-ms")) {
       shard_options.connect_timeout_ms =
-          static_cast<i64>(tools::parse_u64(args.flag(), args.value()));
+          static_cast<i64>(tools::parse_ms(args.flag(), args.value()));
     } else if (args.is("--request-timeout-ms")) {
       shard_options.request_timeout_ms =
-          static_cast<i64>(tools::parse_u64(args.flag(), args.value()));
+          static_cast<i64>(tools::parse_ms(args.flag(), args.value()));
     } else if (args.is("--retry-budget")) {
       shard_options.retry_budget =
           tools::parse_u32(args.flag(), args.value());

@@ -67,7 +67,7 @@ enum class EventKind : u8 {
 enum class Domain : u8 { kCompute = 0, kChannel = 1 };
 
 /// Track-id convention for non-corelet emitters (corelet stalls use
-/// `corelet * contexts + context`, matching the dump_corelets layout).
+/// `corelet * contexts + context`, the corelet array's wake index).
 inline constexpr u32 kDramTrackBase = 0x10000;  ///< + (channel*ranks + rank)
                                                 ///<   * banks + bank
 inline constexpr u32 kPrefetchTrack = 0x20000;

@@ -71,7 +71,6 @@ class InterleavedLayout {
   u64 num_records() const { return num_records_; }
   u32 group_records() const { return group_records_; }
   u32 group_shift() const { return group_shift_; }
-  u32 row_shift() const { return row_shift_; }
   u64 num_groups() const { return num_groups_; }
   Addr base() const { return base_; }
 

@@ -43,6 +43,19 @@ TEST(ParseU32, RejectsValuesAbove32Bits) {
               "32-bit");
 }
 
+TEST(ParseMs, RejectsDurationsPastAWeekWithExit2) {
+  EXPECT_EQ(parse_ms("--hold-ms", "0"), 0u);
+  EXPECT_EQ(parse_ms("--hold-ms", "604800000"), kMaxDurationMs);
+  EXPECT_EXIT(parse_ms("--hold-ms", "604800001"), testing::ExitedWithCode(2),
+              "--hold-ms expects a duration of at most 604800000 ms");
+  EXPECT_EXIT(parse_ms("--job-timeout-ms", "10000000000000"),
+              testing::ExitedWithCode(2), "--job-timeout-ms");
+  EXPECT_EXIT(parse_ms("--request-timeout-ms", "9223372036854775808"),
+              testing::ExitedWithCode(2), "--request-timeout-ms");
+  EXPECT_EXIT(parse_ms("--hold-ms", "abc"), testing::ExitedWithCode(2),
+              "non-negative integer");
+}
+
 TEST(SplitList, SplitsAndRejectsEmptyElements) {
   EXPECT_EQ(split_list("--l", "a,b,c"),
             (std::vector<std::string>{"a", "b", "c"}));

@@ -1,9 +1,15 @@
 // Tests for the processor-wide software barrier (`bar`) used by the
 // Section IV-C record-granularity-barrier ablation: the Barrier component,
 // corelet synchronization semantics, deadlock-freedom under uneven halts,
-// and end-to-end correctness of barrier-compiled kernels.
+// a release that crosses cores inside one corelet array, and end-to-end
+// correctness of barrier-compiled kernels.
 
 #include <gtest/gtest.h>
+
+#include <array>
+#include <optional>
+#include <span>
+#include <vector>
 
 #include "arch/system.hpp"
 #include "core/barrier.hpp"
@@ -11,6 +17,7 @@
 #include "core/decode_cache.hpp"
 #include "isa/assembler.hpp"
 #include "isa/encoding.hpp"
+#include "sim/kernel.hpp"
 #include "sim/runner.hpp"
 #include "wake_probe.hpp"
 
@@ -55,7 +62,14 @@ TEST(Barrier, HaltedThreadDeregistersAndReleases) {
   EXPECT_EQ(barrier.episodes(), 1u);
 }
 
-TEST(BarrierPort, SynchronizesCoreletContexts) {
+/// Stand-in input port: every load completes at once.
+struct NopPort : GlobalPort {
+  PortResult load(u32, u32, Addr, Picos now, sim::Wake) override {
+    return {PortStatus::kDone, now};
+  }
+};
+
+TEST(CoreletBarrier, SynchronizesCoreletContexts) {
   // Context 0 does extra work before the barrier; all contexts must leave
   // the barrier together.
   isa::Program program = isa::must_assemble("bar_test", R"(
@@ -71,35 +85,33 @@ at_bar:
     halt
   )");
   CoreConfig cfg;
+  cfg.cores = 1;
   cfg.contexts = 4;
   mem::LocalStore local(1024);
   mem::DramImage dram(1024);
-  struct Nop : GlobalPort {
-    PortResult load(u32, u32, Addr, Picos now, sim::Wake) override {
-      return {PortStatus::kDone, now};
-    }
-  } nop;
-  BarrierPort port(&nop, cfg.contexts);
+  NopPort port;
   ExecStats stats;
   DecodedBlockCache dcache(program);
-  Corelet corelet(0, cfg, &dcache, &local, &dram, &port, &stats);
+  CoreletArray array(cfg, &dcache, std::span(&local, 1), &dram, &port,
+                     &stats);
   for (u32 x = 0; x < 4; ++x) {
-    corelet.context(x).csr.set(isa::Csr::kCtx, x);
+    array.core(0).context(x).csr.set(isa::Csr::kCtx, x);
   }
+  ASSERT_NE(array.barrier(), nullptr);
   Picos now = 0;
   u64 guard = 0;
   bool waiters_seen = false;
-  while (!corelet.halted()) {
+  while (!array.halted()) {
     ASSERT_LT(++guard, 100000u) << "barrier deadlock";
-    corelet.tick(now, 1000);
-    waiters_seen |= port.state().waiting() > 0;
+    array.tick(now, 1000);
+    waiters_seen |= array.barrier()->waiting() > 0;
     now += 1000;
   }
   EXPECT_TRUE(waiters_seen) << "fast contexts must have waited";
-  EXPECT_EQ(port.state().episodes(), 1u);
+  EXPECT_EQ(array.barrier()->episodes(), 1u);
 }
 
-TEST(BarrierPort, UnevenHaltsDoNotDeadlock) {
+TEST(CoreletBarrier, UnevenHaltsDoNotDeadlock) {
   // Context 0 halts immediately; the rest synchronize twice.
   isa::Program program = isa::must_assemble("bar_halt", R"(
     csrr r1, CTX
@@ -110,27 +122,112 @@ out:
     halt
   )");
   CoreConfig cfg;
+  cfg.cores = 1;
   cfg.contexts = 4;
   mem::LocalStore local(64);
   mem::DramImage dram(64);
-  struct Nop : GlobalPort {
-    PortResult load(u32, u32, Addr, Picos now, sim::Wake) override {
-      return {PortStatus::kDone, now};
-    }
-  } nop;
-  BarrierPort port(&nop, cfg.contexts);
+  NopPort port;
   ExecStats stats;
   DecodedBlockCache dcache(program);
-  Corelet corelet(0, cfg, &dcache, &local, &dram, &port, &stats);
-  for (u32 x = 0; x < 4; ++x) corelet.context(x).csr.set(isa::Csr::kCtx, x);
+  CoreletArray array(cfg, &dcache, std::span(&local, 1), &dram, &port,
+                     &stats);
+  for (u32 x = 0; x < 4; ++x) {
+    array.core(0).context(x).csr.set(isa::Csr::kCtx, x);
+  }
   Picos now = 0;
   u64 guard = 0;
-  while (!corelet.halted()) {
+  while (!array.halted()) {
     ASSERT_LT(++guard, 100000u) << "deadlock after context halt";
-    corelet.tick(now, 1000);
+    array.tick(now, 1000);
     now += 1000;
   }
-  EXPECT_EQ(port.state().episodes(), 2u);
+  EXPECT_EQ(array.barrier()->episodes(), 2u);
+}
+
+/// Core 0's contexts wait at `bar` while core 1's spin and halt; the halt of
+/// core 1's last thread releases core 0 in the edge that already passed it.
+struct CrossCoreRelease {
+  CrossCoreRelease()
+      : program(isa::must_assemble("bar_cross", R"(
+    csrr r1, CID
+    bne  r1, r0, spinner
+    bar
+    csrr r2, CTX
+    addi r2, r2, 1
+    halt
+spinner:
+    li   r3, 0
+    li   r4, 20
+spin:
+    addi r3, r3, 1
+    blt  r3, r4, spin
+    halt
+  )")),
+        dcache(program),
+        locals(2, mem::LocalStore(64)),
+        dram(64) {
+    cfg.core.cores = 2;
+    cfg.core.contexts = 2;
+    array.emplace(cfg.core, &dcache, std::span(locals), &dram, &port, &stats);
+    for (u32 c = 0; c < 2; ++c) {
+      for (u32 x = 0; x < 2; ++x) {
+        array->core(c).context(x).csr.set(isa::Csr::kCid, c);
+        array->core(c).context(x).csr.set(isa::Csr::kCtx, x);
+      }
+    }
+  }
+
+  MachineConfig cfg = MachineConfig::paper_defaults();
+  isa::Program program;
+  DecodedBlockCache dcache;
+  std::vector<mem::LocalStore> locals;
+  mem::DramImage dram;
+  NopPort port;
+  ExecStats stats;
+  std::optional<CoreletArray> array;
+};
+
+TEST(CoreletBarrier, ReleaseByALaterCoreWakesAnEarlierOne) {
+  CrossCoreRelease m;
+  const Picos period = m.cfg.core.period_ps();
+  Barrier& barrier = *m.array->barrier();
+  bool released = false;
+  for (Picos now = 0; !m.array->halted(); now += period) {
+    ASSERT_LT(now, 1000 * period) << "barrier deadlock";
+    const u64 episodes = barrier.episodes();
+    const Picos wake = m.array->tick(now, period);
+    if (barrier.episodes() == episodes) continue;
+    released = true;
+    EXPECT_TRUE(m.array->core(1).halted());
+    EXPECT_EQ(m.array->core(0).context(0).state, Context::State::kReady);
+    EXPECT_LE(wake, now + period) << "the released core's wake was dropped";
+  }
+  EXPECT_TRUE(released);
+  EXPECT_EQ(m.array->core(0).context(0).reg(2), 1u);
+  EXPECT_EQ(m.array->core(0).context(1).reg(2), 2u);
+}
+
+TEST(CoreletBarrier, CrossCoreReleaseRunsAsPolled) {
+  // One run per mode through the kernel: the scheduled array must process
+  // the released core's edges exactly as polling does.
+  const auto run = [](bool fast_forward) {
+    CrossCoreRelease m;
+    m.cfg.fast_forward = fast_forward;
+    m.cfg.watchdog.stall_cycles = 10000;
+    sim::SimulationKernel kernel(m.cfg, "test", nullptr);
+    kernel.add_compute(&*m.array);
+    kernel.set_progress([&m] { return m.stats.instructions.value; });
+    const Picos end = kernel.run([&m] { return m.array->halted(); });
+    return std::array<u64, 6>{end,
+                              kernel.compute_cycles(),
+                              m.stats.instructions.value,
+                              m.stats.busy_cycles.value,
+                              m.stats.idle_cycles.value,
+                              m.array->barrier()->episodes()};
+  };
+  const std::array<u64, 6> polled = run(false);
+  EXPECT_EQ(polled[5], 1u);
+  EXPECT_EQ(run(true), polled);
 }
 
 TEST(BarrierIsa, AssemblesAndClassifies) {
@@ -159,12 +256,13 @@ TEST(BarrierWorkload, KernelsWithRecordBarriersStayCorrect) {
   }
 }
 
-TEST(BarrierWorkload, RecordBarriersOnTheSmAreAConfigError) {
-  // The SM does not model `bar`: every SIMT kind rejects a record-barrier
-  // job as a typed per-run config error instead of aborting the process.
+TEST(BarrierWorkload, RecordBarriersOffTheMillipedeKindsAreAConfigError) {
+  // Only the Millipede processor has a barrier: every other kind rejects a
+  // record-barrier job as a typed per-run config error instead of running
+  // `bar` as a no-op or aborting the process.
   for (const arch::ArchKind kind :
-       {arch::ArchKind::kGpgpu, arch::ArchKind::kVws,
-        arch::ArchKind::kVwsRow}) {
+       {arch::ArchKind::kGpgpu, arch::ArchKind::kVws, arch::ArchKind::kVwsRow,
+        arch::ArchKind::kSsmc, arch::ArchKind::kMulticore}) {
     sim::MatrixJob job;
     job.kind = kind;
     job.bench = "count";

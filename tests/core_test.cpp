@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <span>
 
 #include "core/corelet.hpp"
 #include "core/decode_cache.hpp"
@@ -260,25 +261,28 @@ class FakePort : public GlobalPort {
   std::vector<sim::Wake> pending;
 };
 
+/// One corelet in a one-core array, ticked through the array (polled).
 struct CoreletFixture : ::testing::Test {
   CoreletFixture() : local(4096), dram(65536) {
+    cfg.cores = 1;
     cfg.contexts = 4;
   }
 
   void make(const std::string& src) {
-    corelet.reset();
+    array.reset();
     program = isa::must_assemble("core", src);
     dcache = std::make_unique<DecodedBlockCache>(program);
-    corelet = std::make_unique<Corelet>(0, cfg, dcache.get(), &local, &dram,
-                                        &port, &stats);
+    array = std::make_unique<CoreletArray>(
+        cfg, dcache.get(), std::span(&local, 1), &dram, &port, &stats);
+    corelet = &array->core(0);
   }
 
   /// Ticks until halted; returns number of cycles.
   u64 run(u64 limit = 100000) {
     u64 cycles = 0;
-    while (!corelet->halted()) {
+    while (!array->halted()) {
       MLP_CHECK(cycles < limit, "corelet did not halt");
-      corelet->tick(now, period);
+      array->tick(now, period);
       now += period;
       ++cycles;
     }
@@ -292,7 +296,8 @@ struct CoreletFixture : ::testing::Test {
   FakePort port;
   ExecStats stats;
   std::unique_ptr<DecodedBlockCache> dcache;
-  std::unique_ptr<Corelet> corelet;
+  std::unique_ptr<CoreletArray> array;
+  Corelet* corelet = nullptr;
   Picos now = 0;
   Picos period = 1429;
 };
@@ -347,12 +352,12 @@ TEST_F(CoreletFixture, PendingLoadBlocksContextUntilWakeup) {
   cfg.contexts = 1;
   make("lw r2, 0(r0)\n addi r3, r2, 1\n halt\n");
   dram.write_u32(0, 41);
-  corelet->tick(now, period);
+  array->tick(now, period);
   EXPECT_EQ(corelet->context(0).state, Context::State::kWaitMem);
   // No progress while waiting.
   for (int i = 0; i < 5; ++i) {
     now += period;
-    corelet->tick(now, period);
+    array->tick(now, period);
   }
   EXPECT_EQ(stats.instructions.value, 1u);
   EXPECT_EQ(stats.idle_cycles.value, 5u);
@@ -450,6 +455,7 @@ TEST(CoreletPort, FixedLatencyLocalAccessesSkipThePort) {
     halt
   )");
   CoreConfig cfg;
+  cfg.cores = 1;
   cfg.contexts = 2;
   cfg.local_latency = 3;
   struct Outcome {
@@ -463,13 +469,14 @@ TEST(CoreletPort, FixedLatencyLocalAccessesSkipThePort) {
     mem::DramImage dram(64);
     ExecStats stats;
     DecodedBlockCache dcache(program);
-    Corelet corelet(0, cfg, &dcache, &local, &dram, &port, &stats);
+    CoreletArray array(cfg, &dcache, std::span(&local, 1), &dram, &port,
+                       &stats);
     for (u32 x = 0; x < cfg.contexts; ++x) {
-      corelet.context(x).csr.set(Csr::kCtx, x);
+      array.core(0).context(x).csr.set(Csr::kCtx, x);
     }
     u64 cycles = 0;
-    for (Picos now = 0; !corelet.halted(); now += 1000) {
-      corelet.tick(now, 1000);
+    for (Picos now = 0; !array.halted(); now += 1000) {
+      array.tick(now, 1000);
       ++cycles;
     }
     return Outcome{port.local_accesses,   cycles,

@@ -521,39 +521,48 @@ TEST(KernelFastForward, MillipedeFreqStepsMatchPolling) {
 using PinnedCounters = std::array<u64, 6>;
 
 /// One point at rows 24: its event-mode scheduling work (compute edges
-/// processed, channel edges processed, unit ticks) and, off the paper
-/// defaults whose full StatSet the goldens pin, six of its counters.
+/// processed, channel edges processed, unit ticks, core ticks) and, off the
+/// paper defaults whose full StatSet the goldens pin, six of its counters.
 struct WorkPoint {
   arch::ArchKind kind;
   const char* bench;
   double bus_efficiency;  ///< 0 keeps the paper default
   const char* refresh;    ///< DramConfig::refresh; null keeps it off
-  std::array<u64, 3> work;  ///< compute edges, channel edges, unit ticks
+  std::array<u64, 4> work;  ///< compute, channel edges; unit, core ticks
   std::optional<PinnedCounters> counters;  ///< {} where a golden pins them
 };
 
 /// The four kinds' count and millipede/kmeans under paper defaults, two
 /// bandwidth-starved points where requesters park on DRAM, the
-/// compute-bound millipede/pca (every corelet due at every edge) and
-/// JEDEC-cadence refresh.
+/// compute-bound millipede/pca (every corelet due at every edge, one array
+/// tick per edge) and JEDEC-cadence refresh. Core ticks are 0 on the SM,
+/// which has no corelets.
 const WorkPoint kWorkPoints[] = {
-    {arch::ArchKind::kMillipede, "count", 0, nullptr, {5000, 36, 154310}, {}},
-    {arch::ArchKind::kSsmc, "count", 0, nullptr, {14037, 2077, 162249}, {}},
-    {arch::ArchKind::kGpgpu, "count", 0, nullptr, {6115, 604, 6719}, {}},
-    {arch::ArchKind::kMulticore, "count", 0, nullptr, {31680, 763, 93341}, {}},
-    {arch::ArchKind::kMillipede, "kmeans", 0, nullptr, {17557, 36, 560381}, {}},
-    {arch::ArchKind::kMulticore, "count", 0.05, nullptr, {93384, 764, 94358},
+    {arch::ArchKind::kMillipede, "count", 0, nullptr,
+     {5000, 36, 5036, 154274}, {}},
+    {arch::ArchKind::kSsmc, "count", 0, nullptr,
+     {14037, 2077, 21988, 154298}, {}},
+    {arch::ArchKind::kGpgpu, "count", 0, nullptr, {6115, 604, 6719, 0}, {}},
+    {arch::ArchKind::kMulticore, "count", 0, nullptr,
+     {31680, 763, 32443, 92578}, {}},
+    {arch::ArchKind::kMillipede, "kmeans", 0, nullptr,
+     {17557, 36, 17593, 560345}, {}},
+    {arch::ArchKind::kMulticore, "count", 0.05, nullptr,
+     {93384, 764, 94148, 93594},
      PinnedCounters{188392, 52372698, 124876, 124866, 10, 21579}},
-    {arch::ArchKind::kSsmc, "count", 0.05, nullptr, {74512, 2246, 163679},
+    {arch::ArchKind::kSsmc, "count", 0.05, nullptr,
+     {74512, 2246, 83904, 154287},
      PinnedCounters{77661, 110976140, 154252, 154242, 10, 17583}},
-    {arch::ArchKind::kMillipede, "pca", 0.9, nullptr, {54332, 20, 1738644},
+    {arch::ArchKind::kMillipede, "pca", 0.9, nullptr,
+     {54332, 20, 54352, 1738624},
      PinnedCounters{55101, 78737900, 1738624, 1738608, 16, 1684292}},
-    {arch::ArchKind::kMillipede, "count", 0, "on", {5000, 39, 154313},
+    {arch::ArchKind::kMillipede, "count", 0, "on", {5000, 39, 5039, 154274},
      PinnedCounters{6151, 8788350, 154252, 154242, 10, 83076}},
 };
 
-/// A scheduling regression (a unit ticked at edges where it has nothing to
-/// do, a jump not taken) moves no counter, only the kernel's work. Polling
+/// A scheduling regression (a unit or a core ticked at edges where it has
+/// nothing to do, a jump not taken) moves no counter, only the kernel's
+/// work. Polling
 /// and the reference interpreter give the same full result, polling
 /// processes every compute edge, and the event kernel's work is pinned.
 TEST(KernelWorkCounters, PinnedPerPointAndEqualAcrossModes) {
@@ -578,9 +587,9 @@ TEST(KernelWorkCounters, PinnedPerPointAndEqualAcrossModes) {
     expect_same_result(event, run_ok(nc_job), name + " without block cache");
 
     EXPECT_EQ(poll.work.compute_edges, poll.compute_cycles) << name;
-    const std::array<u64, 3> work = {event.work.compute_edges,
-                                     event.work.channel_edges,
-                                     event.work.unit_ticks};
+    const std::array<u64, 4> work = {
+        event.work.compute_edges, event.work.channel_edges,
+        event.work.unit_ticks, event.work.core_ticks};
     EXPECT_EQ(work, p.work) << name;
     if (p.counters) {
       const PinnedCounters counters = {

@@ -129,6 +129,17 @@ TEST(KnobParse, PositiveAndProbabilityRanges) {
   EXPECT_EQ(sim::knob_expects(rate), "a probability in [0, 1]");
 }
 
+TEST(KnobParse, WatchdogWallIsAtMostAWeek) {
+  const sim::Knob& wall = *sim::knob_for_flag("--watchdog-wall");
+  EXPECT_EQ(sim::knob_parse(wall, "0"), sim::KnobValue{u64{0}});
+  EXPECT_EQ(sim::knob_parse(wall, "604800000"), sim::KnobValue{kMaxDurationMs});
+  for (const char* bad :
+       {"604800001", "10000000000000", "18446744073709551615"}) {
+    EXPECT_FALSE(sim::knob_parse(wall, bad)) << bad;
+  }
+  EXPECT_EQ(sim::knob_expects(wall), duration_expects());
+}
+
 TEST(KnobFuzz, EveryKnobParserRoundTripsOrRejectsTyped) {
   Rng rng(kSeed);
   const std::vector<std::string>& benches = workloads::bmla_names();

@@ -1514,6 +1514,48 @@ TEST(Service, BoundedResultWaitHeartbeatsInsteadOfHanging) {
   EXPECT_EQ(done.doc.str_at("state"), "cancelled");
 }
 
+TEST(Service, MillisecondMembersPastAWeekAreBadRequests) {
+  // hold_ms, wait_ms and a job's watchdog_wall each become a deadline of
+  // steady_clock::now() plus that many milliseconds: past kMaxDurationMs
+  // they are typed bad requests, and at it they are accepted.
+  LiveServer live(ServeConfig{"", "", /*threads=*/1, /*queue_limit=*/4});
+  Client client;
+  client.connect(live.path());
+
+  JobSpec held = small_job("count");
+  held.hold_ms = kMaxDurationMs + 1;
+  const Response long_hold = client.submit(held);
+  EXPECT_FALSE(long_hold.ok);
+  EXPECT_EQ(long_hold.error, kErrBadRequest);
+  EXPECT_NE(long_hold.message.find("\"hold_ms\""), std::string::npos)
+      << long_hold.message;
+
+  JobSpec walled = small_job("count");
+  walled.job.options.cfg.watchdog.wall_ms = kMaxDurationMs + 1;
+  const Response long_wall = client.submit(walled);
+  EXPECT_FALSE(long_wall.ok);
+  EXPECT_EQ(long_wall.error, kErrBadRequest);
+  EXPECT_NE(long_wall.message.find("\"watchdog_wall\""), std::string::npos)
+      << long_wall.message;
+
+  held.hold_ms = kMaxDurationMs;
+  held.job.options.cfg.watchdog.wall_ms = kMaxDurationMs;
+  const Response sub = client.submit(held);
+  ASSERT_TRUE(sub.ok) << sub.message;
+  const u64 id = sub.doc.u64_at("id");
+  const Response long_wait = client.result(id, true, kMaxDurationMs + 1);
+  EXPECT_FALSE(long_wait.ok);
+  EXPECT_EQ(long_wait.error, kErrBadRequest);
+  EXPECT_NE(long_wait.message.find("\"wait_ms\""), std::string::npos)
+      << long_wait.message;
+
+  // The week-long hold is cancelled, so a wait at the bound returns at once.
+  ASSERT_TRUE(client.cancel(id).ok);
+  const Response done = client.result(id, true, kMaxDurationMs);
+  ASSERT_TRUE(done.ok) << done.message;
+  EXPECT_EQ(done.doc.str_at("state"), "cancelled");
+}
+
 TEST(Service, JobTimeoutCapsWallClockAndTypesTheError) {
   // --job-timeout-ms clamps EVERY job's wall-clock watchdog server-side,
   // snapshot verbs included: a runaway point dies with the typed job-timeout
