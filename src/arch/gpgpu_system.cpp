@@ -148,6 +148,12 @@ u32 pilot_warp_width(const RunSpec& spec) {
 
 RunResult run_gpgpu(const RunSpec& spec) {
   const MachineConfig& cfg = spec.cfg;
+  // Every kind runs a full-width SM: the plain GPGPU's warps span the lanes,
+  // and the VWS pilot samples divergence at that width.
+  MLP_SIM_CHECK(cfg.core.cores <= gpgpu::StreamingMultiprocessor::kMaxLanes,
+                "config",
+                "a warp of " + std::to_string(cfg.core.cores) +
+                    " lanes is wider than a lane mask");
   u32 width = cfg.gpgpu.warp_width;
   if (spec.restoring()) {
     // The pilot already ran in the capturing process; its only durable
@@ -159,6 +165,10 @@ RunResult run_gpgpu(const RunSpec& spec) {
                   "snapshot warp width does not divide the lane count");
   } else if (cfg.gpgpu.vws) {
     width = pilot_warp_width(spec);
+    MLP_SIM_CHECK(cfg.core.cores % width == 0, "config",
+                  "VWS picked " + std::to_string(width) +
+                      "-wide warps that do not divide " +
+                      std::to_string(cfg.core.cores) + " lanes");
   }
 
   Machine m(spec, "gpgpu");

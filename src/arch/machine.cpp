@@ -111,7 +111,7 @@ void Machine::add_corelets(core::GlobalPort* port, u32 issue_width) {
     for (u32 x = 0; x < contexts; ++x) {
       const workloads::ThreadSlice slice = input.layout.slice(
           workloads::ThreadMapping::kSlab, cores, contexts, c, x);
-      workloads::bind_csrs(array.core(c).context(x).csr, workload,
+      workloads::bind_csrs(array.context(c, x).csr, workload,
                            input.layout, slice, c * contexts + x,
                            cfg.core.threads(), c, cores, x, contexts);
     }
@@ -143,7 +143,7 @@ void Machine::register_states() {
   kernel.add_state(sim::kSecDecodeCache, &dcache);
   for (u32 c = 0; c < cfg.core.cores; ++c) {
     if (corelets) {
-      kernel.add_state(sim::kSecCoreletBase + c, &corelets->core(c));
+      kernel.add_state(sim::kSecCoreletBase + c, corelets->section(c));
     }
     for (const CoreState& s : core_states_) {
       if (s.core == c) kernel.add_state(s.section, s.state);
@@ -214,7 +214,7 @@ CachedPort::CachedPort(const Machine& m, std::vector<mem::Cache>* l1s,
       state_stride_((m.cfg.core.local_mem_bytes + m.cfg.dram.row_bytes - 1) /
                     m.cfg.dram.row_bytes * m.cfg.dram.row_bytes) {}
 
-core::PortResult CachedPort::load(u32 core, u32 /*ctx*/, Addr addr, Picos now,
+core::PortResult CachedPort::load(u32 core, Addr addr, Picos now,
                                   sim::Wake wake) {
   mem::Cache& l1 = (*l1s_)[core];
   (*prefetchers_)[core].observe(addr, &prefetch_lines_);
@@ -222,9 +222,9 @@ core::PortResult CachedPort::load(u32 core, u32 /*ctx*/, Addr addr, Picos now,
   return access(l1, addr, false, now, wake);
 }
 
-core::PortResult CachedPort::local_access(u32 core, u32 /*ctx*/, Addr addr,
-                                          bool is_write, Picos /*fixed*/,
-                                          Picos now, sim::Wake wake) {
+core::PortResult CachedPort::local_access(u32 core, Addr addr, bool is_write,
+                                          Picos /*fixed*/, Picos now,
+                                          sim::Wake wake) {
   const Addr global =
       state_base_ + static_cast<Addr>(core) * state_stride_ + addr;
   return access((*l1s_)[core], global, is_write, now, wake);

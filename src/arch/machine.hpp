@@ -157,9 +157,9 @@ class CachedPort : public core::GlobalPort {
   CachedPort(const Machine& m, std::vector<mem::Cache>* l1s,
              std::vector<mem::StreamTable>* prefetchers);
 
-  core::PortResult load(u32 core, u32 ctx, Addr addr, Picos now,
+  core::PortResult load(u32 core, Addr addr, Picos now,
                         sim::Wake wake) override;
-  core::PortResult local_access(u32 core, u32 ctx, Addr addr, bool is_write,
+  core::PortResult local_access(u32 core, Addr addr, bool is_write,
                                 Picos fixed, Picos now,
                                 sim::Wake wake) override;
 

@@ -52,47 +52,57 @@ struct ExecStats {
   }
 };
 
-class CoreletArray;
-
-/// One core of a MIMD processor; its CoreletArray ticks it, takes its
-/// contexts' wakes and holds the processor's barrier.
-class alignas(64) Corelet : public sim::Snapshottable {
+/// A MIMD processor (Millipede, SSMC, the multicore) as one compute unit, as
+/// the SM is for the GPGPU. It holds every context of the processor in one
+/// table, indexed `core * contexts + context` (also the wake index and the
+/// context's trace track), is the waiter for all of them, and keeps each
+/// core's wake: what the core's tick returned, lowered by its contexts'
+/// wakes. A tick runs, in core order, only the cores whose wake has come
+/// (every core when polled) and charges the live cores it passes over their
+/// idle issue slots. With `bar` in the program it holds the processor-wide
+/// Barrier over all its threads: `bar` arrives there, `halt` deregisters.
+class CoreletArray : public sim::Tickable, public sim::Waitable {
  public:
-  /// `array` owns this core. `dcache` decodes and dispatches every issued
-  /// instruction (shared read-only across a job's corelets; it also names
-  /// the program). `issue_width` > 1 approximates the multicore's wide
-  /// issue: each edge runs that many single-issue steps across the contexts.
-  Corelet(CoreletArray* array, u32 core_id, const CoreConfig& cfg,
-          DecodedBlockCache* dcache, mem::LocalStore* local,
-          mem::DramImage* dram, GlobalPort* port, ExecStats* stats,
-          trace::TraceSession* trace, u32 issue_width);
+  /// `cfg.cores` cores of `cfg.contexts` contexts each, core `c` owning
+  /// `locals[c]`. `dcache` decodes and dispatches every issued instruction
+  /// (it also names the program). Each core issues through `port`, up to
+  /// `issue_width` instructions per edge; a width above one approximates the
+  /// multicore's wide issue.
+  CoreletArray(const CoreConfig& cfg, DecodedBlockCache* dcache,
+               std::span<mem::LocalStore> locals, mem::DramImage* dram,
+               GlobalPort* port, ExecStats* stats,
+               trace::TraceSession* trace = nullptr, u32 issue_width = 1);
+  // Its sections, its kernel slot and pending wakes hold its address.
+  CoreletArray(const CoreletArray&) = delete;
+  CoreletArray& operator=(const CoreletArray&) = delete;
 
-  /// One compute-clock edge: issue up to `issue_width` instructions.
-  /// `period_ps` is the current compute period (DFS may change it). Returns
-  /// this core's next wake: the soonest ready context's wake-up, or `now`
-  /// while a context that just issued is still ready.
-  Picos tick(Picos now, Picos period_ps);
-
-  /// Context `index` has its data (or its barrier release) at `at`. A
-  /// traced context closes its load's stall slice here.
-  void wake(u32 index, Picos at);
-
-  bool halted() const { return live_contexts_ == 0; }
-
-  // sim::Snapshottable: every context's architectural state, the round-robin
-  // cursor and this corelet's local-store words. A context blocked on a
-  // global load is a live wake in some port's waiter list, so capture waits
-  // until no context is in kWaitMem (barrier waiters are kWaitMem too).
-  void checkpoint(sim::StateIO& io) override;
-  bool quiescent() const override {
-    for (const Context& ctx : contexts_) {
-      if (ctx.state == Context::State::kWaitMem) return false;
-    }
-    return true;
+  Picos tick(Picos now, Picos period_ps) override;
+  /// The soonest core wake.
+  Picos next_event(Picos now) const override;
+  /// Every live core idles `issue_width` slots per edge.
+  void skip_idle(u64 edges) override {
+    stats_->idle_cycles.inc(edges * live_cores_ * issue_width_);
   }
+  /// sim::Waitable: context `index` of the table has its data (or its
+  /// barrier release) at `at`. A traced context closes its load's stall
+  /// slice here.
+  void wake(u32 index, Picos at) override;
 
-  Context& context(u32 i) { return contexts_[i]; }
-  const Context& context(u32 i) const { return contexts_[i]; }
+  /// No core has a context left (O(1): the kernel asks every edge).
+  bool halted() const { return live_cores_ == 0; }
+  /// Core ticks so far (scheduling work, not a simulated counter).
+  u64 core_ticks() const { return core_ticks_; }
+
+  Context& context(u32 core, u32 x) { return contexts_[core * per_core_ + x]; }
+  /// Core `c`'s snapshot section: its contexts' architectural state, its
+  /// round-robin cursor and its local-store words.
+  sim::Snapshottable* section(u32 c) { return &sections_[c]; }
+  /// The processor's barrier; null unless the program contains `bar`.
+  Barrier* barrier() { return barrier_ ? &*barrier_ : nullptr; }
+
+  /// One line per context (PC, state, ready time, instret) for watchdog
+  /// dumps.
+  std::string debug_dump() const;
 
  private:
   /// How a kind issues. A kind with a counter runs straight: execute, count,
@@ -112,103 +122,70 @@ class alignas(64) Corelet : public sim::Snapshottable {
     bool traced = false;
   };
 
-  /// Issue one instruction from runnable context `index`; true when that
-  /// context is still ready afterwards (it may go again next edge).
-  bool issue(u32 index, Picos now, Picos period_ps);
+  /// What a core keeps besides its contexts.
+  struct Core {
+    Picos wake = 0;
+    u32 rr_next = 0;  ///< the context its next pick starts from
+    u32 live = 0;     ///< contexts not halted
+  };
+
+  /// A core's `kSecCoreletBase + c` section. A context blocked on a global
+  /// load is a live wake in some port's waiter list, so capture waits until
+  /// no context of the core is in kWaitMem (barrier waiters are kWaitMem
+  /// too).
+  class CoreSection : public sim::Snapshottable {
+   public:
+    CoreSection(CoreletArray* array, u32 core) : array_(array), core_(core) {}
+    void checkpoint(sim::StateIO& io) override;
+    bool quiescent() const override;
+
+   private:
+    CoreletArray* array_;
+    u32 core_;
+  };
+
+  /// One compute-clock edge of core `c`: issue up to `issue_width`
+  /// instructions. Returns the core's next wake: the soonest ready
+  /// context's wake-up, or `now` while a context that just issued is still
+  /// ready.
+  Picos tick_core(u32 c, Picos now, Picos period_ps);
+  /// Issue one instruction from runnable context `x` of core `c`, whose
+  /// contexts start at `ctxs`; true when that context is still ready
+  /// afterwards (it may go again next edge).
+  bool issue(u32 c, Core& core, Context* ctxs, mem::LocalStore& local, u32 x,
+             Picos now, Picos period_ps);
   /// issue() for the kinds that go through the port or the barrier.
-  bool issue_to_port(const DecodedInstr& de, Context& ctx, u32 index,
-                     Picos now, Picos period_ps);
-  /// The context after `index` in round-robin order (no division: the
-  /// pick runs on every issue slot).
-  u32 following(u32 index) const {
-    return index + 1 == contexts_.size() ? 0 : index + 1;
-  }
-  /// Recount live contexts (construction, restore).
+  bool issue_to_port(const DecodedInstr& de, Context& ctx, u32 c, Picos now,
+                     Picos period_ps);
+  /// The context after `x` in its core's round-robin order (no division:
+  /// the pick runs on every issue slot).
+  u32 following(u32 x) const { return x + 1 == per_core_ ? 0 : x + 1; }
+  /// Recount every core's live contexts and the live cores (construction,
+  /// a core's restore).
   void recount_live();
 
   // What every issue reads comes first.
   std::vector<Context> contexts_;
-  u32 rr_next_ = 0;
-  u32 live_contexts_ = 0;
+  std::vector<Core> cores_;
+  u32 per_core_;  ///< contexts per core
   u32 issue_width_;
-  u32 branch_penalty_;  ///< cfg_.branch_penalty, beside the other hot fields
+  u32 branch_penalty_;
+  u32 local_latency_;
   DecodedBlockCache* dcache_;
-  mem::LocalStore* local_;
+  std::span<mem::LocalStore> locals_;
   mem::DramImage* dram_;
   ExecStats* stats_;
   std::array<KindTiming, kNumStepKinds> timing_;
-
-  CoreletArray* array_;
-  u32 core_id_;
-  CoreConfig cfg_;
   GlobalPort* port_;
   trace::TraceSession* trace_;
   std::vector<IssueRecord> issued_;  ///< per context; used when traced
-};
 
-/// A MIMD processor (Millipede, SSMC, the multicore) as one compute unit, as
-/// the SM is for the GPGPU. It is the waiter for all its contexts (wake index
-/// `core * contexts + context`, also the context's trace track) and keeps
-/// each core's wake: what the core's tick returned, lowered by its contexts'
-/// wakes. A tick runs, in core order, only the cores whose wake has come
-/// (every core when polled) and charges the live cores it passes over their
-/// idle issue slots. With `bar` in the program it holds the processor-wide
-/// Barrier over all its threads: `bar` arrives there, `halt` deregisters.
-class CoreletArray : public sim::Tickable, public sim::Waitable {
- public:
-  /// One corelet per core of `cfg`, core `c` owning `locals[c]`, each
-  /// issuing through `port` (up to `issue_width` instructions per edge).
-  CoreletArray(const CoreConfig& cfg, DecodedBlockCache* dcache,
-               std::span<mem::LocalStore> locals, mem::DramImage* dram,
-               GlobalPort* port, ExecStats* stats,
-               trace::TraceSession* trace = nullptr, u32 issue_width = 1);
-  // Its corelets, its kernel slot and pending wakes hold its address.
-  CoreletArray(const CoreletArray&) = delete;
-  CoreletArray& operator=(const CoreletArray&) = delete;
-
-  Picos tick(Picos now, Picos period_ps) override;
-  /// The soonest core wake.
-  Picos next_event(Picos now) const override;
-  /// Every live core idles `issue_width` slots per edge.
-  void skip_idle(u64 edges) override {
-    stats_->idle_cycles.inc(edges * live_cores_ * issue_width_);
-  }
-  /// sim::Waitable: context `index % contexts` of core `index / contexts`.
-  void wake(u32 index, Picos at) override;
-
-  /// No core has a context left (O(1): the kernel asks every edge).
-  bool halted() const { return live_cores_ == 0; }
-
-  /// A thread of `core` halted; the barrier stops expecting it.
-  void retire_thread(const Corelet& core, Picos now, Picos period_ps) {
-    live_cores_ -= core.halted();
-    if (barrier_) barrier_->deregister(now, period_ps);
-  }
-  /// After construction or a core's restore.
-  void recount_live();
-  /// Corelet::tick calls so far (scheduling work, not a simulated counter).
-  u64 core_ticks() const { return core_ticks_; }
-
-  Corelet& core(u32 c) { return corelets_[c]; }
-  /// The processor's barrier; null unless the program contains `bar`.
-  Barrier* barrier() { return barrier_ ? &*barrier_ : nullptr; }
-
-  /// One line per context (PC, state, ready time, instret) for watchdog
-  /// dumps.
-  std::string debug_dump() const;
-
- private:
-  std::vector<Corelet> corelets_;
-  std::vector<Picos> wake_;  ///< per core
   /// The soonest wake fired since this edge's tick began.
   Picos woken_ = sim::kNoEvent;
-  std::optional<Barrier> barrier_;
-  DecodedBlockCache* dcache_;
-  ExecStats* stats_;
-  u32 contexts_;
-  u32 issue_width_;
   u32 live_cores_ = 0;
   u64 core_ticks_ = 0;
+  std::optional<Barrier> barrier_;
+  std::vector<CoreSection> sections_;
 };
 
 }  // namespace mlp::core

@@ -63,8 +63,8 @@ class DecodedBlockCache : public sim::Snapshottable {
   // restored run would count fresh block_misses where the original counted
   // block_hits; restore re-decodes each saved block (the miss counts that
   // incurs are overwritten by the snapshot's counter section, applied last).
-  // The convergence memo needs no saving: the kernel's compute-edge hook
-  // resets it before any post-restore issue.
+  // The convergence memo needs no saving: the compute unit's first tick
+  // after a restore resets it before any issue.
   void checkpoint(sim::StateIO& io) override;
 
  private:

@@ -32,15 +32,14 @@ class GlobalPort {
 
   bool local_latency_fixed() const { return local_latency_fixed_; }
 
-  /// Word load from the input stream by (core, context).
+  /// Word load from the input stream by `core`.
   /// On kPending, `wake` fires exactly once when the data is usable.
-  virtual PortResult load(u32 core, u32 ctx, Addr addr, Picos now,
-                          sim::Wake wake) = 0;
+  virtual PortResult load(u32 core, Addr addr, Picos now, sim::Wake wake) = 0;
 
   /// Global store (rare in BMLAs; results live in local state). Default:
   /// fire-and-forget with unit occupancy.
-  virtual PortResult store(u32 core, u32 ctx, Addr addr, Picos now) {
-    (void)core; (void)ctx; (void)addr;
+  virtual PortResult store(u32 core, Addr addr, Picos now) {
+    (void)core; (void)addr;
     return PortResult{PortStatus::kDone, now};
   }
 
@@ -50,10 +49,10 @@ class GlobalPort {
   /// override this (and construct with `local_latency_fixed` false) to
   /// route the access through their data caches, where the input stream
   /// competes with the state for capacity.
-  virtual PortResult local_access(u32 core, u32 ctx, Addr addr, bool is_write,
+  virtual PortResult local_access(u32 core, Addr addr, bool is_write,
                                   Picos fixed_ready_at, Picos now,
                                   sim::Wake wake) {
-    (void)core; (void)ctx; (void)addr; (void)is_write; (void)now; (void)wake;
+    (void)core; (void)addr; (void)is_write; (void)now; (void)wake;
     return PortResult{PortStatus::kDone, fixed_ready_at};
   }
 

@@ -308,8 +308,8 @@ void StreamingMultiprocessor::issue(Warp& warp, u32 group, Picos now,
         for_active([&](u32 l) {
           core::Context& ctx = warp.lanes[l];
           const Addr addr = core::global_addr(ctx, instr);
-          const auto result = deps_.pb->load(lane_id(group, l), 0, addr, now,
-                                             {this, warp.index});
+          const auto result =
+              deps_.pb->load(lane_id(group, l), addr, now, {this, warp.index});
           step_lane(l);
           if (result.status == core::PortStatus::kDone) {
             warp.latest_fill = std::max(warp.latest_fill, result.ready_at);

@@ -67,6 +67,9 @@ class StreamingMultiprocessor : public sim::Tickable,
                                 public sim::Snapshottable,
                                 public sim::Waitable {
  public:
+  /// Most lanes a warp can have: one bit of a LaneMask each.
+  static constexpr u32 kMaxLanes = 64;
+
   struct Deps {
     /// Decodes and dispatches every warp instruction; names the program.
     core::DecodedBlockCache* dcache = nullptr;
@@ -144,9 +147,6 @@ class StreamingMultiprocessor : public sim::Tickable,
       return !waiting && !stack.all_halted() && ready_at <= now;
     }
   };
-
-  /// Most lanes a warp can have: one bit of a LaneMask each.
-  static constexpr u32 kMaxLanes = 64;
 
   void issue(Warp& warp, u32 group, Picos now, Picos period_ps);
   /// The coalescer: adds `line` to lines_ unless present, keeping them in

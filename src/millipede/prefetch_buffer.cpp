@@ -308,8 +308,8 @@ void PrefetchBuffer::VictimSlab::wake(u32 /*index*/, Picos at) {
   for (const sim::Wake& waiter : batch) waiter(at + hit_latency_ps);
 }
 
-core::PortResult PrefetchBuffer::load(u32 core, u32 /*ctx*/, Addr addr,
-                                      Picos now, sim::Wake wake) {
+core::PortResult PrefetchBuffer::load(u32 core, Addr addr, Picos now,
+                                      sim::Wake wake) {
   const u64 row = addr >> row_shift_;
   Entry* entry = find(row);
 

@@ -57,8 +57,8 @@ class PrefetchBuffer : public core::GlobalPort, public mem::Requester,
   /// Issue the initial row prefetches (fills the queue) before kernel start.
   void prime(Picos now);
 
-  /// GlobalPort: demand access from (corelet, ctx) to an input word.
-  core::PortResult load(u32 core, u32 ctx, Addr addr, Picos now,
+  /// GlobalPort: demand access from a corelet to an input word.
+  core::PortResult load(u32 core, Addr addr, Picos now,
                         sim::Wake wake) override;
 
   // mem::Requester (the channel-domain Tickable): a channel edge retries

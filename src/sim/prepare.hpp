@@ -50,9 +50,9 @@ std::string prepare_key(const MatrixJob& job);
 u64 stable_hash64(const std::string& text);
 
 /// Build the job's artifacts (uncached). Throws SimError for preparation
-/// failures (unknown benchmark, slab layout on a non-power-of-two record
-/// width, ...); callers at the run_job boundary convert those into per-job
-/// errors.
+/// failures (an unknown benchmark; a `config` error for `--slab-layout` on
+/// a record width that is not a power of two, ...); callers at the run_job
+/// boundary convert those into per-job errors.
 PreparedJobPtr prepare_job(const MatrixJob& job);
 
 /// Point-in-time counters of a PrepareCache (exposed through the mlpserved

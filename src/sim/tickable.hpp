@@ -39,7 +39,7 @@ struct KernelWork {
   u64 compute_edges = 0;  ///< compute edges processed
   u64 channel_edges = 0;  ///< channel edges processed
   u64 unit_ticks = 0;     ///< Tickable::tick calls, both domains
-  u64 core_ticks = 0;     ///< Corelet::tick calls by a CoreletArray
+  u64 core_ticks = 0;     ///< cores ticked by a CoreletArray
 };
 
 class Schedule;

@@ -39,8 +39,8 @@ InterleavedLayout::InterleavedLayout(u32 row_bytes, u32 fields,
   MLP_CHECK(base_ % row_bytes_ == 0, "base must be row-aligned");
   if (mode_ == LayoutMode::kRecordContiguous) {
     const u32 row_words = row_bytes_ / 4;
-    MLP_CHECK(is_pow2(fields_) && fields_ <= row_words,
-              "record-contiguous layout needs a power-of-two field count");
+    MLP_SIM_CHECK(is_pow2(fields_) && fields_ <= row_words, "config",
+                  "record-contiguous layout needs a power-of-two field count");
     records_per_row_ = row_words / fields_;
     rows_per_group_ = contiguous_rows_per_group(fields_);
     group_records_ = records_per_row_ * rows_per_group_;
@@ -107,12 +107,12 @@ ThreadSlice InterleavedLayout::slice(ThreadMapping mapping, u32 cores,
               "record-contiguous layout uses slab mapping");
     const u32 row_words = row_bytes_ / 4;
     const u32 slab_words = row_words / cores;
-    MLP_CHECK(fields_ <= slab_words,
-              "record must fit the corelet slab in contiguous mode");
+    MLP_SIM_CHECK(fields_ <= slab_words, "config",
+                  "record must fit the corelet slab in contiguous mode");
     const u32 records_per_slab = slab_words / fields_;
     const u32 per_corelet = rows_per_group_ * records_per_slab;
-    MLP_CHECK(per_corelet % contexts == 0,
-              "group must split evenly across contexts in contiguous mode");
+    MLP_SIM_CHECK(per_corelet % contexts == 0, "config",
+                  "group must split evenly across contexts in contiguous mode");
     s.rpt = per_corelet / contexts;
     const u32 m0 = ctx * s.rpt;            // first record (corelet-local)
     const u32 row = m0 / records_per_slab;  // row within the group
@@ -126,8 +126,8 @@ ThreadSlice InterleavedLayout::slice(ThreadMapping mapping, u32 cores,
       // Corelet c owns slab words [c*S, (c+1)*S); context x owns rpt
       // consecutive records within that slab.
       const u32 slab_words = group_records_ / cores;
-      MLP_CHECK(slab_words % contexts == 0,
-                "slab must split evenly across contexts");
+      MLP_SIM_CHECK(slab_words % contexts == 0, "config",
+                    "slab must split evenly across contexts");
       s.rpt = slab_words / contexts;
       s.idx_base = core * slab_words + ctx * s.rpt;
       s.idx_stride = 1;

@@ -64,7 +64,7 @@ TEST(Barrier, HaltedThreadDeregistersAndReleases) {
 
 /// Stand-in input port: every load completes at once.
 struct NopPort : GlobalPort {
-  PortResult load(u32, u32, Addr, Picos now, sim::Wake) override {
+  PortResult load(u32, Addr, Picos now, sim::Wake) override {
     return {PortStatus::kDone, now};
   }
 };
@@ -95,7 +95,7 @@ at_bar:
   CoreletArray array(cfg, &dcache, std::span(&local, 1), &dram, &port,
                      &stats);
   for (u32 x = 0; x < 4; ++x) {
-    array.core(0).context(x).csr.set(isa::Csr::kCtx, x);
+    array.context(0, x).csr.set(isa::Csr::kCtx, x);
   }
   ASSERT_NE(array.barrier(), nullptr);
   Picos now = 0;
@@ -132,7 +132,7 @@ out:
   CoreletArray array(cfg, &dcache, std::span(&local, 1), &dram, &port,
                      &stats);
   for (u32 x = 0; x < 4; ++x) {
-    array.core(0).context(x).csr.set(isa::Csr::kCtx, x);
+    array.context(0, x).csr.set(isa::Csr::kCtx, x);
   }
   Picos now = 0;
   u64 guard = 0;
@@ -171,8 +171,8 @@ spin:
     array.emplace(cfg.core, &dcache, std::span(locals), &dram, &port, &stats);
     for (u32 c = 0; c < 2; ++c) {
       for (u32 x = 0; x < 2; ++x) {
-        array->core(c).context(x).csr.set(isa::Csr::kCid, c);
-        array->core(c).context(x).csr.set(isa::Csr::kCtx, x);
+        array->context(c, x).csr.set(isa::Csr::kCid, c);
+        array->context(c, x).csr.set(isa::Csr::kCtx, x);
       }
     }
   }
@@ -198,13 +198,15 @@ TEST(CoreletBarrier, ReleaseByALaterCoreWakesAnEarlierOne) {
     const Picos wake = m.array->tick(now, period);
     if (barrier.episodes() == episodes) continue;
     released = true;
-    EXPECT_TRUE(m.array->core(1).halted());
-    EXPECT_EQ(m.array->core(0).context(0).state, Context::State::kReady);
+    for (u32 x = 0; x < 2; ++x) {
+      EXPECT_EQ(m.array->context(1, x).state, Context::State::kHalted);
+    }
+    EXPECT_EQ(m.array->context(0, 0).state, Context::State::kReady);
     EXPECT_LE(wake, now + period) << "the released core's wake was dropped";
   }
   EXPECT_TRUE(released);
-  EXPECT_EQ(m.array->core(0).context(0).reg(2), 1u);
-  EXPECT_EQ(m.array->core(0).context(1).reg(2), 2u);
+  EXPECT_EQ(m.array->context(0, 0).reg(2), 1u);
+  EXPECT_EQ(m.array->context(0, 1).reg(2), 2u);
 }
 
 TEST(CoreletBarrier, CrossCoreReleaseRunsAsPolled) {

@@ -226,7 +226,7 @@ class FakePort : public GlobalPort {
   explicit FakePort(bool local_latency_fixed = true)
       : GlobalPort(local_latency_fixed) {}
 
-  PortResult load(u32, u32, Addr addr, Picos now, sim::Wake wake) override {
+  PortResult load(u32, Addr addr, Picos now, sim::Wake wake) override {
     ++loads;
     last_addr = addr;
     if (retries_left > 0) {
@@ -240,7 +240,7 @@ class FakePort : public GlobalPort {
     return {PortStatus::kDone, now + latency};
   }
 
-  PortResult local_access(u32, u32, Addr, bool, Picos fixed_ready_at, Picos,
+  PortResult local_access(u32, Addr, bool, Picos fixed_ready_at, Picos,
                           sim::Wake) override {
     ++local_accesses;
     return {PortStatus::kDone, fixed_ready_at};
@@ -261,7 +261,7 @@ class FakePort : public GlobalPort {
   std::vector<sim::Wake> pending;
 };
 
-/// One corelet in a one-core array, ticked through the array (polled).
+/// A one-core array, ticked polled; its contexts read through the table.
 struct CoreletFixture : ::testing::Test {
   CoreletFixture() : local(4096), dram(65536) {
     cfg.cores = 1;
@@ -274,8 +274,9 @@ struct CoreletFixture : ::testing::Test {
     dcache = std::make_unique<DecodedBlockCache>(program);
     array = std::make_unique<CoreletArray>(
         cfg, dcache.get(), std::span(&local, 1), &dram, &port, &stats);
-    corelet = &array->core(0);
   }
+
+  Context& context(u32 x) { return array->context(0, x); }
 
   /// Ticks until halted; returns number of cycles.
   u64 run(u64 limit = 100000) {
@@ -297,7 +298,6 @@ struct CoreletFixture : ::testing::Test {
   ExecStats stats;
   std::unique_ptr<DecodedBlockCache> dcache;
   std::unique_ptr<CoreletArray> array;
-  Corelet* corelet = nullptr;
   Picos now = 0;
   Picos period = 1429;
 };
@@ -308,10 +308,10 @@ TEST_F(CoreletFixture, AllContextsRunToCompletion) {
     addi r2, r1, 1
     halt
   )");
-  for (u32 i = 0; i < 4; ++i) corelet->context(i).csr.set(Csr::kTid, i);
+  for (u32 i = 0; i < 4; ++i) context(i).csr.set(Csr::kTid, i);
   run();
   for (u32 i = 0; i < 4; ++i) {
-    EXPECT_EQ(corelet->context(i).reg(2), i + 1);
+    EXPECT_EQ(context(i).reg(2), i + 1);
   }
   EXPECT_EQ(stats.instructions.value, 12u);
 }
@@ -335,7 +335,7 @@ TEST_F(CoreletFixture, MultithreadingHidesMemoryLatency) {
     halt
   )");
   for (u32 i = 0; i < 4; ++i) {
-    corelet->context(i).csr.set(Csr::kInputBase, i * 4);
+    context(i).csr.set(Csr::kInputBase, i * 4);
   }
   dram.write_u32(0, 5);
   const u64 cycles = run();
@@ -343,7 +343,7 @@ TEST_F(CoreletFixture, MultithreadingHidesMemoryLatency) {
   // four loads must be much cheaper.
   EXPECT_LT(cycles, 30u);
   EXPECT_EQ(port.loads, 4);
-  EXPECT_EQ(corelet->context(0).reg(3), 6u);
+  EXPECT_EQ(context(0).reg(3), 6u);
 }
 
 TEST_F(CoreletFixture, PendingLoadBlocksContextUntilWakeup) {
@@ -353,7 +353,7 @@ TEST_F(CoreletFixture, PendingLoadBlocksContextUntilWakeup) {
   make("lw r2, 0(r0)\n addi r3, r2, 1\n halt\n");
   dram.write_u32(0, 41);
   array->tick(now, period);
-  EXPECT_EQ(corelet->context(0).state, Context::State::kWaitMem);
+  EXPECT_EQ(context(0).state, Context::State::kWaitMem);
   // No progress while waiting.
   for (int i = 0; i < 5; ++i) {
     now += period;
@@ -363,7 +363,7 @@ TEST_F(CoreletFixture, PendingLoadBlocksContextUntilWakeup) {
   EXPECT_EQ(stats.idle_cycles.value, 5u);
   port.complete_all(now + period);
   run();
-  EXPECT_EQ(corelet->context(0).reg(3), 42u);
+  EXPECT_EQ(context(0).reg(3), 42u);
 }
 
 TEST_F(CoreletFixture, RetryStallsDoNotExecute) {
@@ -422,12 +422,12 @@ loop:
     blt  r1, r2, loop
     halt
   )");
-  for (u32 i = 0; i < 4; ++i) corelet->context(i).set_reg(2, 100);
+  for (u32 i = 0; i < 4; ++i) context(i).set_reg(2, 100);
   run();
   // All contexts completed the same loop: instret identical.
-  const u64 expect = corelet->context(0).instret;
+  const u64 expect = context(0).instret;
   for (u32 i = 1; i < 4; ++i) {
-    EXPECT_EQ(corelet->context(i).instret, expect);
+    EXPECT_EQ(context(i).instret, expect);
   }
 }
 
@@ -472,7 +472,7 @@ TEST(CoreletPort, FixedLatencyLocalAccessesSkipThePort) {
     CoreletArray array(cfg, &dcache, std::span(&local, 1), &dram, &port,
                        &stats);
     for (u32 x = 0; x < cfg.contexts; ++x) {
-      array.core(0).context(x).csr.set(Csr::kCtx, x);
+      array.context(0, x).csr.set(Csr::kCtx, x);
     }
     u64 cycles = 0;
     for (Picos now = 0; !array.halted(); now += 1000) {

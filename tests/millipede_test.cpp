@@ -73,7 +73,7 @@ struct PbFixture : ::testing::Test {
   core::PortResult demand(u32 corelet, u64 row, u32 word,
                           std::function<void(Picos)> on_wake = nullptr) {
     const Addr addr = row * cfg.dram.row_bytes + corelet * 64 + word * 4;
-    return pb->load(corelet, 0, addr, now,
+    return pb->load(corelet, addr, now,
                     waiters.emplace_back(std::move(on_wake)));
   }
 
@@ -285,7 +285,7 @@ TEST_F(PbFixture, ForeignSlabAccessAborts) {
   pb->prime(now);
   drain();
   // Corelet 2 reaching into corelet 0's slab violates the interconnect.
-  EXPECT_DEATH(pb->load(2, 0, /*addr=*/0, now, waiters.emplace_back()),
+  EXPECT_DEATH(pb->load(2, /*addr=*/0, now, waiters.emplace_back()),
                "foreign slab");
 }
 

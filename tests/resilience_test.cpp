@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "geometries.hpp"
 #include "sim/runner.hpp"
 
 namespace mlp::sim {
@@ -215,6 +216,19 @@ TEST(InputSize, OversizedRowsAreATypedConfigError) {
       run_job(job(arch::ArchKind::kMillipede, "count", options));
   EXPECT_FALSE(run.ok());
   EXPECT_EQ(run.error.rfind("config:", 0), 0u) << run.error;
+}
+
+TEST(InputSize, ImpossibleGeometriesAreTypedConfigErrors) {
+  SuiteOptions base;
+  base.rows = 24;
+  for (const test::Geometry& g : test::kImpossibleGeometries) {
+    const MatrixResult run = run_job(job(g.kind, g.bench, g.apply(base)));
+    EXPECT_FALSE(run.ok());
+    EXPECT_EQ(run.error.rfind("config:", 0), 0u)
+        << arch::arch_name(g.kind) << "/" << g.bench << " --cores "
+        << g.cores << (g.slab_layout ? " --slab-layout" : "") << ": "
+        << run.error;
+  }
 }
 
 }  // namespace

@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "geometries.hpp"
 #include "serve/client.hpp"
 #include "serve/server.hpp"
 #include "serve/shard.hpp"
@@ -1480,6 +1481,19 @@ TEST(Service, OversizedInputIsAFailedResultAndServingGoesOn) {
   EXPECT_NE(result.doc.str_at("csv").find("config: "), std::string::npos)
       << result.doc.str_at("csv");
   EXPECT_TRUE(client.ping().ok);
+  // So is a machine geometry the machine cannot build.
+  for (const test::Geometry& g : test::kImpossibleGeometries) {
+    JobSpec spec = small_job(g.bench, g.kind);
+    spec.job.options = g.apply(spec.job.options);
+    const Response geometry = client.submit(spec);
+    ASSERT_TRUE(geometry.ok) << geometry.message;
+    const Response failed = client.result(geometry.doc.u64_at("id"), true);
+    ASSERT_TRUE(failed.ok) << failed.message;
+    EXPECT_FALSE(failed.doc.find("run_ok")->boolean);
+    EXPECT_NE(failed.doc.str_at("csv").find("config: "), std::string::npos)
+        << failed.doc.str_at("csv");
+    EXPECT_TRUE(client.ping().ok);
+  }
 }
 
 TEST(Service, BoundedResultWaitHeartbeatsInsteadOfHanging) {
