@@ -8,6 +8,7 @@
 //  * VWS-row — VWS plus Millipede's row-oriented, flow-controlled prefetch
 //    buffer on the input path (slab record mapping).
 
+#include <algorithm>
 #include <optional>
 
 #include "arch/machine.hpp"
@@ -17,11 +18,12 @@
 namespace mlp::arch {
 namespace {
 
-/// One SM of `width`-wide warps and its input path on a Machine, registered
-/// as the machine's issue engine. Not movable: the SM holds pointers into it.
+/// One SM of `width`-wide warps and its input path (the L1D, or with `row`
+/// VWS-row's prefetch buffer) on a Machine, registered as the machine's
+/// issue engine. Not movable: the SM holds pointers into it.
 class SmSystem {
  public:
-  SmSystem(Machine& m, u32 width);
+  SmSystem(Machine& m, u32 width, bool row);
   SmSystem(const SmSystem&) = delete;
   SmSystem& operator=(const SmSystem&) = delete;
 
@@ -33,11 +35,10 @@ class SmSystem {
   std::optional<gpgpu::StreamingMultiprocessor> sm;
 };
 
-SmSystem::SmSystem(Machine& m, u32 width)
+SmSystem::SmSystem(Machine& m, u32 width, bool row)
     : banking(m.cfg.gpgpu.shared_banks, mem::BankMapping::kLanePrivate) {
   const MachineConfig& cfg = m.cfg;
   const PreparedInput& input = m.input;
-  const bool row = cfg.gpgpu.row_oriented;
   if (!row) {
     l1d.emplace(
         "l1d", cfg.gpgpu.l1d_bytes, cfg.gpgpu.line_bytes, cfg.gpgpu.l1d_assoc,
@@ -47,8 +48,8 @@ SmSystem::SmSystem(Machine& m, u32 width)
     prefetcher.emplace(cfg.gpgpu.line_bytes, cfg.gpgpu.prefetch_degree,
                        cfg.gpgpu.prefetch_distance);
   } else {
-    pb.emplace(cfg, m.row_plan(), &m.dram, nullptr, &m.stats, "pb",
-               m.trace());
+    pb.emplace(cfg, m.row_plan(), &m.dram, nullptr, /*flow_control=*/true,
+               &m.stats, "pb", m.trace());
   }
   sm_stats.register_with(&m.stats, "sm");
 
@@ -121,16 +122,16 @@ SmSystem::SmSystem(Machine& m, u32 width)
 }
 
 /// VWS pilot: sample divergence at full width on a second, untraced machine
-/// over the same input, then commit to 4- or 32-wide warps for the real run
+/// over the same input and the plain input path, then commit to 4-wide warps
+/// (every lane when there are fewer) or full-width ones for the real run
 /// (Rogers et al. [41], coarse-grained). Untraced because its events and
 /// counters would pollute the real run's timeline.
 u32 pilot_warp_width(const RunSpec& spec) {
-  MachineConfig cfg = spec.cfg;
-  cfg.gpgpu.row_oriented = false;  // pilot on the plain input path
-  Machine pilot({spec.label, cfg, spec.workload, spec.prepared,
+  const u32 lanes = spec.cfg.core.cores;
+  Machine pilot({spec.kind, spec.cfg, spec.workload, spec.prepared,
                  /*trace=*/nullptr, /*snapshot=*/nullptr},
                 "gpgpu");
-  SmSystem system(pilot, cfg.core.cores);
+  SmSystem system(pilot, lanes, /*row=*/false);
   pilot.engine.done = [&system] {
     return system.sm->halted() ||
            system.sm_stats.warp_instructions.value >= 20000;
@@ -141,7 +142,8 @@ u32 pilot_warp_width(const RunSpec& spec) {
           ? 0.0
           : static_cast<double>(system.sm_stats.divergent_branches.value) /
                 static_cast<double>(system.sm_stats.branches.value);
-  return divergence > 0.10 ? 4 : cfg.core.cores;
+  // Lane counts are powers of two, so either width divides them.
+  return divergence > 0.10 ? std::min(4u, lanes) : lanes;
 }
 
 }  // namespace
@@ -154,7 +156,7 @@ RunResult run_gpgpu(const RunSpec& spec) {
                 "config",
                 "a warp of " + std::to_string(cfg.core.cores) +
                     " lanes is wider than a lane mask");
-  u32 width = cfg.gpgpu.warp_width;
+  u32 width = cfg.core.cores;
   if (spec.restoring()) {
     // The pilot already ran in the capturing process; its only durable
     // output is the chosen warp width, which the snapshot's meta section
@@ -163,16 +165,12 @@ RunResult run_gpgpu(const RunSpec& spec) {
     width = sim::snapshot_meta(*spec.snapshot->restore_from).warp_width;
     MLP_SIM_CHECK(width != 0 && cfg.core.cores % width == 0, "snapshot",
                   "snapshot warp width does not divide the lane count");
-  } else if (cfg.gpgpu.vws) {
+  } else if (spec.kind != ArchKind::kGpgpu) {
     width = pilot_warp_width(spec);
-    MLP_SIM_CHECK(cfg.core.cores % width == 0, "config",
-                  "VWS picked " + std::to_string(width) +
-                      "-wide warps that do not divide " +
-                      std::to_string(cfg.core.cores) + " lanes");
   }
 
   Machine m(spec, "gpgpu");
-  SmSystem system(m, width);
+  SmSystem system(m, width, spec.kind == ArchKind::kVwsRow);
   if (system.pb && !spec.restoring()) system.pb->prime(0);
   RunResult result = m.run([&system](trace::TraceSession* session) {
     if (system.pb) {

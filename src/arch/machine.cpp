@@ -151,7 +151,7 @@ void Machine::register_states() {
   }
   kernel.set_stats(&stats);
   kernel.set_meta_fn([this](sim::SnapshotMeta& m) {
-    m.arch_label = spec_.label;
+    m.arch_label = arch_name(spec_.kind);
     m.warp_width = engine.warp_width;
     m.image_bytes = input.image.size();
     m.fault_sequence = dram.fault_sequence();
@@ -171,7 +171,7 @@ Picos Machine::simulate(const TraceHook& arch_trace,
   });
   if (spec_.snapshot != nullptr) register_states();
   kernel.wire_trace(
-      std::string(spec_.label) + "/" + workload.name, &stats,
+      std::string(arch_name(spec_.kind)) + "/" + workload.name, &stats,
       engine.name_tracks, arch_trace,
       [this] { return static_cast<u64>(dram.queue_size()); },
       dram.refresh_enabled()
@@ -185,7 +185,7 @@ RunResult Machine::run(const TraceHook& arch_trace,
                        const DumpHook& arch_dump) {
   const Picos runtime = simulate(arch_trace, arch_dump);
   RunResult result;
-  result.arch = spec_.label;
+  result.arch = arch_name(spec_.kind);
   result.workload = workload.name;
   result.compute_cycles = kernel.compute_cycles();
   result.runtime_ps = runtime;

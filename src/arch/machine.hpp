@@ -36,11 +36,13 @@
 
 namespace mlp::arch {
 
-/// One run as run_arch resolves it: the config tuned for the ArchKind and
-/// validated, and a prepared input that is never null (the machine copies
-/// it; a checkpoint's image delta is taken against it).
+/// One run as run_arch resolves it: the kind, which names the run (result,
+/// trace process, snapshot) and picks each system's variant; the config,
+/// validated (and retuned for the multicore); and a prepared input that is
+/// never null (the machine copies it; a checkpoint's image delta is taken
+/// against it).
 struct RunSpec {
-  const char* label;  ///< arch_name(kind): result, trace process, snapshot
+  ArchKind kind;
   const MachineConfig& cfg;
   const workloads::Workload& workload;
   const PreparedInput& prepared;

@@ -1,7 +1,7 @@
 // The Millipede processor system: 32 MIMD corelets with per-corelet local
 // memories, fed by the flow-controlled row-granularity prefetch buffer, with
-// optional DFS rate matching — the paper's proposed architecture, plus the
-// no-flow-control and no-rate-match ablations (selected via MachineConfig).
+// DFS rate matching — the paper's proposed architecture, plus the
+// no-flow-control and no-rate-match ablations (selected by the ArchKind).
 
 #include <algorithm>
 #include <optional>
@@ -17,14 +17,15 @@ RunResult run_millipede(const RunSpec& spec) {
 
   // DFS retunes the kernel's compute clock, which therefore exists first.
   std::optional<millipede::RateMatcher> rate_matcher;
-  if (cfg.millipede.rate_match) {
+  if (spec.kind == ArchKind::kMillipede) {
     rate_matcher.emplace(cfg.millipede, cfg.core, m.kernel.compute_clock(),
                          &m.stats, "rate", m.trace());
   }
 
-  millipede::PrefetchBuffer pb(cfg, m.row_plan(), &m.dram,
-                               rate_matcher ? &*rate_matcher : nullptr,
-                               &m.stats, "pb", m.trace());
+  millipede::PrefetchBuffer pb(
+      cfg, m.row_plan(), &m.dram, rate_matcher ? &*rate_matcher : nullptr,
+      /*flow_control=*/spec.kind != ArchKind::kMillipedeNoFlowControl,
+      &m.stats, "pb", m.trace());
   m.add_corelets(&pb);
 
   // On restore, the prefetch buffer's state (and the controller's queue)
@@ -53,7 +54,7 @@ RunResult run_millipede(const RunSpec& spec) {
   energy::EnergyModel model;
   result.energy.core_j = model.mimd_core_j(m.exec, /*state_via_cache=*/false,
                                            /*input_via_cache=*/false);
-  if (cfg.millipede.rate_match && cfg.millipede.voltage_scaling) {
+  if (rate_matcher && cfg.millipede.voltage_scaling) {
     // DVS on top of DFS: dynamic energy scales with V^2; approximate V by
     // the converged frequency ratio (the clock converges once, early).
     const double f_ratio = result.final_clock_mhz / cfg.core.clock_mhz;

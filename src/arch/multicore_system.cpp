@@ -18,7 +18,6 @@ MachineConfig multicore_config(const MachineConfig& cfg) {
   mc.core.cores = cfg.multicore.cores;
   mc.core.contexts = cfg.multicore.smt;
   mc.core.clock_mhz = cfg.multicore.clock_mhz;
-  mc.gpgpu.warp_width = 1;  // unused; keep validation happy
   return mc;
 }
 

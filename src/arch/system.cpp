@@ -91,8 +91,6 @@ RunResult run_arch(ArchKind kind, const MachineConfig& cfg,
     case ArchKind::kMillipede:
     case ArchKind::kMillipedeNoFlowControl:
     case ArchKind::kMillipedeNoRateMatch:
-      tuned.millipede.flow_control = kind != ArchKind::kMillipedeNoFlowControl;
-      tuned.millipede.rate_match = kind == ArchKind::kMillipede;
       row_buffer = true;
       run = run_millipede;
       break;
@@ -107,10 +105,7 @@ RunResult run_arch(ArchKind kind, const MachineConfig& cfg,
       MLP_SIM_CHECK(!cfg.slab_layout, "config",
                     "the GPGPU needs word-size columns for coalescing "
                     "(paper III-B)");
-      tuned.gpgpu.vws = kind != ArchKind::kGpgpu;
-      tuned.gpgpu.row_oriented = kind == ArchKind::kVwsRow;
-      row_buffer = tuned.gpgpu.row_oriented;
-      if (!tuned.gpgpu.vws) tuned.gpgpu.warp_width = tuned.core.cores;
+      row_buffer = kind == ArchKind::kVwsRow;
       run = run_gpgpu;
       break;
     case ArchKind::kMulticore:
@@ -143,7 +138,7 @@ RunResult run_arch(ArchKind kind, const MachineConfig& cfg,
                         prepared->layout.record_row_footprint(),
                 "config",
                 "prefetch window smaller than a record's row footprint");
-  return run({arch_name(kind), tuned, workload, *prepared, trace, snapshot});
+  return run({kind, tuned, workload, *prepared, trace, snapshot});
 }
 
 }  // namespace mlp::arch

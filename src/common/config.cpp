@@ -152,8 +152,6 @@ void MachineConfig::validate() const {
   MLP_CFG_CHECK(millipede.prime_rows <= millipede.pf_entries,
                 "prime depth must fit in the prefetch buffer");
   MLP_CFG_CHECK(millipede.rate_step > 0 && millipede.rate_step < 0.5, "rate step out of range");
-  MLP_CFG_CHECK(gpgpu.warp_width > 0 && core.cores % gpgpu.warp_width == 0,
-                "warp width must divide lane count");
   MLP_CFG_CHECK(gpgpu.shared_banks > 0, "shared memory needs banks");
   MLP_CFG_CHECK(ssmc.assoc > 0 && ssmc.l1d_bytes % (ssmc.line_bytes * ssmc.assoc) == 0,
                 "SSMC L1 size must be sets*ways*line");

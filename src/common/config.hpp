@@ -1,9 +1,10 @@
 #pragma once
 // Machine configuration structs mirroring the paper's Table III plus the
-// knobs the evaluation sweeps (system size, prefetch-buffer count, warp
-// width). Every architecture model is constructed from a MachineConfig so
-// that cross-architecture comparisons hold resources identical by
-// construction, as the paper requires.
+// knobs the evaluation sweeps (system size, prefetch-buffer count). Every
+// architecture model is constructed from a MachineConfig so that
+// cross-architecture comparisons hold resources identical by construction,
+// as the paper requires; which machine uses them (a Millipede ablation, the
+// GPGPU or a VWS variant) is the arch::ArchKind, not a field here.
 
 #include <string>
 
@@ -160,8 +161,6 @@ struct MillipedeConfig {
                             ///< queue. The trigger chain sustains exactly
                             ///< this run-ahead, so it must cover the rows a
                             ///< record's fields touch concurrently.
-  bool flow_control = true; ///< DF-counter based cross-corelet flow control
-  bool rate_match = true;   ///< coarse-grain compute-memory DFS
   double rate_step = 0.05;  ///< hill-climbing frequency step (5%)
   double min_clock_mhz = 100.0;
   u32 pb_hit_latency = 2;   ///< compute cycles for a prefetch-buffer hit
@@ -180,11 +179,10 @@ struct MillipedeConfig {
   bool operator==(const MillipedeConfig&) const = default;
 };
 
-/// GPGPU SM parameters (Table III) plus the VWS / VWS-row variants.
+/// GPGPU SM parameters (Table III), shared by the GPGPU and both VWS
+/// variants. The warp width is the run's choice, not a parameter: the lane
+/// count for the GPGPU, the divergence pilot's pick for VWS.
 struct GpgpuConfig {
-  u32 warp_width = 32;       ///< lanes ganged per warp (VWS may pick 4)
-  bool vws = false;          ///< dynamic 4-vs-32 warp width selection
-  bool row_oriented = false; ///< VWS-row: input via row prefetch buffer
   u32 l1d_bytes = 32 * 1024;
   u32 line_bytes = 128;
   u32 l1d_assoc = 8;

@@ -38,6 +38,9 @@ CoreletArray::CoreletArray(const CoreConfig& cfg, DecodedBlockCache* dcache,
   straight(StepKind::kFloat, &stats_->float_alu, 1);
   straight(StepKind::kBranch, &stats_->branches, 1);
   straight(StepKind::kJump, &stats_->jumps, 1 + branch_penalty_);
+  // No BMLA issues a global `sw` (results live in local state); one would
+  // write the image and occupy the core for one cycle.
+  straight(StepKind::kGlobalStore, &stats_->global_stores, 1);
   if (port_->local_latency_fixed()) {
     straight(StepKind::kLocal, &stats_->local_ops, local_latency_);
   }
@@ -187,20 +190,6 @@ bool CoreletArray::issue_to_port(const DecodedInstr& de, Context& ctx, u32 c,
     live_cores_ -= --cores_[c].live == 0;
     if (barrier_) barrier_->deregister(now, period_ps);
     return false;
-  }
-  if (de.kind == StepKind::kGlobalStore) {
-    const PortResult result =
-        port_->store(c, global_addr(ctx, de.instr), now);
-    if (result.status == PortStatus::kRetry) {
-      stats_->retry_stalls.inc();
-      return true;
-    }
-    de.fn(de, ctx, local, *dram_);
-    stats_->instructions.inc();
-    stats_->global_stores.inc();
-    stats_->busy_cycles.inc();
-    ctx.ready_at = std::max(result.ready_at, now + period_ps);
-    return true;
   }
 
   // Loads, port-timed live-state accesses and barriers block the context

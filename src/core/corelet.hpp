@@ -107,8 +107,8 @@ class CoreletArray : public sim::Tickable, public sim::Waitable {
  private:
   /// How a kind issues. A kind with a counter runs straight: execute, count,
   /// and become ready after `cycles` (plus the branch penalty when taken).
-  /// The other kinds (global accesses, barriers, halt, and live-state
-  /// accesses on a port that times them) negotiate the port first.
+  /// The other kinds (global loads, barriers, halt, and live-state accesses
+  /// on a port that times them) negotiate the port first.
   struct KindTiming {
     Counter* counter = nullptr;
     u32 cycles = 1;

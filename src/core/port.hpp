@@ -1,9 +1,10 @@
 #pragma once
-// The global-memory port a core issues input-data accesses through. Each
+// The global-memory port a core issues input-data loads through. Each
 // architecture provides its own implementation: Millipede's row prefetch
-// buffer, SSMC's per-core L1D, the GPGPU's coalescer+L1D, the multicore's
-// L1/L2 hierarchy. Keeping the port virtual is what lets one corelet timing
-// model serve several architectures.
+// buffer (also VWS-row's, per lane), SSMC's per-core L1D, the multicore's
+// L1/L2 hierarchy; the plain GPGPU's SM coalesces into its L1D itself.
+// Keeping the port virtual is what lets one corelet timing model serve
+// several architectures.
 
 #include "common/types.hpp"
 #include "sim/wake.hpp"
@@ -35,13 +36,6 @@ class GlobalPort {
   /// Word load from the input stream by `core`.
   /// On kPending, `wake` fires exactly once when the data is usable.
   virtual PortResult load(u32 core, Addr addr, Picos now, sim::Wake wake) = 0;
-
-  /// Global store (rare in BMLAs; results live in local state). Default:
-  /// fire-and-forget with unit occupancy.
-  virtual PortResult store(u32 core, Addr addr, Picos now) {
-    (void)core; (void)addr;
-    return PortResult{PortStatus::kDone, now};
-  }
 
   /// Live-state (local-space) access timing. Millipede and the GPGPU have a
   /// dedicated local memory / shared memory, so the default is a fixed

@@ -9,14 +9,15 @@ namespace mlp::millipede {
 
 PrefetchBuffer::PrefetchBuffer(const MachineConfig& cfg, RowPlan plan,
                                mem::ChannelDemux* ctrl,
-                               RateMatcher* rate_matcher, StatSet* stats,
-                               const std::string& prefix,
+                               RateMatcher* rate_matcher, bool flow_control,
+                               StatSet* stats, const std::string& prefix,
                                trace::TraceSession* trace)
     : mem::Requester(ctrl),
       cfg_(cfg),
       plan_(std::move(plan)),
       ctrl_(ctrl),
       rate_matcher_(rate_matcher),
+      flow_control_(flow_control),
       trace_(trace),
       num_entries_(cfg.millipede.pf_entries),
       slab_bytes_(cfg.dram.row_bytes / cfg.core.cores),
@@ -170,7 +171,7 @@ void PrefetchBuffer::trigger(Picos now, bool force_evict) {
     }
     // Forced eviction only runs until every wrapped demand is covered.
     if (force_evict && future_waiters_.empty()) force_evict = false;
-    if (cfg_.millipede.flow_control || !force_evict) {
+    if (flow_control_ || !force_evict) {
       // Deferred until the head's DF counter saturates. Without flow
       // control ordinary PFT triggers also wait — eviction happens only
       // when a leading corelet's demand wraps past the whole window
@@ -319,7 +320,7 @@ core::PortResult PrefetchBuffer::load(u32 core, Addr addr, Picos now,
       // re-allocated before this lagging corelet consumed its slab. Pay a
       // direct DRAM fetch — once per (row, corelet) slab; later words of
       // the refetched slab hit the victim-slab side structure.
-      MLP_CHECK(!cfg_.millipede.flow_control,
+      MLP_CHECK(!flow_control_,
                 "flow control must prevent post-retirement demands");
       return victim_fetch(core, row, now, wake);
     }
@@ -336,7 +337,7 @@ core::PortResult PrefetchBuffer::load(u32 core, Addr addr, Picos now,
     future_waiters_[row].push_back(wake);
     // A demand past the window is the "leading corelet wrapping around":
     // without flow control it may evict unsaturated heads.
-    trigger(now, /*force_evict=*/!cfg_.millipede.flow_control);
+    trigger(now, /*force_evict=*/!flow_control_);
     // The trigger may have allocated (and even satisfied) the row when space
     // was available; the waiter list was moved into the entry in that case.
     return {core::PortStatus::kPending, 0};

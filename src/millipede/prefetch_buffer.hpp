@@ -49,9 +49,11 @@ struct RowPlan {
 class PrefetchBuffer : public core::GlobalPort, public mem::Requester,
                        public sim::Snapshottable, public sim::Waitable {
  public:
+  /// `rate_matcher` (may be null) receives the per-row votes;
+  /// `flow_control` false is the no-flow-control ablation.
   PrefetchBuffer(const MachineConfig& cfg, RowPlan plan,
                  mem::ChannelDemux* ctrl, RateMatcher* rate_matcher,
-                 StatSet* stats, const std::string& prefix,
+                 bool flow_control, StatSet* stats, const std::string& prefix,
                  trace::TraceSession* trace = nullptr);
 
   /// Issue the initial row prefetches (fills the queue) before kernel start.
@@ -139,6 +141,7 @@ class PrefetchBuffer : public core::GlobalPort, public mem::Requester,
   RowPlan plan_;
   mem::ChannelDemux* ctrl_;
   RateMatcher* rate_matcher_;
+  bool flow_control_;
   trace::TraceSession* trace_ = nullptr;
 
   u32 num_entries_;

@@ -24,9 +24,7 @@ const Knob kKnobs[] = {
     {.name = "cores", .flag = "--cores", .metavar = "N",
      .help = "corelets / lanes / cores per processor, and the warp width",
      .field = MLP_KNOB_FIELD(cfg.core.cores), .range = KnobRange::kPositive,
-     .tag = "c", .csv = true, .config = true,
-     .on_set =
-         [](SuiteOptions& o) { o.cfg.gpgpu.warp_width = o.cfg.core.cores; }},
+     .tag = "c", .csv = true, .config = true},
     {.name = "pf_entries", .flag = "--pf-entries", .metavar = "N",
      .help = "prefetch buffer entries",
      .field = MLP_KNOB_FIELD(cfg.millipede.pf_entries),
@@ -212,7 +210,6 @@ void knob_set(const Knob& knob, SuiteOptions& options,
         }
       },
       knob.field(options));
-  if (knob.on_set != nullptr) knob.on_set(options);
 }
 
 KnobValue knob_default(const Knob& knob) { return knob_get(knob, defaults()); }

@@ -51,8 +51,6 @@ struct Knob {
   bool config = false;  ///< a member of the stats-JSON "config" object
   /// printf format of a real's CSV cell and trace tag (default "%.17g").
   const char* cell_format = nullptr;
-  /// Keeps dependent fields in step after a write.
-  void (*on_set)(SuiteOptions&) = nullptr;
   /// The value the reports print when it is derived from the job.
   u64 (*reported)(const MatrixJob&) = nullptr;
 

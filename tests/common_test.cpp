@@ -238,12 +238,6 @@ TEST(ConfigDeathTest, RejectsNonPow2Row) {
   EXPECT_THROW(cfg.validate(), SimError);
 }
 
-TEST(ConfigDeathTest, RejectsBadWarpWidth) {
-  MachineConfig cfg = MachineConfig::paper_defaults();
-  cfg.gpgpu.warp_width = 5;
-  EXPECT_THROW(cfg.validate(), SimError);
-}
-
 TEST(Config, RejectsBadFaultRates) {
   MachineConfig cfg = MachineConfig::paper_defaults();
   cfg.dram.fault.bit_flip_rate = 1.5;

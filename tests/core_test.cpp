@@ -431,7 +431,9 @@ loop:
   }
 }
 
-TEST_F(CoreletFixture, GlobalStoreGoesThroughPort) {
+TEST_F(CoreletFixture, GlobalStoreRunsStraight) {
+  // A global store writes the image and occupies the core for one cycle;
+  // no port is involved.
   cfg.contexts = 1;
   make("li r1, 256\n li r2, 7\n sw r2, 0(r1)\n halt\n");
   run();

@@ -1,6 +1,6 @@
 #pragma once
 // Machine geometries one flag can set but the machine cannot build: an SM
-// wider than a lane mask, a VWS warp width that does not divide the lanes,
+// wider than a lane mask, slabs wider than the prefetch buffer's word mask
 // and slabs the input layout cannot split. Each must fail its job as a
 // typed `config` error, never abort the process.
 
@@ -28,10 +28,7 @@ inline constexpr Geometry kImpossibleGeometries[] = {
     {arch::ArchKind::kVws, "count", 128, false},
     {arch::ArchKind::kVwsRow, "count", 128, false},
     {arch::ArchKind::kGpgpu, "count", 256, false},
-    {arch::ArchKind::kVws, "count", 2, false},
-    {arch::ArchKind::kVws, "variance", 2, false},
-    {arch::ArchKind::kVws, "classify", 2, false},
-    {arch::ArchKind::kVws, "kmeans", 2, false},
+    {arch::ArchKind::kVwsRow, "count", 2, false},
     {arch::ArchKind::kMillipede, "nbayes", 32, true},
     {arch::ArchKind::kSsmc, "nbayes", 32, true},
     {arch::ArchKind::kMillipede, "pca", 64, true},

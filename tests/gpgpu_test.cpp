@@ -113,7 +113,6 @@ struct SmFixture : ::testing::Test {
     sm_stats = SmStats();
     cfg = MachineConfig::paper_defaults();
     cfg.core.cores = 8;       // 8 lanes for testability
-    cfg.gpgpu.warp_width = warp_width;
     cfg.dram.row_bytes = 512;  // 64 B slabs for 8 lanes
     cfg.validate();
 
@@ -138,8 +137,9 @@ struct SmFixture : ::testing::Test {
       plan.first_row = 0;
       plan.num_rows = 16;
       plan.expected_mask = [](u64, u32) -> u64 { return 0xffff; };
-      pb = std::make_unique<millipede::PrefetchBuffer>(cfg, plan, ctrl.get(),
-                                                       nullptr, &stats, "pb");
+      pb = std::make_unique<millipede::PrefetchBuffer>(
+          cfg, plan, ctrl.get(), nullptr, /*flow_control=*/true, &stats,
+          "pb");
     }
     sm_stats.register_with(&stats, "sm");
     dcache = std::make_unique<core::DecodedBlockCache>(program);

@@ -21,7 +21,6 @@ MachineConfig small_cfg() {
   cfg.dram.row_bytes = 256;
   cfg.dram.bus_efficiency = 1.0;
   cfg.core.cores = 4;
-  cfg.gpgpu.warp_width = 4;
   cfg.millipede.pf_entries = 4;
   cfg.millipede.prime_rows = 3;  // tests reason about explicit prime depth
   cfg.validate();
@@ -34,7 +33,6 @@ struct PbFixture : ::testing::Test {
   void make(u64 num_rows, bool flow_control = true,
             std::function<u64(u64, u32)> mask = nullptr) {
     cfg = small_cfg();
-    cfg.millipede.flow_control = flow_control;
     ctrl = std::make_unique<mem::ChannelDemux>(cfg.dram, "dram", &stats);
     RowPlan plan;
     plan.first_row = 0;
@@ -42,7 +40,7 @@ struct PbFixture : ::testing::Test {
     plan.expected_mask = mask ? std::move(mask)
                               : [](u64, u32) -> u64 { return kFullSlab; };
     pb = std::make_unique<PrefetchBuffer>(cfg, plan, ctrl.get(), nullptr,
-                                          &stats, "pb");
+                                          flow_control, &stats, "pb");
   }
 
   /// Advance DRAM time until the controller drains.

@@ -127,7 +127,6 @@ TEST(JobJson, RoundTripsEveryField) {
   spec.job.options.seed = 11;
   spec.job.options.record_barrier = true;
   spec.job.options.cfg.core.cores = 64;
-  spec.job.options.cfg.gpgpu.warp_width = 64;
   spec.job.options.cfg.millipede.pf_entries = 8;
   spec.job.options.cfg.dram.bus_efficiency = 0.5;
   spec.job.options.cfg.slab_layout = true;
@@ -161,7 +160,6 @@ TEST(JobJson, RoundTripsEveryField) {
   EXPECT_EQ(back.job.options.seed, 11u);
   EXPECT_TRUE(back.job.options.record_barrier);
   EXPECT_EQ(back.job.options.cfg.core.cores, 64u);
-  EXPECT_EQ(back.job.options.cfg.gpgpu.warp_width, 64u);
   EXPECT_EQ(back.job.options.cfg.millipede.pf_entries, 8u);
   EXPECT_DOUBLE_EQ(back.job.options.cfg.dram.bus_efficiency, 0.5);
   EXPECT_TRUE(back.job.options.cfg.slab_layout);

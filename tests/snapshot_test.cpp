@@ -421,12 +421,12 @@ TEST(SnapshotRestore, OutOfRangeFieldsAreTypedErrors) {
   // Payload layouts: a corelet section is a u32 context count, the
   // contexts (32 registers, pc, u8 state, ready_at, CSRs, instret), then
   // the round-robin cursor. An SM section ends in one u32 cursor per lane
-  // group, then a u64 lane count and each lane's u64 size and words; its
-  // first warp's SIMT stack follows the u32 warp count, width and depth.
+  // group (the plain GPGPU's warps span the lanes: one group), then a u64
+  // lane count and each lane's u64 size and words; its first warp's SIMT
+  // stack follows the u32 warp count, width and depth.
   const u64 context_bytes = 32 * 4 + 4 + 1 + 8 + 4 * isa::kNumCsrs + 8;
   const i64 sm_cursors = -static_cast<i64>(
-      4 * (o.cfg.core.cores / o.cfg.gpgpu.warp_width) + 8 +
-      o.cfg.core.cores * (8 + u64{o.cfg.core.local_mem_bytes}));
+      4 + 8 + o.cfg.core.cores * (8 + u64{o.cfg.core.local_mem_bytes}));
   struct Case {
     const char* field;
     arch::ArchKind kind;

@@ -10,6 +10,9 @@
 
 #include "arch/system.hpp"
 #include "common/error.hpp"
+#include "sim/knobs.hpp"
+#include "sim/prepare.hpp"
+#include "sim/report.hpp"
 #include "sim/runner.hpp"
 #include "tools/sweep_grid.hpp"
 
@@ -26,7 +29,6 @@ TEST(Sweep, SixtyFourCoreSystemsVerify) {
   // Fig. 6 configuration: doubled cores and bandwidth.
   MachineConfig cfg = MachineConfig::paper_defaults();
   cfg.core.cores = 64;
-  cfg.gpgpu.warp_width = 64;
   cfg.dram.channel_bits = 256;
   for (const ArchKind kind :
        {ArchKind::kMillipede, ArchKind::kSsmc, ArchKind::kGpgpu}) {
@@ -35,10 +37,58 @@ TEST(Sweep, SixtyFourCoreSystemsVerify) {
   }
 }
 
+TEST(Sweep, CoreCountSetInTheConfigRunsLikeTheCoresKnob) {
+  // The kind, not a config field, picks each machine's variant and warp
+  // width, so a library caller that sets only the core count runs every
+  // kind exactly as the --cores knob does.
+  sim::PrepareCache cache;
+  for (const ArchKind kind : all_arch_kinds()) {
+    for (const u32 cores : {8u, 16u, 64u}) {
+      sim::SuiteOptions direct;
+      direct.rows = 24;
+      direct.cfg.core.cores = cores;
+      sim::SuiteOptions knob;
+      knob.rows = 24;
+      sim::knob_set(*sim::knob_named("cores"), knob, u64{cores});
+      const sim::MatrixResult a =
+          sim::run_job({kind, "count", direct, ""}, &cache);
+      const sim::MatrixResult b =
+          sim::run_job({kind, "count", knob, ""}, &cache);
+      EXPECT_TRUE(a.ok()) << arch_name(kind) << " at " << cores
+                          << " cores: " << a.error;
+      EXPECT_EQ(sim::sweep_csv_row(a), sim::sweep_csv_row(b))
+          << arch_name(kind) << " at " << cores << " cores";
+    }
+  }
+}
+
+TEST(Sweep, VwsAtTwoLanesRunsTheGpgpusWarps) {
+  // Divergent kernels make VWS pick narrow warps; with fewer lanes than
+  // its 4-wide warps it takes every lane, which is the plain GPGPU.
+  const auto past_arch = [](const std::string& row) {
+    return row.substr(row.find(','));
+  };
+  sim::PrepareCache cache;
+  for (const char* bench : {"count", "variance", "classify", "kmeans"}) {
+    sim::SuiteOptions options;
+    options.rows = 24;
+    options.cfg.core.cores = 2;
+    const sim::MatrixResult vws =
+        sim::run_job({ArchKind::kVws, bench, options, ""}, &cache);
+    const sim::MatrixResult gpgpu =
+        sim::run_job({ArchKind::kGpgpu, bench, options, ""}, &cache);
+    ASSERT_TRUE(vws.ok()) << bench << ": " << vws.error;
+    EXPECT_EQ(vws.result.warp_width, 2u) << bench;
+    const std::string vws_row = sim::sweep_csv_row(vws);
+    EXPECT_EQ(vws_row.rfind("vws,", 0), 0u) << vws_row;
+    EXPECT_EQ(past_arch(vws_row), past_arch(sim::sweep_csv_row(gpgpu)))
+        << bench;
+  }
+}
+
 TEST(Sweep, DoubledSystemIsFasterOnParallelWork) {
   MachineConfig big = MachineConfig::paper_defaults();
   big.core.cores = 64;
-  big.gpgpu.warp_width = 64;
   big.dram.channel_bits = 256;
   const RunResult small_run =
       run_arch(ArchKind::kMillipede, MachineConfig::paper_defaults(),
